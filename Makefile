@@ -12,10 +12,12 @@ test-fast:
 	PYTHONPATH=src pytest tests/ -m "not slow"
 
 #: Test files that exercise the repro.core.kernels dispatch seam
-#: (cache batch path, DES engine heap, DBA pack/merge).
+#: (cache batch path, DES engine heap, DBA pack/merge, fabric stages
+#: booked at absolute times).
 KERNEL_SEAM_TESTS = tests/test_kernels.py tests/test_parallel_des.py \
 	tests/test_memsim.py tests/test_sim_engine.py tests/test_dba.py \
-	tests/test_batch_fastpaths.py tests/test_engine_invariants.py
+	tests/test_batch_fastpaths.py tests/test_engine_invariants.py \
+	tests/test_fabric.py
 
 # Backend matrix: the kernel-seam test files re-run under EVERY
 # registered compute-kernel backend via REPRO_KERNEL (numba falls back

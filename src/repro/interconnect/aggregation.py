@@ -36,9 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.interconnect.fabric import (
-    MIN_CELL_BYTES,
     CXLFabric,
-    _queued_stage_transmit,
+    _cell_sizes,
+    _check_amount,
+    _stage,
 )
 from repro.sim import SerialLink, SimEvent
 from repro.utils.units import NS, Bandwidth
@@ -369,6 +370,7 @@ class FabricReducer:
         self.bytes_in = 0.0
         #: Reduced bytes this reducer pushed across the pool boundary.
         self.bytes_out = 0.0
+        fabric._attach_unit(self.name, feeds_pool=True)
 
     @property
     def n_ranks(self) -> int:
@@ -384,8 +386,8 @@ class FabricReducer:
         leaves the pool stage.  ``extra_delay`` is charged once per rank
         ahead of its first cell (DMA setup / encode front-end).
         """
-        if n_bytes_per_rank < 0:
-            raise ValueError("n_bytes_per_rank must be non-negative")
+        _check_amount("n_bytes_per_rank", n_bytes_per_rank)
+        _check_amount("extra_delay", extra_delay)
         fabric = self.fabric
         sim = fabric.sim
         stats = fabric.stats
@@ -405,11 +407,9 @@ class FabricReducer:
                 in_bytes
             )
 
-        cells = fabric.params.cells_per_transfer
-        if n_bytes_per_rank <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [n_bytes_per_rank]
-        else:
-            cell_sizes = [n_bytes_per_rank / cells] * cells
+        cell_sizes = _cell_sizes(
+            n_bytes_per_rank, fabric.params.cells_per_transfer
+        )
         done = sim.event()
         remaining = len(cell_sizes)
 
@@ -435,17 +435,19 @@ class FabricReducer:
     # -- stage hand-offs (event callbacks at stage-exit times) -------------
     def _enter_switch(self, cell: float, port: int, state, pool_done) -> None:
         fabric = self.fabric
-        ev = _queued_stage_transmit(
+        sim = fabric.sim
+        t_switch = _stage(
             fabric,
             fabric.switch_link,
+            sim.now,
             cell,
             tenant=self.tenant,
             port=port,
             wait_stats=fabric.stats.tenant_switch_wait,
             span_name="switch-queue",
-            track=f"{fabric.name}-switch",
+            track=fabric.switch_link.name,
         )
-        ev.callbacks.append(
+        sim.at(t_switch).callbacks.append(
             lambda _ev: self._arrive_at_reducer(cell, port, state, pool_done)
         )
 
@@ -501,9 +503,10 @@ class FabricReducer:
         if mx.enabled:
             mx.counter(f"{fabric.name}.reduce.out_bytes").inc(cell)
         pool = fabric.pool_link_for(self.tenant)
-        ev = _queued_stage_transmit(
+        t_pool = _stage(
             fabric,
             pool,
+            fabric.sim.now,
             cell,
             tenant=self.tenant,
             port=-1,  # reduced cells no longer belong to one port
@@ -511,4 +514,4 @@ class FabricReducer:
             span_name="pool-queue",
             track=pool.name,
         )
-        ev.callbacks.append(pool_done)
+        fabric.sim.at(t_pool).callbacks.append(pool_done)

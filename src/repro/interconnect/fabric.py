@@ -66,9 +66,38 @@ DEFAULT_CELLS_PER_TRANSFER = 32
 MIN_CELL_BYTES = 4096
 
 
-def _queued_stage_transmit(
+_INF = float("inf")
+
+
+def _check_amount(name: str, value: float) -> None:
+    """Reject a byte count or delay that is negative, NaN or infinite."""
+    if not 0.0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> list[float]:
+    """The pipelining cells one transfer of ``n_bytes`` is split into."""
+    if n_bytes <= MIN_CELL_BYTES or cells_per_transfer == 1:
+        return [n_bytes]
+    return [n_bytes / cells_per_transfer] * cells_per_transfer
+
+
+def _exit_time(
+    link: SerialLink, now: float, n_bytes: float, extra_delay: float = 0.0
+) -> float:
+    """Book ``link`` for a cell arriving at ``now``; return when it leaves.
+
+    ``now + (done_at - now)`` is the exact float at which
+    :meth:`~repro.sim.SerialLink.transmit` called at ``now`` would fire
+    its delivery event.
+    """
+    return now + (link.occupy(now, n_bytes, extra_delay) - now)
+
+
+def _stage(
     fabric: "CXLFabric",
     link: SerialLink,
+    now: float,
     cell: float,
     *,
     tenant: int,
@@ -76,22 +105,23 @@ def _queued_stage_transmit(
     wait_stats: dict[int, float],
     span_name: str,
     track: str,
-) -> SimEvent:
-    """Send one cell through a fabric stage, accounting queueing.
+) -> float:
+    """Send one cell arriving at ``now`` through a fabric stage.
 
-    If the stage wire is busy on arrival the wait is charged to
-    ``wait_stats[tenant]`` and (when tracing) emitted as a ``span_name``
-    span in category ``fabric`` — the shared bookkeeping behind both
-    plain :class:`FabricPort` transfers and the in-fabric reduce path.
+    Returns the cell's exit time.  If the stage wire is busy at ``now``
+    the wait is charged to ``wait_stats[tenant]`` and (when tracing)
+    emitted as a ``span_name`` span in category ``fabric`` — the one
+    place queueing is accounted, for :class:`FabricPort` transfers and
+    the in-fabric reduce and gather stages alike.
     """
-    sim = fabric.sim
-    wait = max(0.0, link.free_at - sim.now)
+    wait = link.free_at - now
     if wait > 0.0:
         wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
-        if sim.tracer.enabled:
-            sim.tracer.add_span(
-                sim.now,
-                sim.now + wait,
+        tracer = fabric.sim.tracer
+        if tracer.enabled:
+            tracer.add_span(
+                now,
+                now + wait,
                 span_name,
                 "fabric",
                 track=track,
@@ -99,7 +129,27 @@ def _queued_stage_transmit(
                 port=port,
                 bytes=cell,
             )
-    return link.transmit(cell)
+    return _exit_time(link, now, cell)
+
+
+def _tail(sim: Simulator, exits, done: SimEvent, value: float) -> None:
+    """Trigger ``done`` after a chain of events at the times in ``exits``.
+
+    Each event is pushed when the one before it fires, and ``done`` when
+    the last one fires: the pushes an all-event pipeline makes for a
+    transfer's last cell, so ``done`` keeps its place in ``(time, seq)``
+    order even when the stages themselves were booked ahead.
+    """
+    pending = iter(exits)
+
+    def hop(_ev: SimEvent | None = None) -> None:
+        t = next(pending, None)
+        if t is None:
+            done.succeed(value)
+        else:
+            sim.at(t).callbacks.append(hop)
+
+    hop()
 
 
 class PartitionPolicy(enum.Enum):
@@ -368,6 +418,7 @@ class FabricPort:
         self.name = f"{fabric.name}-p{port_index}-t{tenant}"
         #: Payload bytes this attachment pushed into the fabric.
         self.bytes_sent = 0.0
+        self._pool_link = fabric.pool_link_for(tenant)
 
     @property
     def sim(self) -> Simulator:
@@ -389,9 +440,16 @@ class FabricPort:
         Returns the end-to-end delivery event (fires when the last cell
         leaves the pool stage).  ``extra_delay`` is charged once, ahead
         of the first cell (DMA setup / aggregation front-end).
+
+        A stage whose only feed is the stage before it is booked when
+        that stage books the cell; any other stage is booked by an event
+        at the cell's exit from the stage before (see :class:`CXLFabric`).
+        Only the last cell keeps an event per stage exit, which is all
+        ``done`` needs to fire at its all-event place in ``(time, seq)``
+        order.
         """
-        if n_bytes < 0:
-            raise ValueError("n_bytes must be non-negative")
+        _check_amount("n_bytes", n_bytes)
+        _check_amount("extra_delay", extra_delay)
         fabric = self.fabric
         sim = fabric.sim
         self.bytes_sent += n_bytes
@@ -401,51 +459,70 @@ class FabricPort:
             mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(n_bytes)
             mx.counter(f"{fabric.name}.port{self.port_index}.bytes").inc(n_bytes)
 
-        cells = fabric.params.cells_per_transfer
-        if n_bytes <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [n_bytes]
-        else:
-            per = n_bytes / cells
-            cell_sizes = [per] * cells
+        cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
         done = sim.event()
-        remaining = len(cell_sizes)
-
-        def pool_done(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(n_bytes)
-
-        for i, cell in enumerate(cell_sizes):
-            port_ev = self._wire.transmit(
-                cell, extra_delay=extra_delay if i == 0 else 0.0
-            )
-            port_ev.callbacks.append(
-                lambda _ev, c=cell: self._enter_switch(c, pool_done)
-            )
+        now = sim.now
+        wire = self._wire
+        last = len(cells) - 1
+        for i, cell in enumerate(cells):
+            t_port = _exit_time(wire, now, cell, extra_delay if i == 0 else 0.0)
+            tail = done if i == last else None
+            if fabric._switch_books_with_port:
+                t_switch = self._switch(t_port, cell)
+                t_pool = self._pool(t_switch, cell)
+                if tail is not None:
+                    _tail(sim, (t_port, t_switch, t_pool), done, n_bytes)
+            else:
+                sim.at(t_port).callbacks.append(
+                    lambda _ev, c=cell, d=tail: self._leave_port(c, d, n_bytes)
+                )
         return done
 
-    # -- stage hand-offs (run as event callbacks at stage-exit times) ------
-    def _enter_switch(self, cell: float, pool_done) -> None:
+    # -- stage hand-offs: ``done`` rides the last cell only (else None) ----
+    def _leave_port(
+        self, cell: float, done: SimEvent | None, n_bytes: float
+    ) -> None:
         fabric = self.fabric
-        ev = _queued_stage_transmit(
+        sim = fabric.sim
+        t_switch = self._switch(sim.now, cell)
+        if fabric._pool_books_with_switch:
+            t_pool = self._pool(t_switch, cell)
+            if done is not None:
+                _tail(sim, (t_switch, t_pool), done, n_bytes)
+        else:
+            sim.at(t_switch).callbacks.append(
+                lambda _ev: self._leave_switch(cell, done, n_bytes)
+            )
+
+    def _leave_switch(
+        self, cell: float, done: SimEvent | None, n_bytes: float
+    ) -> None:
+        sim = self.fabric.sim
+        t_pool = self._pool(sim.now, cell)
+        if done is not None:
+            _tail(sim, (t_pool,), done, n_bytes)
+
+    def _switch(self, now: float, cell: float) -> float:
+        fabric = self.fabric
+        return _stage(
             fabric,
             fabric.switch_link,
+            now,
             cell,
             tenant=self.tenant,
             port=self.port_index,
             wait_stats=fabric.stats.tenant_switch_wait,
             span_name="switch-queue",
-            track=f"{fabric.name}-switch",
+            track=fabric.switch_link.name,
         )
-        ev.callbacks.append(lambda _ev: self._enter_pool(cell, pool_done))
 
-    def _enter_pool(self, cell: float, pool_done) -> None:
+    def _pool(self, now: float, cell: float) -> float:
         fabric = self.fabric
-        pool = fabric.pool_link_for(self.tenant)
-        ev = _queued_stage_transmit(
+        pool = self._pool_link
+        return _stage(
             fabric,
             pool,
+            now,
             cell,
             tenant=self.tenant,
             port=self.port_index,
@@ -453,7 +530,6 @@ class FabricPort:
             span_name="pool-queue",
             track=pool.name,
         )
-        ev.callbacks.append(pool_done)
 
 
 class CXLFabric:
@@ -465,6 +541,15 @@ class CXLFabric:
         fabric = CXLFabric(sim, FabricParams(n_ports=4, n_tenants=8))
         link = fabric.port(port_index=3, tenant=6)
         yield link.transmit(chunk_bytes)
+
+    **Booking rule.**  A :class:`~repro.sim.SerialLink` delivers in call
+    order, so a stage fed by one upstream link alone sees its cells in
+    that link's call order, each at its exit time.  Such a stage is
+    booked for a cell the moment the upstream books it, with no event at
+    the upstream exit.  The pool is fed by the switch alone unless a
+    reducer is attached; the switch by one port link alone when
+    ``n_ports == 1`` and no reducer or gather unit is attached.  Event
+    counts thus scale with transfers, not cells, wherever this holds.
     """
 
     def __init__(
@@ -511,6 +596,27 @@ class CXLFabric:
             ]
         self.stats = FabricStats()
         self._attachments: list[FabricPort] = []
+        # Until a reducer or gather unit attaches, the switch is fed by
+        # the port links alone and the pool by the switch alone.
+        self._switch_books_with_port = p.n_ports == 1
+        self._pool_books_with_switch = True
+
+    def _attach_unit(self, name: str, *, feeds_pool: bool) -> None:
+        """Register an in-fabric reducer or gather unit ``name``.
+
+        The unit sends its own cells into the switch (and, for a reducer,
+        into the pool), so those stages go back to booking at event time.
+        Cells of transfers already in flight may have been booked ahead,
+        and the unit's cells could not queue behind them in order: it
+        must attach before the fabric carries any traffic.
+        """
+        if any(link.transfers for link in self.port_links):
+            raise ValueError(
+                f"{name} must attach to {self.name} before it carries traffic"
+            )
+        self._switch_books_with_port = False
+        if feeds_pool:
+            self._pool_books_with_switch = False
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""

@@ -32,9 +32,10 @@ every shard.
 from __future__ import annotations
 
 from repro.interconnect.fabric import (
-    MIN_CELL_BYTES,
     CXLFabric,
-    _queued_stage_transmit,
+    _cell_sizes,
+    _check_amount,
+    _stage,
 )
 from repro.sim import SimEvent
 
@@ -83,6 +84,7 @@ class FabricGather:
         self.bytes_in = 0.0
         #: Replicated peer-shard bytes multicast back down the ports.
         self.bytes_out = 0.0
+        fabric._attach_unit(self.name, feeds_pool=False)
 
     @property
     def n_ranks(self) -> int:
@@ -98,8 +100,8 @@ class FabricGather:
         A one-rank gather completes at the current sim time with no
         traffic.
         """
-        if shard_bytes < 0:
-            raise ValueError("shard_bytes must be non-negative")
+        _check_amount("shard_bytes", shard_bytes)
+        _check_amount("extra_delay", extra_delay)
         fabric = self.fabric
         sim = fabric.sim
         stats = fabric.stats
@@ -124,11 +126,7 @@ class FabricGather:
                 in_bytes
             )
 
-        cells = fabric.params.cells_per_transfer
-        if shard_bytes <= MIN_CELL_BYTES or cells == 1:
-            cell_sizes = [shard_bytes]
-        else:
-            cell_sizes = [shard_bytes / cells] * cells
+        cell_sizes = _cell_sizes(shard_bytes, fabric.params.cells_per_transfer)
         # One downlink delivery per (cell, rank).
         remaining = len(cell_sizes) * R
 
@@ -154,17 +152,19 @@ class FabricGather:
     # -- stage hand-offs (event callbacks at stage-exit times) -------------
     def _enter_switch(self, cell: float, port: int, state, down_done) -> None:
         fabric = self.fabric
-        ev = _queued_stage_transmit(
+        sim = fabric.sim
+        t_switch = _stage(
             fabric,
             fabric.switch_link,
+            sim.now,
             cell,
             tenant=self.tenant,
             port=port,
             wait_stats=fabric.stats.tenant_switch_wait,
             span_name="switch-queue",
-            track=f"{fabric.name}-switch",
+            track=fabric.switch_link.name,
         )
-        ev.callbacks.append(
+        sim.at(t_switch).callbacks.append(
             lambda _ev: self._arrive_at_gather(cell, port, state, down_done)
         )
 
@@ -216,9 +216,10 @@ class FabricGather:
             # Egress head-of-line blocking on a busy port downlink is
             # charged as switch-side queueing (the cells are parked in
             # the switch until the port wire frees up).
-            ev = _queued_stage_transmit(
+            t_down = _stage(
                 fabric,
                 fabric.port_links[port],
+                sim.now,
                 down,
                 tenant=self.tenant,
                 port=port,
@@ -228,4 +229,4 @@ class FabricGather:
             )
             # Each rank's downlink delivery counts once toward `done`,
             # regardless of how the peer cells pack onto the wire.
-            ev.callbacks.append(down_done)
+            sim.at(t_down).callbacks.append(down_done)

@@ -26,6 +26,8 @@ from typing import Any
 
 __all__ = ["Simulator", "SimEvent", "Process", "Interrupt"]
 
+_INF = float("inf")
+
 
 class Interrupt(Exception):
     """Thrown into a process that is interrupted while waiting."""
@@ -71,20 +73,20 @@ class SimEvent:
         """Trigger the event successfully after ``delay`` sim-seconds."""
         if self.triggered:
             raise RuntimeError("event already triggered")
+        self.sim._push(delay, self)
         self.triggered = True
         self._ok = True
         self._value = value
-        self.sim._push(delay, self)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "SimEvent":
         """Trigger the event with an exception (re-raised in waiters)."""
         if self.triggered:
             raise RuntimeError("event already triggered")
+        self.sim._push(delay, self)
         self.triggered = True
         self._ok = False
         self._value = exc
-        self.sim._push(delay, self)
         return self
 
     def _fire(self) -> None:
@@ -205,13 +207,24 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
     def _push(self, delay: float, event: SimEvent) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"negative or non-finite delay {delay}")
         self._seq += 1
         if self._events is None:
             heapq.heappush(self._heap, (self.now + delay, self._seq, event))
         else:
             self._events.push(self.now + delay, self._seq, event)
+
+    def _push_at(self, time: float, event: SimEvent) -> None:
+        if not self.now <= time < _INF:
+            raise ValueError(
+                f"event time {time} is non-finite or before now ({self.now})"
+            )
+        self._seq += 1
+        if self._events is None:
+            heapq.heappush(self._heap, (time, self._seq, event))
+        else:
+            self._events.push(time, self._seq, event)
 
     def event(self) -> SimEvent:
         """A fresh untriggered event."""
@@ -221,6 +234,20 @@ class Simulator:
         """An event that fires ``delay`` sim-seconds from now."""
         ev = SimEvent(self)
         ev.succeed(value, delay=delay)
+        return ev
+
+    def at(self, time: float, value: Any = None) -> SimEvent:
+        """An event that fires at absolute sim time ``time`` (``>= now``).
+
+        Unlike ``timeout(time - now)`` the heap key is ``time`` itself,
+        so a time computed ahead of the clock (a stage exit booked when
+        its upstream stage booked the cell) fires at exactly that float.
+        """
+        ev = SimEvent(self)
+        self._push_at(time, ev)
+        ev.triggered = True
+        ev._ok = True
+        ev._value = value
         return ev
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -292,23 +319,35 @@ class Simulator:
         event._fire()
 
     def run(self, until: float | None = None) -> None:
-        """Run until the heap drains or virtual time passes ``until``."""
+        """Run until the heap drains or virtual time passes ``until``.
+
+        Pops and fires inline (the loop body of :meth:`step`), so each
+        event costs no extra method call.
+        """
+        limit = _INF if until is None else until
         if self._events is None:
             heap = self._heap
+            pop = heapq.heappop
             while heap:
-                time = heap[0][0]
-                if until is not None and time > until:
+                if heap[0][0] > limit:
                     self.now = until
                     return
-                self.step()
+                time, _, event = pop(heap)
+                if time < self.now:
+                    raise AssertionError("time went backwards")
+                self.now = time
+                event._fire()
         else:
             events = self._events
             while len(events):
-                time = events.peek_time()
-                if until is not None and time > until:
+                if events.peek_time() > limit:
                     self.now = until
                     return
-                self.step()
+                time, _, event = events.pop()
+                if time < self.now:
+                    raise AssertionError("time went backwards")
+                self.now = time
+                event._fire()
         if until is not None:
             self.now = max(self.now, until)
 

@@ -17,6 +17,8 @@ from repro.utils.units import Bandwidth
 
 __all__ = ["Resource", "Store", "SerialLink"]
 
+_INF = float("inf")
+
 
 class Resource:
     """Counting semaphore with FIFO fairness.
@@ -166,45 +168,63 @@ class SerialLink:
         self.bytes_sent = 0
         self.transfers = 0
 
+    def occupy(
+        self, now: float, n_bytes: float, extra_delay: float = 0.0
+    ) -> float:
+        """Book the wire for a transfer arriving at ``now``; return ``done_at``.
+
+        The transfer starts at ``max(now + extra_delay, free_at)``, holds
+        the wire for ``n_bytes / bandwidth`` and is delivered ``latency``
+        later.  No event is scheduled: callers that can compute when the
+        next stage sees the transfer book it directly, everyone else uses
+        :meth:`transmit`.  ``now`` may lie ahead of ``sim.now`` but must
+        not precede the arrival of any transfer booked earlier.  Invalid
+        input raises before any state changes.
+        """
+        if not 0.0 <= n_bytes < _INF:
+            raise ValueError(
+                f"n_bytes must be finite and non-negative, got {n_bytes}"
+            )
+        if not 0.0 <= extra_delay < _INF:
+            raise ValueError(
+                f"extra_delay must be finite and non-negative, got {extra_delay}"
+            )
+        start = now + extra_delay
+        if start < self._wire_free_at:
+            start = self._wire_free_at
+        duration = n_bytes / self.bandwidth.bytes_per_second
+        self._wire_free_at = free_at = start + duration
+        self.busy_time += duration
+        self.bytes_sent += n_bytes
+        self.transfers += 1
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.tracer.add_span(
+                start, free_at, "xfer", "link", track=self.name, bytes=n_bytes
+            )
+        metrics = sim.metrics
+        if metrics.enabled:
+            metrics.counter(f"{self.name}.bytes").inc(n_bytes)
+            metrics.counter(f"{self.name}.transfers").inc()
+            if free_at > 0:
+                # Honest cumulative occupancy up to the wire-busy horizon:
+                # by construction <= 1; a larger value is an accounting bug.
+                metrics.sample(
+                    f"{self.name}.utilization", now, self.busy_time / free_at
+                )
+        return free_at + self.latency
+
     def transmit(self, n_bytes: float, extra_delay: float = 0.0) -> SimEvent:
         """Schedule a transfer; returns the delivery-complete event.
 
         ``extra_delay`` models per-transfer processing (e.g. the 1 ns
         Aggregator latency) added before the payload reaches the wire.
         """
-        if n_bytes < 0:
-            raise ValueError("n_bytes must be non-negative")
-        start = max(self.sim.now + extra_delay, self._wire_free_at)
-        duration = self.bandwidth.time_for(n_bytes)
-        self._wire_free_at = start + duration
-        self.busy_time += duration
-        self.bytes_sent += n_bytes
-        self.transfers += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.add_span(
-                start,
-                self._wire_free_at,
-                "xfer",
-                "link",
-                track=self.name,
-                bytes=n_bytes,
-            )
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(f"{self.name}.bytes").inc(n_bytes)
-            metrics.counter(f"{self.name}.transfers").inc()
-            if self._wire_free_at > 0:
-                # Honest cumulative occupancy up to the wire-busy horizon:
-                # by construction <= 1; a larger value is an accounting bug.
-                metrics.sample(
-                    f"{self.name}.utilization",
-                    self.sim.now,
-                    self.busy_time / self._wire_free_at,
-                )
-        done_at = self._wire_free_at + self.latency
-        ev = self.sim.event()
-        ev.succeed(n_bytes, delay=done_at - self.sim.now)
+        sim = self.sim
+        now = sim.now
+        done_at = self.occupy(now, n_bytes, extra_delay)
+        ev = SimEvent(sim)
+        ev.succeed(n_bytes, delay=done_at - now)
         return ev
 
     @property

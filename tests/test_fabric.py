@@ -11,6 +11,7 @@ from repro.interconnect import (
     FabricParams,
     PartitionPolicy,
 )
+from repro.interconnect.fabric import MIN_CELL_BYTES
 from repro.models import get_model
 from repro.obs import Metrics, Tracer, validate_chrome_trace
 from repro.offload import (
@@ -19,8 +20,8 @@ from repro.offload import (
     SystemKind,
 )
 from repro.offload.parallel import ClusterParams
-from repro.sim import Simulator
-from repro.utils.units import GB, Bandwidth
+from repro.sim import SimEvent, Simulator
+from repro.utils.units import GB, NS, Bandwidth
 
 
 def _params(**kw):
@@ -518,3 +519,452 @@ class TestFencePropertyOnSharedFabricPort:
         wire_bytes = ctrl.wire_bytes_sent
         lower_bound = wire_bytes / (1 * GB)
         assert fence_result["fired"] >= lower_bound * (1 - 1e-9)
+
+
+# -- reference: the per-cell, all-event FabricPort ----------------------------
+def _per_cell_stage_transmit(
+    fabric, link, cell, *, tenant, port, wait_stats, span_name, track
+):
+    sim = fabric.sim
+    wait = max(0.0, link.free_at - sim.now)
+    if wait > 0.0:
+        wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
+        if sim.tracer.enabled:
+            sim.tracer.add_span(
+                sim.now,
+                sim.now + wait,
+                span_name,
+                "fabric",
+                track=track,
+                tenant=tenant,
+                port=port,
+                bytes=cell,
+            )
+    return link.transmit(cell)
+
+
+class PerCellPort:
+    """The fabric port as first written: one event per cell per stage.
+
+    Every stage is booked by an event at the cell's exit from the stage
+    before, and ``done`` fires when a countdown over all cells' pool
+    exits reaches zero.  Differential oracle for :class:`FabricPort`.
+    """
+
+    def __init__(self, fabric, port_index, tenant):
+        self.fabric = fabric
+        self.port_index = port_index
+        self.tenant = tenant
+        self.bytes_sent = 0.0
+
+    def transmit(self, n_bytes, extra_delay=0.0):
+        fabric = self.fabric
+        sim = fabric.sim
+        self.bytes_sent += n_bytes
+        fabric.stats._account_bytes(self.port_index, self.tenant, n_bytes)
+        cells = fabric.params.cells_per_transfer
+        if n_bytes <= MIN_CELL_BYTES or cells == 1:
+            cell_sizes = [n_bytes]
+        else:
+            cell_sizes = [n_bytes / cells] * cells
+        done = sim.event()
+        remaining = len(cell_sizes)
+
+        def pool_done(_ev):
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                done.succeed(n_bytes)
+
+        wire = fabric.port_links[self.port_index]
+        for i, cell in enumerate(cell_sizes):
+            port_ev = wire.transmit(cell, extra_delay=extra_delay if i == 0 else 0.0)
+            port_ev.callbacks.append(
+                lambda _ev, c=cell: self._enter_switch(c, pool_done)
+            )
+        return done
+
+    def _enter_switch(self, cell, pool_done):
+        fabric = self.fabric
+        ev = _per_cell_stage_transmit(
+            fabric,
+            fabric.switch_link,
+            cell,
+            tenant=self.tenant,
+            port=self.port_index,
+            wait_stats=fabric.stats.tenant_switch_wait,
+            span_name="switch-queue",
+            track=f"{fabric.name}-switch",
+        )
+        ev.callbacks.append(lambda _ev: self._enter_pool(cell, pool_done))
+
+    def _enter_pool(self, cell, pool_done):
+        fabric = self.fabric
+        pool = fabric.pool_link_for(self.tenant)
+        ev = _per_cell_stage_transmit(
+            fabric,
+            pool,
+            cell,
+            tenant=self.tenant,
+            port=self.port_index,
+            wait_stats=fabric.stats.tenant_pool_wait,
+            span_name="pool-queue",
+            track=pool.name,
+        )
+        ev.callbacks.append(pool_done)
+
+
+_SIZES = st.one_of(
+    st.sampled_from(
+        [1.0, 64.0, MIN_CELL_BYTES - 1.0, MIN_CELL_BYTES, MIN_CELL_BYTES + 1.0]
+    ),
+    st.floats(min_value=1.0, max_value=4e6),
+)
+#: One transfer: (gap before it, bytes, extra_delay, wait for delivery).
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 50 * NS, 1e-6, 3.3e-5]),
+        _SIZES,
+        st.sampled_from([0.0, 0.0, 1 * NS, 7e-7]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def fabric_scenarios(draw):
+    """Fabric shape, attached unit and per-tenant transfer programs."""
+    n_ports = draw(st.integers(1, 4))
+    n_tenants = draw(st.integers(1, 8))
+    policy = draw(st.sampled_from(list(PartitionPolicy)))
+    weights = None
+    if policy is PartitionPolicy.WEIGHTED:
+        weights = tuple(
+            draw(st.sampled_from([0.5, 1.0, 3.0])) for _ in range(n_tenants)
+        )
+    bw = st.sampled_from([1 * GB, 3.3 * GB, 10 * GB])
+    params = FabricParams(
+        n_ports=n_ports,
+        n_tenants=n_tenants,
+        port_bandwidth=Bandwidth(draw(bw)),
+        port_latency=draw(st.sampled_from([0.0, 100 * NS])),
+        switch_bandwidth=draw(st.one_of(st.none(), bw.map(Bandwidth))),
+        switch_latency=draw(st.sampled_from([0.0, 250 * NS])),
+        pool_bandwidth=draw(st.one_of(st.none(), bw.map(Bandwidth))),
+        pool_latency=draw(st.sampled_from([0.0, 150 * NS])),
+        policy=policy,
+        tenant_weights=weights,
+        cells_per_transfer=draw(st.integers(1, 32)),
+    )
+    if draw(st.booleans()):  # symmetric tenants, all starting at t=0
+        ops = draw(_OPS)
+        ops[0] = (0.0, *ops[0][1:])
+        programs = [ops] * n_tenants
+    else:
+        programs = [draw(_OPS) for _ in range(n_tenants)]
+    unit = draw(st.sampled_from([None, "reducer", "gather"]))
+    unit_ops = draw(_OPS) if unit else []
+    ranks = draw(
+        st.lists(st.integers(0, n_ports - 1), min_size=1, max_size=3)
+    )
+    return params, programs, unit, ranks, unit_ops
+
+
+def _run_scenario(scenario, make_port):
+    """Run one scenario; returns everything that must match bit for bit."""
+    params, programs, unit_kind, ranks, unit_ops = scenario
+    sim = Simulator()
+    fabric = CXLFabric(sim, params)
+    deliveries = []
+    unit = None
+    if unit_kind == "reducer":
+        unit = fabric.reducer(ranks=ranks, tenant=0)
+        send_unit = unit.reduce
+    elif unit_kind == "gather":
+        unit = fabric.gather_unit(ranks=ranks, tenant=0)
+        send_unit = unit.gather
+
+    def program(sim, key, send, ops):
+        for k, (gap, n_bytes, extra, wait) in enumerate(ops):
+            if gap:
+                yield sim.timeout(gap)
+            ev = send(n_bytes, extra_delay=extra)
+            ev.callbacks.append(
+                lambda _ev, k=k: deliveries.append((key, k, sim.now))
+            )
+            if wait:
+                yield ev
+
+    for t, ops in enumerate(programs):
+        port = make_port(fabric, t % params.n_ports, t)
+        sim.process(program(sim, t, port.transmit, ops))
+    if unit is not None:
+        sim.process(program(sim, "unit", send_unit, unit_ops))
+    sim.run()
+    links = [*fabric.port_links, fabric.switch_link, *fabric.pool_links]
+    if unit_kind == "reducer":
+        links.append(unit.alu)
+    return {
+        "stats": fabric.stats.snapshot(),
+        "links": [
+            (l.name, l.free_at, l.busy_time, l.bytes_sent, l.transfers)
+            for l in links
+        ],
+        "deliveries": deliveries,
+        "now": sim.now,
+    }
+
+
+class TestStageBookingMatchesPerCellEvents:
+    """Booking a stage when its single upstream books the cell gives
+    bit-identical results to one event per cell per stage."""
+
+    @given(scenario=fabric_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_cell_oracle(self, scenario):
+        booked = _run_scenario(
+            scenario, lambda fabric, p, t: fabric.port(p, tenant=t)
+        )
+        oracle = _run_scenario(scenario, PerCellPort)
+        assert booked == oracle
+
+    def test_event_count_scales_with_transfers_not_cells(self):
+        """One port, nothing attached: a 32-cell transfer costs the four
+        events of its last cell, not 3 x 32 + 1."""
+        counts = {}
+        for name, make_port in (
+            ("booked", lambda fabric, p, t: fabric.port(p, tenant=t)),
+            ("oracle", PerCellPort),
+        ):
+            sim = Simulator()
+            fabric = CXLFabric(sim, _params(n_ports=1, n_tenants=1))
+            make_port(fabric, 0, 0).transmit(1 << 20)
+            sim.run()
+            counts[name] = sim._seq
+        assert counts == {"booked": 4, "oracle": 3 * 32 + 1}
+
+    def test_tracer_and_metrics_hooks_still_fire(self):
+        """Booked-ahead stages still emit queue spans and wire samples,
+        stamped with the cell's arrival time at the stage."""
+        tracer, metrics = Tracer(), Metrics()
+        sim = Simulator(tracer=tracer, metrics=metrics)
+        fabric = CXLFabric(
+            sim, _params(n_ports=1, policy="shared", pool_bandwidth=Bandwidth(GB))
+        )
+        for t in range(2):
+            fabric.port(0, t).transmit(1 << 20)
+        sim.run()
+        names = {s.name for s in tracer.spans}
+        assert {"xfer", "pool-queue"} <= names
+        assert validate_chrome_trace(tracer.chrome_trace(metrics=metrics)) == []
+        series = metrics.series("fabric-pool.utilization")
+        assert len(series) == 64
+        assert all(0.0 < ts <= sim.now and 0.0 < u <= 1.0 for ts, u in series)
+
+    @pytest.mark.parametrize("n_ports, unit", [(1, None), (2, None), (2, "reducer")])
+    def test_last_cell_events_keep_their_place_in_ties(self, n_ports, unit):
+        """Events that land on the delivery time in the same order as on
+        the per-cell path.  With power-of-two sizes and bandwidths the
+        single cell leaves port/switch/pool at exactly 1, 2, 3 x 2**-20 s;
+        an observer pushed at the port exit and again at the pool exit
+        must still run before ``done`` fires.
+        """
+        params = _params(
+            n_ports=n_ports,
+            n_tenants=1,
+            port_bandwidth=Bandwidth(2.0**30),
+            switch_bandwidth=Bandwidth(2.0**30),
+            pool_bandwidth=Bandwidth(2.0**30),
+        )
+        t_port, t_pool = 2.0**-20, 3 * 2.0**-20
+
+        def run(make_port):
+            sim = Simulator()
+            fabric = CXLFabric(sim, params)
+            if unit:
+                fabric.reducer(ranks=[0])
+            log = []
+
+            def main(sim):
+                ev = make_port(fabric, 0, 0).transmit(1024)
+                ev.callbacks.append(lambda _ev: log.append(("done", sim.now)))
+                yield sim.at(t_port)
+                yield sim.at(t_pool)
+                log.append(("observer", sim.now))
+                yield sim.timeout(0.0)
+                log.append(("observer-again", sim.now))
+
+            sim.process(main(sim))
+            sim.run()
+            return log
+
+        booked = run(lambda fabric, p, t: fabric.port(p, tenant=t))
+        assert booked == run(PerCellPort)
+        assert booked == [
+            ("observer", t_pool),
+            ("observer-again", t_pool),
+            ("done", t_pool),
+        ]
+
+    def test_zero_byte_cell_keeps_fifo_order_where_rounding_reordered_it(self):
+        """The one divergence from the per-cell oracle, and the reason the
+        differential test draws sizes of at least one byte.
+
+        A zero-byte cell that reaches the switch while a 1014-byte cell
+        is on its wire finishes at the same ``done_at``.  Per-cell events
+        fire each exit at ``now + (done_at - now)`` from its own booking
+        time, and here that float is one ulp *earlier* for the zero-byte
+        cell, so it overtook the cell ahead of it into the pool.  Booking
+        the pool when the switch books keeps the stage FIFO instead.
+        """
+        params = _params(
+            port_bandwidth=Bandwidth(1 * GB),
+            switch_bandwidth=Bandwidth(0.25 * GB),
+            policy="shared",
+            cells_per_transfer=1,
+        )
+
+        def run(make_port):
+            sim = Simulator()
+            fabric = CXLFabric(sim, params)
+            ends = {}
+
+            def send(sim, key, port, n_bytes, start):
+                yield sim.timeout(start)
+                yield make_port(fabric, port, key).transmit(n_bytes)
+                ends[key] = sim.now
+
+            sim.process(send(sim, 0, 0, 1014, 0.0))
+            sim.process(send(sim, 1, 1, 0.0, 1.1154e-06))
+            sim.run()
+            return ends, fabric.stats.pool_wait
+
+        (booked, booked_wait), (oracle, oracle_wait) = (
+            run(lambda fabric, p, t: fabric.port(p, tenant=t)),
+            run(PerCellPort),
+        )
+        switch_exit = 1014 / (1 * GB) + 1014 / (0.25 * GB)
+        assert oracle[1] < switch_exit and oracle_wait == 0.0
+        assert booked[1] == booked[0] and booked_wait > 0.0
+
+
+class TestConservation:
+    """Bytes in = bytes out per fabric stage, per tenant and per port."""
+
+    @staticmethod
+    def _cells(n_bytes, per_transfer):
+        return 1 if n_bytes <= MIN_CELL_BYTES or per_transfer == 1 else per_transfer
+
+    @given(scenario=fabric_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_stage_bytes_and_transfers_balance(self, scenario):
+        params, programs, _, ranks, unit_ops = scenario
+        sim = Simulator()
+        fabric = CXLFabric(sim, params)
+        red = fabric.reducer(ranks=ranks, tenant=0) if unit_ops else None
+        ports = [
+            fabric.port(t % params.n_ports, tenant=t)
+            for t in range(params.n_tenants)
+        ]
+        for port, ops in zip(ports, programs):
+            for _, n_bytes, extra, _ in ops:
+                port.transmit(n_bytes, extra_delay=extra)
+        for _, n_bytes, extra, _ in unit_ops:
+            red.reduce(n_bytes, extra_delay=extra)
+        sim.run()
+
+        stats = fabric.stats
+        approx = lambda x: pytest.approx(x, rel=1e-12)  # noqa: E731
+        plain = sum(p.bytes_sent for p in ports)
+        port_sum = sum(link.bytes_sent for link in fabric.port_links)
+        pool_sum = sum(link.bytes_sent for link in fabric.pool_links)
+        assert port_sum == approx(stats.total_bytes)
+        assert fabric.switch_link.bytes_sent == approx(port_sum)
+        assert stats.reduce_in_bytes == approx(
+            len(ranks) * sum(op[1] for op in unit_ops)
+        )
+        assert fabric.switch_link.bytes_sent == approx(plain + stats.reduce_in_bytes)
+        assert pool_sum == approx(plain + stats.reduce_out_bytes)
+        if red is None:
+            assert pool_sum == approx(stats.total_bytes)
+        for p, link in enumerate(fabric.port_links):
+            assert link.bytes_sent == approx(stats.port_bytes.get(p, 0.0))
+        for t in range(params.n_tenants):
+            sent = sum(p.bytes_sent for p in ports if p.tenant == t)
+            if red is not None and t == 0:
+                sent += stats.reduce_in_bytes
+            assert sent == approx(stats.tenant_bytes.get(t, 0.0))
+            if params.policy is not PartitionPolicy.SHARED:
+                pool_in = ports[t].bytes_sent
+                if red is not None and t == 0:
+                    pool_in += stats.reduce_out_bytes
+                assert fabric.pool_link_for(t).bytes_sent == approx(pool_in)
+
+        per = params.cells_per_transfer
+        plain_cells = sum(
+            self._cells(op[1], per) for ops in programs for op in ops
+        )
+        unit_cells = sum(self._cells(op[1], per) for op in unit_ops)
+        port_cells = sum(link.transfers for link in fabric.port_links)
+        pool_cells = sum(link.transfers for link in fabric.pool_links)
+        assert port_cells == plain_cells + len(ranks) * unit_cells
+        assert fabric.switch_link.transfers == port_cells
+        assert pool_cells == plain_cells + unit_cells
+
+
+class TestLateAttachmentAndBadInput:
+    @pytest.mark.parametrize("unit", ["reducer", "gather_unit"])
+    def test_unit_must_attach_before_traffic(self, unit):
+        sim = Simulator()
+        fabric = CXLFabric(sim, _params())
+        getattr(fabric, unit)(ranks=[0, 1])  # before traffic: fine
+        fabric.port(0, tenant=0).transmit(1 << 20)
+        with pytest.raises(ValueError, match="before it carries traffic"):
+            getattr(fabric, unit)(ranks=[0, 1])
+        sim.run()
+        with pytest.raises(ValueError, match="before it carries traffic"):
+            getattr(fabric, unit)(ranks=[0, 1])
+
+    @pytest.mark.parametrize(
+        "n_bytes, extra_delay",
+        [
+            (float("nan"), 0.0),
+            (float("inf"), 0.0),
+            (-1.0, 0.0),
+            (4096.0, float("nan")),
+            (4096.0, float("inf")),
+            (4096.0, -1e-9),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ["port", "reducer", "gather_unit"])
+    def test_bad_input_rejected_before_any_state_change(
+        self, entry, n_bytes, extra_delay
+    ):
+        sim = Simulator()
+        fabric = CXLFabric(sim, _params())
+        if entry == "port":
+            target = fabric.port(1, tenant=1)
+            send = target.transmit
+        else:
+            target = getattr(fabric, entry)(ranks=[0, 1])
+            send = target.reduce if entry == "reducer" else target.gather
+        fabric.port(0, tenant=0).transmit(1 << 20)
+        links = [*fabric.port_links, fabric.switch_link, *fabric.pool_links]
+
+        def state():
+            return (
+                fabric.stats.snapshot(),
+                [(l.free_at, l.busy_time, l.bytes_sent, l.transfers) for l in links],
+                vars(target).get("bytes_sent"),
+                vars(target).get("bytes_in"),
+                sim._seq,
+            )
+
+        before = state()
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            send(n_bytes, extra_delay=extra_delay)
+        assert state() == before
+        sim.run()
+        assert sim.now < 1.0

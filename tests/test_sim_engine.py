@@ -364,3 +364,104 @@ class TestSerialLink:
         link = SerialLink(sim, Bandwidth(100.0))
         with pytest.raises(ValueError):
             link.transmit(-1)
+
+    @pytest.mark.parametrize(
+        "n_bytes, extra_delay",
+        [
+            (float("nan"), 0.0),
+            (float("inf"), 0.0),
+            (100, float("nan")),
+            (100, float("inf")),
+            (100, -0.5),  # ends before now even with an idle wire
+            (100, -1e-3),  # ends after now behind a busy wire: still rejected
+        ],
+    )
+    def test_bad_input_rejected_before_any_state_change(
+        self, n_bytes, extra_delay
+    ):
+        sim = Simulator()
+        link = SerialLink(sim, Bandwidth(100.0), latency=0.5)
+        link.transmit(100)  # wire busy until 1 s
+
+        def state():
+            return (link.free_at, link.busy_time, link.bytes_sent, link.transfers)
+
+        before = state()
+        seq = sim._seq
+        with pytest.raises(ValueError):
+            link.transmit(n_bytes, extra_delay=extra_delay)
+        with pytest.raises(ValueError):
+            link.occupy(sim.now, n_bytes, extra_delay)
+        assert state() == before
+        assert sim._seq == seq
+        sim.run()
+        assert sim.now == 1.5
+
+    def test_transmit_is_occupy_plus_one_event(self):
+        """``transmit`` fires at ``now + (done_at - now)``, the float an
+        ``occupy`` caller computes for the same booking."""
+        sims = [Simulator(), Simulator()]
+        links = [SerialLink(s, Bandwidth(3e9), latency=1.1e-7) for s in sims]
+        fired, booked = [], []
+
+        def sender(sim):
+            for n in (1000, 4096, 7, 123456):
+                yield sim.timeout(1e-7 / 3)
+                ev = links[0].transmit(n, extra_delay=2e-9)
+                ev.callbacks.append(lambda _ev: fired.append(sims[0].now))
+
+        def booker(sim):
+            for n in (1000, 4096, 7, 123456):
+                yield sim.timeout(1e-7 / 3)
+                now = sim.now
+                booked.append(now + (links[1].occupy(now, n, 2e-9) - now))
+
+        sims[0].process(sender(sims[0]))
+        sims[1].process(booker(sims[1]))
+        for s in sims:
+            s.run()
+        assert fired == booked
+        assert links[0].free_at == links[1].free_at
+        assert links[0].busy_time == links[1].busy_time
+
+
+class TestAbsoluteTimeAndValidation:
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    def test_bad_timeout_rejected_before_push(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.timeout(delay)
+        ev = sim.event()
+        with pytest.raises(ValueError):
+            ev.succeed(delay=delay)
+        assert not ev.triggered  # a rejected trigger leaves it pending
+        assert sim._seq == 0 and sim.peek() == float("inf")
+
+    def test_at_fires_at_the_exact_time(self):
+        sim = Simulator()
+        t = 0.1 + 0.2  # not reachable as 0.0 + some delay in general
+        fired = []
+        sim.at(t, "v").callbacks.append(
+            lambda ev: fired.append((sim.now, ev.value))
+        )
+        sim.run()
+        assert fired == [(t, "v")]
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf"), 0.5])
+    def test_at_rejects_past_and_non_finite(self, when):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.at(when)
+
+    def test_at_and_timeout_share_seq_order(self):
+        """Same-time events fire in push order whichever way they were
+        scheduled."""
+        sim = Simulator()
+        order = []
+        sim.at(1.0).callbacks.append(lambda _ev: order.append("at-1"))
+        sim.timeout(1.0).callbacks.append(lambda _ev: order.append("timeout"))
+        sim.at(1.0).callbacks.append(lambda _ev: order.append("at-2"))
+        sim.run()
+        assert order == ["at-1", "timeout", "at-2"]
