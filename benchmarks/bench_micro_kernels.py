@@ -184,78 +184,6 @@ def test_des_engine_event_rate(benchmark):
     assert benchmark(run) == 2000
 
 
-def test_kernel_cache_access_numba(benchmark):
-    """The 'numba' kernel backend on the cache batch path.
-
-    With numba installed this times the compiled per-access loop and
-    gates it at >= 3x the interpreted scalar reference; without numba it
-    times the bit-identical numpy fallback and skips the JIT gate with a
-    notice (the parity still holds — see ``tests/test_kernels.py``).
-    """
-    from repro.core.kernels import numba_available, use_backend
-
-    n = 1 << 16
-    addrs = np.random.default_rng(7).integers(0, 1 << 22, n)
-
-    def run(cache):
-        with use_backend("numba"):
-            cache.access_block(addrs, True)
-
-    # Warm-up compiles the kernels outside the timed window (no-op
-    # without numba).
-    run(SetAssociativeCache(64 * 2**10, 64, 16))
-    benchmark.pedantic(
-        run,
-        setup=lambda: ((SetAssociativeCache(64 * 2**10, 64, 16),), {}),
-        rounds=3,
-        iterations=1,
-    )
-    if not numba_available():
-        pytest.skip(
-            "numba not installed: timed the bit-identical numpy fallback; "
-            "install repro[jit] to gate the compiled kernel"
-        )
-    jit_time = benchmark.stats.stats.min
-    sub = addrs[:4096]
-    scalar_cache = SetAssociativeCache(64 * 2**10, 64, 16)
-    with use_backend("scalar"):
-        scalar_time = (
-            _best_of(lambda: scalar_cache.access_block(sub, True), repeats=1)
-            / sub.size
-            * n
-        )
-    speedup = scalar_time / jit_time
-    assert speedup >= 3, f"numba cache kernel speedup {speedup:.1f}x < 3x"
-
-
-def _bench_link_shard(sim, seed):
-    """One parallel-DES shard: 300 serialized transfers on a private link."""
-    rng = np.random.default_rng(seed)
-    link = SerialLink(sim, Bandwidth(16e9), latency=1e-6)
-
-    def proc():
-        for size in rng.integers(64, 2048, 300):
-            yield link.transmit(int(size))
-
-    sim.process(proc())
-    return lambda: link.bytes_sent
-
-
-def test_parallel_des_4shard(benchmark):
-    """Conservative-lookahead sharded run of 4 independent link streams."""
-    from repro.sim.parallel import SimShard, run_shards
-
-    def run():
-        result = run_shards(
-            [SimShard(f"link{i}", _bench_link_shard, (i,)) for i in range(4)]
-        )
-        assert len(result.outcomes) == 4
-        return result
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert all(o.value > 0 for o in result.outcomes)
-
-
 def test_lz4_compress_throughput(benchmark):
     data = (b"the quick brown fox jumps over the lazy dog " * 400)[:16384]
     compressed = benchmark(lz4_compress, data)

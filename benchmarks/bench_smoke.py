@@ -196,81 +196,6 @@ def op_tracer_disabled_steps():
     return _timed(run, n_steps, repeats=25)
 
 
-def op_kernel_cache_access_numba():
-    """Cache batch lookups under the 'numba' kernel backend (64k accesses).
-
-    With numba installed this is the compiled per-access loop and the op
-    additionally gates it at >= 3x the interpreted scalar reference;
-    without numba (this image) the backend falls back — bit-identically —
-    to numpy, the gate is skipped with a notice, and the timing still
-    fences the fallback dispatch overhead.
-    """
-    from repro.core.kernels import numba_available, use_backend
-
-    n = 1 << 16
-    addrs = np.random.default_rng(7).integers(0, 1 << 22, n)
-
-    def run():
-        cache = SetAssociativeCache(64 * 2**10, 64, 16)
-        with use_backend("numba"):
-            cache.access_block(addrs, True)
-
-    run()  # warm-up: compiles the JIT kernels outside the timed window
-    result = _timed(run, n)
-    if not numba_available():
-        print(
-            "NOTE: numba not installed — kernel_cache_access_numba timed "
-            "the bit-identical numpy fallback (no 3x JIT gate)"
-        )
-        return result
-    sub = addrs[:4096]
-    scalar_cache = SetAssociativeCache(64 * 2**10, 64, 16)
-    with use_backend("scalar"):
-        t0 = time.perf_counter()
-        scalar_cache.access_block(sub, True)
-        scalar_time = (time.perf_counter() - t0) / sub.size * n
-    speedup = scalar_time / result["seconds"]
-    assert speedup >= 3, f"numba cache kernel speedup {speedup:.1f}x < 3x"
-    return result
-
-
-def _parallel_bench_shard(sim, seed):
-    """One op_parallel_des_4shard stream: 300 transfers on a private link."""
-    from repro.sim import SerialLink
-    from repro.utils.units import Bandwidth
-
-    rng = np.random.default_rng(seed)
-    link = SerialLink(sim, Bandwidth(16e9), latency=1e-6)
-
-    def proc():
-        for size in rng.integers(64, 2048, 300):
-            yield link.transmit(int(size))
-
-    sim.process(proc())
-    return lambda: link.bytes_sent
-
-
-def op_parallel_des_4shard():
-    """Sharded conservative-lookahead DES: 4 link streams, auto workers.
-
-    One element = one delivered transfer.  Exercises the windowed
-    barrier loop end to end (worker auto-sizing picks the in-process
-    sequential fallback on 1-CPU hosts — same loop, same results).
-    """
-    from repro.sim.parallel import SimShard, run_shards
-
-    def run():
-        result = run_shards(
-            [
-                SimShard(f"link{i}", _parallel_bench_shard, (i,))
-                for i in range(4)
-            ]
-        )
-        assert len(result.outcomes) == 4
-
-    return _timed(run, 4 * 300, repeats=3)
-
-
 def op_service_warm_cache_hit():
     """Submit -> done latency of a fully cache-hit job via the daemon.
 
@@ -322,8 +247,6 @@ OPS = {
     "headline_system_model": op_headline_system_model,
     "fabric_cluster_step_2x2": op_fabric_cluster_step,
     "infabric_reduce_8rank": op_infabric_reduce_8rank,
-    "kernel_cache_access_numba": op_kernel_cache_access_numba,
-    "parallel_des_4shard": op_parallel_des_4shard,
     "service_warm_cache_hit": op_service_warm_cache_hit,
     TRACER_OVERHEAD_OP: op_tracer_disabled_steps,
 }

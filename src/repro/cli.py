@@ -121,12 +121,7 @@ def _cmd_run(args) -> int:
 
     spec = registry.get_spec(args.experiment)
     params = _parse_sets(spec, args.set)
-    ctx = RunContext(
-        seed=args.seed,
-        checkpoint_dir=args.checkpoint_dir,
-        kernel=args.kernel,
-        shards=args.shards,
-    )
+    ctx = RunContext(seed=args.seed, checkpoint_dir=args.checkpoint_dir)
     result = registry.run_experiment(
         args.experiment,
         params=params,
@@ -190,7 +185,6 @@ def _cmd_sweep(args) -> int:
         jobs=args.jobs,
         cache=_make_cache(args),
         profile_dir=args.profile_dir,
-        kernel=args.kernel,
     )
     print(report.summary())
     if report.trace_path:
@@ -217,14 +211,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_all(args) -> int:
     from repro.experiments.executor import SweepCell, run_sweep
-    from repro.experiments.registry import RunContext
 
     cache = _make_cache(args)
     if args.jobs > 1:
         cells = [SweepCell.make(n, seed=0) for n in LEGACY_EXPERIMENTS]
-        report = run_sweep(
-            cells, jobs=args.jobs, cache=cache, kernel=args.kernel
-        )
+        report = run_sweep(cells, jobs=args.jobs, cache=cache)
         for outcome in report.outcomes:
             print()
             if outcome.result is not None:
@@ -237,9 +228,7 @@ def _cmd_all(args) -> int:
     for i, name in enumerate(LEGACY_EXPERIMENTS):
         if i:
             print()
-        result = registry.run_experiment(
-            name, seed=0, ctx=RunContext(kernel=args.kernel), cache=cache
-        )
+        result = registry.run_experiment(name, seed=0, cache=cache)
         print(registry.render_result(result))
     return 0
 
@@ -477,18 +466,6 @@ def _cmd_poll(args) -> int:
     return 0 if status["state"] == "done" else 1
 
 
-def _add_kernel_flag(parser) -> None:
-    from repro.core.kernels import available_backends
-
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        choices=available_backends(),
-        help="compute-kernel backend (default: $REPRO_KERNEL or numpy; "
-        "all backends are bit-exact, only speed differs)",
-    )
-
-
 def _add_cache_flags(parser) -> None:
     parser.add_argument(
         "--no-cache",
@@ -538,14 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--json", default=None, help="also write the result JSON here"
     )
-    p_run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="parallel-DES worker budget for sharding experiments "
-        "(0 = auto, 1 = sequential; result hashes are shard-invariant)",
-    )
-    _add_kernel_flag(p_run)
     _add_cache_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -576,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="profile each cell; write per-cell + merged Chrome traces here",
     )
-    _add_kernel_flag(p_sweep)
     _add_cache_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -586,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument(
         "--jobs", type=int, default=1, help="parallel worker processes"
     )
-    _add_kernel_flag(p_all)
     _add_cache_flags(p_all)
     p_all.set_defaults(func=_cmd_all)
 

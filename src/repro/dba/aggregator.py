@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import active_backend
 from repro.dba.registers import DBARegister
 from repro.interconnect.packets import CACHE_LINE_BYTES
 from repro.utils.bits import float32_to_words
@@ -58,16 +57,13 @@ class Aggregator:
         return lines
 
     def pack_lines(self, lines: np.ndarray) -> np.ndarray:
-        """Aggregate cache lines into wire payloads (kernel fast path).
+        """Aggregate cache lines into wire payloads (vectorized fast path).
 
-        The byte extraction dispatches through the active
-        :mod:`repro.core.kernels` backend; the default ``numpy`` backend
-        reinterprets the word matrix as a little-endian byte grid
+        Reinterprets the word matrix as a little-endian byte grid
         ``(n_lines, 16, 4)`` and gathers the low ``dirty_bytes`` byte
         lanes with one strided copy — no per-byte shift/mask passes.
-        Every backend is bit-identical to :meth:`pack_lines_scalar`, the
-        per-word reference (the equivalence is differentially
-        fuzz-tested).
+        Bit-identical to :meth:`pack_lines_scalar`, the per-word
+        reference (the equivalence is differentially fuzz-tested).
 
         Parameters
         ----------
@@ -82,8 +78,19 @@ class Aggregator:
         """
         lines = self._validated(lines)
         n = self.register.effective_dirty_bytes
-        out = active_backend().dba_pack(float32_to_words(lines), n)
-        self.lines_processed += lines.shape[0]
+        rows = lines.shape[0]
+        # "<u4" pins byte j of the view to (word >> 8j) & 0xFF regardless
+        # of host endianness (a no-op view on little-endian hosts).
+        lanes = (
+            float32_to_words(lines)
+            .astype("<u4", copy=False)
+            .view(np.uint8)
+            .reshape(rows, WORDS_PER_LINE, 4)
+        )
+        out = np.ascontiguousarray(lanes[:, :, :n]).reshape(
+            rows, WORDS_PER_LINE * n
+        )
+        self.lines_processed += rows
         self.payload_bytes_produced += out.size
         return out
 

@@ -211,7 +211,7 @@ def _run_cell(args) -> tuple[dict | None, str | None, bool, bool]:
     actually happened, so the parent never has to infer them.  The
     registry repopulates on import inside spawn-style workers.
     """
-    (name, params, seed, cache_root, cache_enabled, profile_path, kernel) = args
+    (name, params, seed, cache_root, cache_enabled, profile_path) = args
     try:
         from repro.experiments.cache import ResultCache
         from repro.experiments.registry import ensure_registered
@@ -222,7 +222,7 @@ def _run_cell(args) -> tuple[dict | None, str | None, bool, bool]:
             if cache_root is not None
             else None
         )
-        ctx = RunContext(seed=seed, kernel=kernel)
+        ctx = RunContext(seed=seed)
         if profile_path is not None:
             from repro.obs import Profile
 
@@ -401,7 +401,6 @@ def run_sweep(
     cache=None,
     profile_dir=None,
     pool: WorkerPool | None = None,
-    kernel: str | None = None,
 ) -> SweepReport:
     """Execute a list of cells, optionally in parallel.
 
@@ -426,10 +425,6 @@ def run_sweep(
         keeps one warm across jobs); ``None`` builds a transient pool
         for this sweep.  Passing a pool overrides ``jobs <= 1`` inline
         execution.
-    kernel
-        :mod:`repro.core.kernels` backend every cell runs under
-        (``None`` inherits the worker's environment).  Backends are
-        bit-exact, so this changes wall time, never sweep hashes.
     """
     import time
 
@@ -452,7 +447,6 @@ def run_sweep(
             None
             if profile_dir is None
             else _profile_path(profile_dir, c, s),
-            kernel,
         )
         for c, s in zip(norm, seeds)
     ]

@@ -1,28 +1,30 @@
-"""E-F10/F13 at full paper scale, fanned across parallel task shards.
+"""E-F10/F13 at full paper scale, one worker process per cell.
 
 The registry's ``fig10``/``fig13`` entries default to reduced step
 counts so the smoke path stays fast.  This module registers the
 *full-size* runs — the paper's 1775 fine-tuning steps, DBA activation
 at step 500, and the Figure-13 sweep over (0, 100, 500, 1000, 1775) —
-and fans their independent cells (each a whole self-contained
-fine-tuning run) across worker processes with
-:func:`repro.sim.parallel.run_sharded_tasks`.
+and maps their independent cells (each a whole self-contained
+fine-tuning run) over a :class:`~concurrent.futures.ProcessPoolExecutor`
+with one worker per usable CPU, capped at the number of cells.
 
 Each cell is a top-level (picklable) function that builds its own
-memoized pre-trained setup, so a cell computes identically whether it
-runs inline (``shards=1``), in a forked pool worker, or interleaved
-with other cells — the reason result hashes are invariant under
-``--shards`` (pinned by ``exp_smoke.py`` and the parallel-DES tests).
+memoized pre-trained setup, so a cell computes identically in any
+worker; ``pool.map`` returns results in cell order.  The rows therefore
+equal those of ``fig10``/``fig13`` run with the same parameters
+(pinned by ``exp_smoke.py``).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 from repro.dba import ActivationPolicy
 from repro.experiments.fig10 import Fig10Result, rows_from_result
-from repro.experiments.fig13 import mixed_speedup, render_fig13
+from repro.experiments.fig13 import render_fig13, run_fig13
 from repro.experiments.runner import finetune, pretrained_lm
 from repro.offload import TrainerMode
-from repro.sim.parallel import TaskShard, run_sharded_tasks
 
 __all__ = [
     "FULL_STEPS",
@@ -40,10 +42,16 @@ FULL_ACT_AFT = 500
 FULL_SWEEP = (0, 100, 500, 1000, 1775)
 
 
-def _resolve_workers(shards, ctx=None):
-    """Worker budget: explicit param > ``ctx.shards`` > auto (``None``)."""
-    n = int(shards) or int(getattr(ctx, "shards", 0) or 0)
-    return n if n > 0 else None
+def _map_cells(fn, cells: list[tuple]) -> list:
+    """``[fn(*args) for args in cells]``, one pool worker per usable CPU."""
+    if not cells:
+        return []
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(max_workers=min(cpus, len(cells))) as pool:
+        return list(pool.map(fn, *zip(*cells)))
 
 
 def _fig10_cell(mode_name, n_steps, act_aft_steps, seed, lr):
@@ -67,40 +75,20 @@ def run_fig10_full(
     act_aft_steps: int = FULL_ACT_AFT,
     seed: int = 0,
     lr: float = 5e-4,
-    workers: int | None = None,
-    kernel: str | None = None,
 ) -> Fig10Result:
-    """Full-size Figure 10: baseline and TECO curves as two task shards."""
-    shards = [
-        TaskShard(
-            "baseline", _fig10_cell, ("baseline", n_steps, act_aft_steps, seed, lr)
-        ),
-        TaskShard("teco", _fig10_cell, ("teco", n_steps, act_aft_steps, seed, lr)),
-    ]
-    values = run_sharded_tasks(shards, workers=workers, kernel=kernel)
+    """Full-size Figure 10: baseline and TECO curves as two pool cells."""
+    baseline, teco = _map_cells(
+        _fig10_cell,
+        [(mode, n_steps, act_aft_steps, seed, lr) for mode in ("baseline", "teco")],
+    )
     return Fig10Result(
-        baseline_curve=values["baseline"],
-        teco_curve=values["teco"],
-        act_aft_steps=act_aft_steps,
+        baseline_curve=baseline, teco_curve=teco, act_aft_steps=act_aft_steps
     )
 
 
 def _fig13_cell(act, total_steps, paper_total_steps, seed):
     """One Figure-13 sweep point (perplexity + modelled speedup)."""
-    setup = pretrained_lm(seed=seed, finetune_batches=total_steps)
-    trainer = finetune(
-        setup,
-        TrainerMode.TECO_REDUCTION,
-        seed=seed + 1,
-        policy=ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
-    )
-    ppl = trainer.model.perplexity(setup.eval_batch)
-    paper_act = int(act / total_steps * paper_total_steps)
-    return {
-        "act_aft_steps": act,
-        "perplexity": ppl,
-        "speedup": mixed_speedup(paper_act, paper_total_steps),
-    }
+    return run_fig13((act,), total_steps, paper_total_steps, seed)[0]
 
 
 def run_fig13_full(
@@ -108,24 +96,14 @@ def run_fig13_full(
     total_steps: int = FULL_STEPS,
     paper_total_steps: int = FULL_STEPS,
     seed: int = 0,
-    workers: int | None = None,
-    kernel: str | None = None,
 ) -> list[dict]:
-    """Full-size Figure 13: one task shard per activation point.
-
-    Rows come back in sweep order regardless of which worker finished
-    first — :func:`run_sharded_tasks` merges by key.
-    """
+    """Full-size Figure 13: one pool cell per activation point, rows in
+    sweep order."""
     if any(not 0 <= s <= total_steps for s in sweep):
         raise ValueError("sweep points must lie within the run")
-    shards = [
-        TaskShard(
-            f"act{act:05d}", _fig13_cell, (act, total_steps, paper_total_steps, seed)
-        )
-        for act in sweep
-    ]
-    values = run_sharded_tasks(shards, workers=workers, kernel=kernel)
-    return [values[f"act{act:05d}"] for act in sweep]
+    return _map_cells(
+        _fig13_cell, [(act, total_steps, paper_total_steps, seed) for act in sweep]
+    )
 
 
 # --- registry ------------------------------------------------------------
@@ -135,19 +113,14 @@ from repro.experiments.registry import register, renderer
 
 @register(
     "fig10_full",
-    "Figure 10 at full paper scale (1775 steps, sharded)",
+    "Figure 10 at full paper scale (1775 steps, one process per cell)",
     tags=("figure", "functional", "full"),
 )
 def _fig10_full_experiment(
-    ctx, n_steps=FULL_STEPS, act_aft_steps=FULL_ACT_AFT, lr=5e-4, shards=0
+    ctx, n_steps=FULL_STEPS, act_aft_steps=FULL_ACT_AFT, lr=5e-4
 ):
     result = run_fig10_full(
-        n_steps=n_steps,
-        act_aft_steps=act_aft_steps,
-        seed=ctx.seed,
-        lr=lr,
-        workers=_resolve_workers(shards, ctx),
-        kernel=ctx.kernel,
+        n_steps=n_steps, act_aft_steps=act_aft_steps, seed=ctx.seed, lr=lr
     )
     return rows_from_result(result)
 
@@ -161,7 +134,7 @@ def _fig10_full_render(result):
 
 @register(
     "fig13_full",
-    "Figure 13 at full paper scale (1775-step sweep, sharded)",
+    "Figure 13 at full paper scale (1775-step sweep, one process per cell)",
     tags=("figure", "functional", "timing", "full"),
 )
 def _fig13_full_experiment(
@@ -169,15 +142,12 @@ def _fig13_full_experiment(
     sweep=FULL_SWEEP,
     total_steps=FULL_STEPS,
     paper_total_steps=FULL_STEPS,
-    shards=0,
 ):
     return run_fig13_full(
         sweep=tuple(sweep),
         total_steps=total_steps,
         paper_total_steps=paper_total_steps,
         seed=ctx.seed,
-        workers=_resolve_workers(shards, ctx),
-        kernel=ctx.kernel,
     )
 
 

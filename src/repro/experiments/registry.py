@@ -98,24 +98,12 @@ class RunContext:
         support observability attach it to their trainers.
     checkpoint_dir
         Directory for interruptible-run checkpoints (or ``None``).
-    kernel
-        :mod:`repro.core.kernels` backend name the run executes under
-        (``None`` inherits the active backend / ``REPRO_KERNEL``).
-        Backends are bit-exact, so this never changes result hashes and
-        is deliberately absent from cache keys and provenance.
-    shards
-        Parallel-DES worker budget for runners that shard independent
-        streams (``0`` = auto, ``1`` = sequential fallback).  Shard
-        merges are deterministic, so this too never changes result
-        hashes.
     """
 
     seed: int = 0
     out_dir: str | None = None
     profile: Any = None
     checkpoint_dir: str | None = None
-    kernel: str | None = None
-    shards: int = 0
 
 
 @dataclass
@@ -372,11 +360,8 @@ def run_experiment(
             return hit
     run_ctx = ctx or RunContext()
     run_ctx.seed = seed
-    from repro.core.kernels import use_backend
-
     t0 = time.perf_counter()
-    with use_backend(run_ctx.kernel) as backend:
-        rows = spec.runner(run_ctx, **resolved)
+    rows = spec.runner(run_ctx, **resolved)
     seconds = time.perf_counter() - t0
     result = ExperimentResult(
         name=name,
@@ -387,7 +372,6 @@ def run_experiment(
             "code_version": code_version,
             "seconds": seconds,
             "cached": False,
-            "kernel": backend.name,
         },
     )
     if cache is not None:

@@ -60,17 +60,6 @@ DEFAULT_RETRY_AFTER = 1.0
 DEFAULT_RETENTION = 512
 
 
-def _kernel_dict() -> dict:
-    """The ``/stats`` compute-kernel section: active backend + choices."""
-    from repro.core.kernels import available_backends, numba_available, resolve_name
-
-    return {
-        "backend": resolve_name(),
-        "available": list(available_backends()),
-        "numba_installed": numba_available(),
-    }
-
-
 class ServiceConfig:
     """Construction-time knobs of a :class:`SweepService`."""
 
@@ -492,7 +481,6 @@ class SweepService:
                 "workers": self.config.jobs,
                 "restarts": self.pool.restarts,
             },
-            "kernel": _kernel_dict(),
             "orphans_removed_at_startup": self.orphans_removed,
         }
         if self.cache is not None:

@@ -182,25 +182,15 @@ class Simulator:
     simulation pays nothing for the hooks (instrumented components test
     ``sim.tracer.enabled`` / ``sim.metrics.enabled`` before recording).
 
-    ``kernel`` pins the event-heap implementation to a named
-    :mod:`repro.core.kernels` backend; by default the active backend is
-    consulted once, here.  The ``numpy`` backend (the default) supplies
-    no heap object, which keeps the original inline :mod:`heapq` loop —
-    the per-event hot path gains no indirection.  Heap ordering is
-    ``(time, seq)`` with a unique ``seq``, so every backend pops events
-    in exactly the same order and simulation results are bit-identical
-    across backends.
+    Events live on one :mod:`heapq` heap keyed ``(time, seq)``; ``seq``
+    is unique and increments once per push, so ties fire in push order.
     """
 
-    def __init__(self, tracer=None, metrics=None, kernel: str | None = None) -> None:
-        from repro.core.kernels import active_backend
+    def __init__(self, tracer=None, metrics=None) -> None:
         from repro.obs import NULL_METRICS, NULL_TRACER
 
-        backend = active_backend(kernel)
-        self.kernel = backend.name
         self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
-        self._events = backend.make_event_heap()  # None => inline heapq
         self._seq = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
@@ -210,10 +200,7 @@ class Simulator:
         if not 0.0 <= delay < _INF:
             raise ValueError(f"negative or non-finite delay {delay}")
         self._seq += 1
-        if self._events is None:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-        else:
-            self._events.push(self.now + delay, self._seq, event)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
     def _push_at(self, time: float, event: SimEvent) -> None:
         if not self.now <= time < _INF:
@@ -221,10 +208,7 @@ class Simulator:
                 f"event time {time} is non-finite or before now ({self.now})"
             )
         self._seq += 1
-        if self._events is None:
-            heapq.heappush(self._heap, (time, self._seq, event))
-        else:
-            self._events.push(time, self._seq, event)
+        heapq.heappush(self._heap, (time, self._seq, event))
 
     def event(self) -> SimEvent:
         """A fresh untriggered event."""
@@ -309,10 +293,7 @@ class Simulator:
     # -- execution -------------------------------------------------------
     def step(self) -> None:
         """Process the next event."""
-        if self._events is None:
-            time, _, event = heapq.heappop(self._heap)
-        else:
-            time, _, event = self._events.pop()
+        time, _, event = heapq.heappop(self._heap)
         if time < self.now:
             raise AssertionError("time went backwards")
         self.now = time
@@ -322,37 +303,31 @@ class Simulator:
         """Run until the heap drains or virtual time passes ``until``.
 
         Pops and fires inline (the loop body of :meth:`step`), so each
-        event costs no extra method call.
+        event costs no extra method call.  ``until`` must not be NaN or
+        earlier than :attr:`now`: the clock never moves backwards.
         """
-        limit = _INF if until is None else until
-        if self._events is None:
-            heap = self._heap
-            pop = heapq.heappop
-            while heap:
-                if heap[0][0] > limit:
-                    self.now = until
-                    return
-                time, _, event = pop(heap)
-                if time < self.now:
-                    raise AssertionError("time went backwards")
-                self.now = time
-                event._fire()
+        if until is None:
+            limit = _INF
         else:
-            events = self._events
-            while len(events):
-                if events.peek_time() > limit:
-                    self.now = until
-                    return
-                time, _, event = events.pop()
-                if time < self.now:
-                    raise AssertionError("time went backwards")
-                self.now = time
-                event._fire()
+            if not until >= self.now:
+                raise ValueError(
+                    f"until={until} is NaN or before now ({self.now})"
+                )
+            limit = until
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if heap[0][0] > limit:
+                self.now = until
+                return
+            time, _, event = pop(heap)
+            if time < self.now:
+                raise AssertionError("time went backwards")
+            self.now = time
+            event._fire()
         if until is not None:
-            self.now = max(self.now, until)
+            self.now = until
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event (``inf`` if none)."""
-        if self._events is None:
-            return self._heap[0][0] if self._heap else float("inf")
-        return self._events.peek_time()
+        return self._heap[0][0] if self._heap else float("inf")

@@ -114,6 +114,37 @@ class TestCacheBlockDifferential:
         with pytest.raises(ValueError):
             c.access_block(np.array([0, -64]), True)
 
+    def test_lru_tie_break_prefers_lowest_way(self):
+        """Fresh ways all tie at lru=0: the victim must be way 0 (then 1,
+        ...) — the invalid-way-first rule, then the lowest-index LRU-min
+        rule."""
+        # 2 sets x 2 ways of 64B lines; hammer set 0 with conflicting tags.
+        addrs = np.array([0, 128, 256, 384, 512], dtype=np.int64)
+        writes = np.ones(5, dtype=bool)
+        scalar = SetAssociativeCache(256, 64, 2)
+        block = SetAssociativeCache(256, 64, 2)
+        _, wbs = run_scalar(scalar, addrs, writes)
+        result = block.access_block(addrs, writes)
+        # tags 0,1 fill the ways; tag 2 evicts tag 0 (way 0), tag 3
+        # evicts tag 1 (way 1), tag 4 evicts tag 2 (way 0 again).
+        assert result.writeback_address.tolist() == [-1, -1, 0, 128, 256]
+        assert np.array_equal(result.writebacks, wbs)
+        assert_same_cache_state(scalar, block)
+
+    @pytest.mark.parametrize("addrs", [[1.7, 64.2], [float("nan")], [64.0]])
+    def test_float_addresses_rejected_before_any_state_change(self, addrs):
+        c = SetAssociativeCache(1024, 64, 2)
+        with pytest.raises(TypeError):
+            c.access(addrs[0], False)
+        with pytest.raises(TypeError):
+            c.access_block(np.array(addrs), False)
+        assert c.stats.accesses == 0 and c.resident_lines == 0
+
+    def test_bool_addresses_accepted(self):
+        c = SetAssociativeCache(1024, 64, 2)
+        result = c.access_block(np.array([True, False]), False)
+        assert result.hits.tolist() == [False, True]
+
 
 class TestHierarchyBlockDifferential:
     @staticmethod

@@ -1,37 +1,25 @@
-"""Differential parity of the pluggable compute-kernel backends.
+"""Parity of the vectorised hot-primitive kernels against their references.
 
-Every backend in :mod:`repro.core.kernels` must be *bit-exact* against
-the scalar reference — same cache stats, same LRU victim tie-breaks,
-same write-back order, same DBA bytes, same event-heap pop order.  The
-fuzz cases here are the contract that lets ``--kernel`` stay out of
-result hashes and cache keys.
+Each hot primitive has one batch implementation, written in numpy at its
+only caller: ``SetAssociativeCache.access_block``, ``Aggregator.pack_lines``
+and ``Disaggregator.merge_lines``.  The per-element methods that stay in
+``src/`` (``access``, ``pack_lines_scalar``, ``merge_lines_scalar``) are
+the differential oracles.  Every batch result must be *bit-exact*
+against them: same cache stats, same LRU victim tie-breaks, same
+write-back order, same DBA bytes.
 """
-
-import heapq
-import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.kernels import (
-    ArrayEventHeap,
-    available_backends,
-    get_backend,
-    jitable,
-    numba_available,
-    resolve_name,
-    set_backend,
-    use_backend,
-)
 from repro.dba.aggregator import Aggregator
 from repro.dba.disaggregator import Disaggregator
 from repro.dba.registers import DBARegister
 from repro.memsim.cache import SetAssociativeCache
-from repro.utils.bits import float32_to_words
 
-BACKENDS = list(available_backends())
+# Batch implementations checked against the per-word DBA references.
+# numpy is the only one; the id keeps the parametrized test names stable.
+IMPLS = ["numpy"]
 
 
 def _stream(seed, n, span=4096, write_frac=0.4):
@@ -52,55 +40,18 @@ def _cache_state(c):
     )
 
 
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert {"scalar", "numpy", "numba"} <= set(BACKENDS)
-
-    def test_unknown_backend_is_an_error_listing_choices(self):
-        with pytest.raises(ValueError, match="scalar"):
-            get_backend("fortran")
-
-    def test_resolve_precedence_env_then_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_name() == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert resolve_name() == "scalar"
-        # explicit name beats the environment
-        assert resolve_name("numpy") == "numpy"
-
-    def test_use_backend_overrides_and_restores(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        with use_backend("scalar") as b:
-            assert b.name == "scalar"
-            assert resolve_name() == "scalar"
-            # override beats the environment while active
-            monkeypatch.setenv("REPRO_KERNEL", "numpy")
-            assert resolve_name() == "scalar"
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_name() == "numpy"
-
-    def test_use_backend_none_is_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        with use_backend(None) as b:
-            assert b.name == "scalar"
-
-    def test_set_backend_round_trip(self):
-        try:
-            set_backend("scalar")
-            assert resolve_name() == "scalar"
-        finally:
-            set_backend(None)
-        assert resolve_name() == resolve_name(None)
-
-    def test_nested_overrides_restore_in_order(self):
-        with use_backend("scalar"):
-            with use_backend("numpy"):
-                assert resolve_name() == "numpy"
-            assert resolve_name() == "scalar"
+def _access_loop(cache, addrs, writes):
+    """Per-address ``access`` calls: the reference for ``access_block``."""
+    hits, wbs = [], []
+    for a, w in zip(addrs, writes):
+        r = cache.access(int(a), bool(w))
+        hits.append(r.hit)
+        wbs.append(-1 if r.writeback_address is None else r.writeback_address)
+    return np.array(hits, dtype=bool), np.array(wbs, dtype=np.int64)
 
 
 class TestCacheKernelParity:
-    """scalar == numpy == numba on state, stats and per-access outputs."""
+    """``access_block`` == a loop of ``access`` on state, stats and outputs."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize(
@@ -108,80 +59,32 @@ class TestCacheKernelParity:
     )
     def test_block_access_fuzz(self, seed, size, line, ways):
         addrs, writes = _stream(seed, 700, span=size * 3)
-        outs = {}
-        for name in BACKENDS:
-            c = SetAssociativeCache(size, line_bytes=line, ways=ways)
-            with use_backend(name):
-                r = c.access_block(addrs, writes)
-            outs[name] = (r.hits.copy(), r.writeback_address.copy(), _cache_state(c))
-        ref_hits, ref_wb, ref_state = outs["scalar"]
-        for name in BACKENDS:
-            hits, wb, state = outs[name]
-            np.testing.assert_array_equal(hits, ref_hits, err_msg=name)
-            np.testing.assert_array_equal(wb, ref_wb, err_msg=name)
-            for a, b in zip(state, ref_state):
-                np.testing.assert_array_equal(a, b, err_msg=name)
+        loop = SetAssociativeCache(size, line_bytes=line, ways=ways)
+        ref_hits, ref_wb = _access_loop(loop, addrs, writes)
+        c = SetAssociativeCache(size, line_bytes=line, ways=ways)
+        r = c.access_block(addrs, writes)
+        np.testing.assert_array_equal(r.hits, ref_hits)
+        np.testing.assert_array_equal(r.writeback_address, ref_wb)
+        for a, b in zip(_cache_state(c), _cache_state(loop)):
+            np.testing.assert_array_equal(a, b)
 
     def test_block_matches_scalar_access_loop(self):
-        """The batch path equals per-address ``access`` calls exactly."""
+        """The batch path equals per-address ``access`` calls exactly,
+        also when one block is split across several calls."""
         addrs, writes = _stream(7, 400, span=4096)
         loop = SetAssociativeCache(1024, ways=4)
-        loop_hits, loop_wb = [], []
-        for a, w in zip(addrs, writes):
-            r = loop.access(int(a), bool(w))
-            loop_hits.append(r.hit)
-            loop_wb.append(-1 if r.writeback_address is None else r.writeback_address)
-        for name in BACKENDS:
-            c = SetAssociativeCache(1024, ways=4)
-            with use_backend(name):
-                r = c.access_block(addrs, writes)
-            np.testing.assert_array_equal(r.hits, loop_hits, err_msg=name)
-            np.testing.assert_array_equal(
-                r.writeback_address, loop_wb, err_msg=name
-            )
-            for a, b in zip(_cache_state(c), _cache_state(loop)):
-                np.testing.assert_array_equal(a, b, err_msg=name)
-
-    def test_lru_tie_break_prefers_lowest_way(self):
-        """Fresh ways all tie at lru=0: the victim must be way 0 (then 1,
-        ...) under every backend — the invalid-way-first rule, then the
-        lowest-index LRU-min rule."""
-        # 2 sets x 2 ways of 64B lines; hammer set 0 with conflicting tags.
-        addrs = np.array([0, 128, 256, 384, 512], dtype=np.int64)  # set 0 tags 0..4
-        writes = np.ones(5, dtype=bool)
-        for name in BACKENDS:
-            c = SetAssociativeCache(256, line_bytes=64, ways=2)
-            with use_backend(name):
-                r = c.access_block(addrs, writes)
-            # tags 0,1 fill the ways; tag 2 evicts tag 0 (way 0), tag 3
-            # evicts tag 1 (way 1), tag 4 evicts tag 2 (way 0 again).
-            np.testing.assert_array_equal(
-                r.writeback_address, [-1, -1, 0, 128, 256], err_msg=name
-            )
-
-    def test_jitable_kernel_matches_numpy_directly(self):
-        """The undecorated jitable body (what numba compiles) is itself
-        bit-exact — so JIT compilation can only change speed."""
-        addrs, writes = _stream(11, 300, span=2048)
-        c = SetAssociativeCache(512, ways=2)
-        hits = np.empty(addrs.size, dtype=bool)
-        wb = np.empty(addrs.size, dtype=np.int64)
-        h, m, e, w = jitable.cache_block_kernel(
-            c._tags, c._valid, c._dirty, c._lru, c.n_sets, c._line_shift,
-            c._tick, addrs >> c._line_shift, np.ascontiguousarray(writes),
-            hits, wb,
+        loop_hits, loop_wb = _access_loop(loop, addrs, writes)
+        c = SetAssociativeCache(1024, ways=4)
+        first = c.access_block(addrs[:150], writes[:150])
+        rest = c.access_block(addrs[150:], writes[150:])
+        np.testing.assert_array_equal(
+            np.concatenate([first.hits, rest.hits]), loop_hits
         )
-        c._tick += addrs.size
-        c.stats.hits += int(h)
-        c.stats.misses += int(m)
-        c.stats.evictions += int(e)
-        c.stats.writebacks += int(w)
-        ref = SetAssociativeCache(512, ways=2)
-        with use_backend("numpy"):
-            r = ref.access_block(addrs, writes)
-        np.testing.assert_array_equal(hits, r.hits)
-        np.testing.assert_array_equal(wb, r.writeback_address)
-        for a, b in zip(_cache_state(c), _cache_state(ref)):
+        np.testing.assert_array_equal(
+            np.concatenate([first.writeback_address, rest.writeback_address]),
+            loop_wb,
+        )
+        for a, b in zip(_cache_state(c), _cache_state(loop)):
             np.testing.assert_array_equal(a, b)
 
 
@@ -194,38 +97,36 @@ def _register(n_bytes):
 
 class TestDBAKernelParity:
     @pytest.mark.parametrize("n_bytes", [1, 2, 3, 4])
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", IMPLS)
     def test_pack_matches_scalar_reference(self, n_bytes, name):
         rng = np.random.default_rng(n_bytes)
         lines = rng.standard_normal((5, 16)).astype(np.float32)
         fast, ref = Aggregator(_register(n_bytes)), Aggregator(_register(n_bytes))
-        with use_backend(name):
-            payload = fast.pack_lines(lines)
+        payload = fast.pack_lines(lines)
         expected = ref.pack_lines_scalar(lines)
-        np.testing.assert_array_equal(payload, expected)
+        np.testing.assert_array_equal(payload, expected, err_msg=name)
         assert fast.lines_processed == ref.lines_processed
         assert fast.payload_bytes_produced == ref.payload_bytes_produced
 
     @pytest.mark.parametrize("n_bytes", [1, 2, 3, 4])
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", IMPLS)
     def test_merge_matches_scalar_reference(self, n_bytes, name):
         rng = np.random.default_rng(100 + n_bytes)
         stale = rng.standard_normal((4, 16)).astype(np.float32)
         fresh = rng.standard_normal((4, 16)).astype(np.float32)
         reg = _register(n_bytes)
-        with use_backend(name):
-            payload = Aggregator(reg).pack_lines(fresh)
-            fast = Disaggregator(reg)
-            merged = fast.merge_lines(stale, payload)
+        payload = Aggregator(reg).pack_lines(fresh)
+        fast = Disaggregator(reg)
+        merged = fast.merge_lines(stale, payload)
         ref = Disaggregator(reg)
         expected = ref.merge_lines_scalar(stale, payload)
         np.testing.assert_array_equal(
-            merged.view(np.uint32), expected.view(np.uint32)
+            merged.view(np.uint32), expected.view(np.uint32), err_msg=name
         )
         assert fast.lines_merged == ref.lines_merged
         assert fast.extra_reads == ref.extra_reads
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("name", IMPLS)
     def test_full_low_bytes_round_trip(self, name):
         """Bypass (4 effective bytes) replaces every word: the merge
         reconstructs ``fresh`` exactly."""
@@ -233,146 +134,15 @@ class TestDBAKernelParity:
         stale = rng.standard_normal((3, 16)).astype(np.float32)
         fresh = rng.standard_normal((3, 16)).astype(np.float32)
         reg = _register(4)
-        with use_backend(name):
-            payload = Aggregator(reg).pack_lines(fresh)
-            merged = Disaggregator(reg).merge_lines(stale, payload)
-        np.testing.assert_array_equal(merged, fresh)
-
-    def test_pack_words_against_jitable(self):
-        rng = np.random.default_rng(9)
-        words = float32_to_words(
-            rng.standard_normal((6, 16)).astype(np.float32)
-        )
-        for n_bytes in (1, 2, 3):
-            out = np.empty((6, 16 * n_bytes), dtype=np.uint8)
-            jitable.dba_pack_kernel(words, n_bytes, out)
-            np.testing.assert_array_equal(
-                out, get_backend("numpy").dba_pack(words, n_bytes)
-            )
-
-
-class TestEventHeapParity:
-    @given(st.lists(st.floats(0, 1e3, allow_nan=False), min_size=0, max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_pop_order_matches_heapq(self, times):
-        """(time, seq) min-order with unique seqs == heapq, ties included."""
-        ref = []
-        heap = ArrayEventHeap(jitable.heap_push, jitable.heap_pop, capacity=4)
-        for seq, t in enumerate(times):
-            heapq.heappush(ref, (t, seq, f"item{seq}"))
-            heap.push(t, seq, f"item{seq}")
-        assert len(heap) == len(ref)
-        while len(heap):
-            assert heap.peek_time() == ref[0][0]
-            assert heap.pop() == heapq.heappop(ref)
-        assert heap.peek_time() == float("inf")
-
-    def test_interleaved_push_pop(self):
-        rng = np.random.default_rng(3)
-        ref, heap = [], ArrayEventHeap(jitable.heap_push, jitable.heap_pop)
-        seq = 0
-        for _ in range(500):
-            if ref and rng.random() < 0.4:
-                assert heap.pop() == heapq.heappop(ref)
-            else:
-                t = float(rng.random())
-                heapq.heappush(ref, (t, seq, seq))
-                heap.push(t, seq, seq)
-                seq += 1
-        while ref:
-            assert heap.pop() == heapq.heappop(ref)
-
-
-class TestSimulatorBackendParity:
-    def _delivery_log(self, kernel):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator(kernel=kernel)
-        log = []
-
-        def proc(sim, tag, delays):
-            for d in delays:
-                yield sim.timeout(d)
-                log.append((round(sim.now, 12), tag))
-
-        rng = np.random.default_rng(17)
-        for tag in range(6):
-            sim.process(proc(sim, tag, rng.random(40).tolist()))
-        sim.run()
-        return log, sim.now
-
-    def test_event_order_identical_across_backends(self):
-        ref_log, ref_end = self._delivery_log("numpy")
-        for name in BACKENDS:
-            log, end = self._delivery_log(name)
-            assert log == ref_log, name
-            assert end == ref_end, name
-
-
-class TestNumbaFallback:
-    def test_graceful_degradation_without_numba(self):
-        """Absent numba, the 'numba' backend delegates to numpy with a
-        one-time RuntimeWarning — results never differ."""
-        if numba_available():
-            pytest.skip("numba installed: fallback path not reachable")
-        b = get_backend("numba")
-        assert b.jit is False
-        addrs, writes = _stream(1, 50)
-        c1 = SetAssociativeCache(512, ways=2)
-        c2 = SetAssociativeCache(512, ways=2)
-        with use_backend("numba"):
-            r1 = c1.access_block(addrs, writes)
-        with use_backend("numpy"):
-            r2 = c2.access_block(addrs, writes)
-        np.testing.assert_array_equal(r1.hits, r2.hits)
-        np.testing.assert_array_equal(r1.writeback_address, r2.writeback_address)
-        for a, b in zip(_cache_state(c1), _cache_state(c2)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_jit_flag_reflects_availability(self):
-        assert get_backend("numba").jit == numba_available()
-        assert get_backend("scalar").jit is False
-        assert get_backend("numpy").jit is False
+        payload = Aggregator(reg).pack_lines(fresh)
+        merged = Disaggregator(reg).merge_lines(stale, payload)
+        np.testing.assert_array_equal(merged, fresh, err_msg=name)
 
 
 class TestHierarchyStatsAtSeam:
-    """Satellite audit: hierarchy stats merging is backend-invariant."""
-
-    def _run(self, name):
-        from repro.memsim.hierarchy import CacheHierarchy
-
-        h = CacheHierarchy(
-            [
-                SetAssociativeCache(512, ways=2, name="l1"),
-                SetAssociativeCache(2048, ways=4, name="l2"),
-            ]
-        )
-        addrs, writes = _stream(23, 600, span=8192)
-        with use_backend(name):
-            r = h.access_block(addrs, writes)
-        stats = [
-            (c.stats.hits, c.stats.misses, c.stats.evictions, c.stats.writebacks)
-            for c in h.levels
-        ]
-        return (
-            r.hit_levels.copy(),
-            r.memory_writebacks.copy(),
-            stats,
-            h.memory_reads,
-            h.memory_writes,
-        )
-
-    def test_per_level_stats_identical_across_backends(self):
-        ref = self._run("scalar")
-        for name in BACKENDS:
-            got = self._run(name)
-            np.testing.assert_array_equal(got[0], ref[0], err_msg=name)
-            np.testing.assert_array_equal(got[1], ref[1], err_msg=name)
-            assert got[2:] == ref[2:], name
-
     def test_batch_stats_equal_scalar_access_loop(self):
         """Block stats == summing per-access scalar stats (the regression
-        fence on the seam's stats merge)."""
+        fence on the hierarchy's stats merge)."""
         from repro.memsim.hierarchy import CacheHierarchy
 
         def fresh():
@@ -397,27 +167,3 @@ class TestHierarchyStatsAtSeam:
             )
         assert loop.memory_reads == batch.memory_reads
         assert loop.memory_writes == batch.memory_writes
-
-
-class TestEnvSelection:
-    def test_env_var_reaches_simulator(self, monkeypatch):
-        from repro.sim.engine import Simulator
-
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert Simulator().kernel == "scalar"
-        monkeypatch.delenv("REPRO_KERNEL")
-        assert Simulator().kernel == "numpy"
-
-    def test_subprocess_env_selection(self):
-        import subprocess
-        import sys
-
-        env = dict(os.environ, REPRO_KERNEL="scalar")
-        env["PYTHONPATH"] = "src"
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.core.kernels import resolve_name; print(resolve_name())"],
-            capture_output=True, text=True, env=env, cwd=os.path.dirname(
-                os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "scalar"

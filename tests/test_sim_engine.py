@@ -465,3 +465,30 @@ class TestAbsoluteTimeAndValidation:
         sim.at(1.0).callbacks.append(lambda _ev: order.append("at-2"))
         sim.run()
         assert order == ["at-1", "timeout", "at-2"]
+
+    def test_run_until_never_moves_the_clock_backwards(self):
+        sim = Simulator()
+        sim.timeout(20.0)
+        sim.run(until=15.0)
+        with pytest.raises(ValueError):
+            sim.run(until=5.0)
+        assert sim.now == 15.0 and sim.peek() == 20.0  # nothing popped
+        fired = []
+        sim.timeout(1.0).callbacks.append(lambda _ev: fired.append(sim.now))
+        sim.run()
+        assert fired == [16.0]
+
+    @pytest.mark.parametrize("until", [-1.0, float("nan")])
+    def test_run_until_rejects_past_and_nan(self, until):
+        sim = Simulator()
+        sim.timeout(1.0)
+        with pytest.raises(ValueError):
+            sim.run(until=until)
+        assert sim.now == 0.0 and sim.peek() == 1.0
+
+    def test_run_until_now_is_allowed(self):
+        sim = Simulator()
+        sim.timeout(0.0)
+        sim.timeout(1.0)
+        sim.run(until=0.0)
+        assert sim.now == 0.0 and sim.peek() == 1.0
