@@ -18,14 +18,11 @@ trainable proxies see the genuine rounding error of each wire format,
 not an idealized byte count.
 
 **Timing** — :class:`FabricReducer`, a discrete-event reduction stage
-attached to a :class:`~repro.interconnect.fabric.CXLFabric`.  Each rank
-streams its encoded cells through its port link and the shared switch;
-the reducer barriers per cell across ranks (emitting ``reduce-wait``
-spans for early arrivals), charges the reduce ALU (a
-:class:`~repro.sim.SerialLink` processing the summed inputs), and ships
-**one** reduced cell through the pool stage.  Byte and wait accounting
-threads through :class:`~repro.interconnect.fabric.FabricStats` and
-``sim.metrics``.
+attached to a :class:`~repro.interconnect.fabric.CXLFabric`.  It shares
+the rank uplink and per-cell barrier with the fabric's other in-switch
+unit; once every rank's cell is in, it charges the reduce ALU (a
+:class:`~repro.sim.SerialLink` processing the summed inputs) and ships
+**one** reduced cell through the pool stage.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ import numpy as np
 
 from repro.interconnect.fabric import (
     CXLFabric,
-    _cell_sizes,
     _check_amount,
+    _RankUnit,
     _stage,
 )
 from repro.sim import SerialLink, SimEvent
@@ -314,7 +311,7 @@ def aggregate_streams(
     }
 
 
-class FabricReducer:
+class FabricReducer(_RankUnit):
     """Discrete-event in-fabric reduction stage on a :class:`CXLFabric`.
 
     One reducer represents the aggregation engine serving one tenant's
@@ -322,14 +319,17 @@ class FabricReducer:
     stream enters through (several ranks may share a port — GPUs behind
     one node attachment — in which case their cells serialize on it).
 
-    :meth:`reduce` runs one reduction: every rank streams
-    ``n_bytes_per_rank`` encoded bytes through its port link and the
-    shared switch stage; the reducer barriers cell-by-cell across ranks,
-    occupies the reduce ALU for the summed input bytes, and transmits a
-    single reduced cell through the tenant's pool link — so the pool
-    boundary carries ``n_bytes_per_rank`` total instead of
-    ``len(ranks) * n_bytes_per_rank``.
+    :meth:`reduce` runs one reduction.  The uplink and the per-cell rank
+    barrier are the skeleton it shares with
+    :class:`~repro.interconnect.gather.FabricGather`; once a cell's
+    barrier completes the reducer occupies the reduce ALU for the summed
+    input bytes and transmits a single reduced cell through the tenant's
+    pool link — so the pool boundary carries ``n_bytes_per_rank`` total
+    instead of ``len(ranks) * n_bytes_per_rank``.
     """
+
+    kind = "reduce"
+    feeds_pool = True
 
     def __init__(
         self,
@@ -341,41 +341,18 @@ class FabricReducer:
         reduce_latency: float = DEFAULT_REDUCE_LATENCY,
         name: str | None = None,
     ):
-        self.fabric = fabric
-        self.ranks = [int(r) for r in ranks]
-        if not self.ranks:
-            raise ValueError("FabricReducer needs at least one rank")
-        for r in self.ranks:
-            if not 0 <= r < fabric.params.n_ports:
-                raise ValueError(
-                    f"rank port {r} out of range (fabric has "
-                    f"{fabric.params.n_ports} ports)"
-                )
-        if not 0 <= tenant < fabric.params.n_tenants:
-            raise ValueError(
-                f"tenant {tenant} out of range (fabric has "
-                f"{fabric.params.n_tenants} tenants)"
-            )
-        self.tenant = tenant
-        self.name = name or f"{fabric.name}-reduce-t{tenant}"
+        # Bad ALU parameters must fail before the unit attaches.
+        alu_bandwidth = Bandwidth(reduce_bandwidth)
+        _check_amount("reduce_latency", reduce_latency)
+        super().__init__(fabric, ranks, tenant=tenant, name=name)
         #: The reduce ALU: a serialized engine whose occupancy per cell
         #: is the *summed* input bytes of all ranks.
         self.alu = SerialLink(
             fabric.sim,
-            Bandwidth(reduce_bandwidth),
+            alu_bandwidth,
             latency=reduce_latency,
             name=f"{self.name}-alu",
         )
-        #: Per-rank encoded bytes this reducer has consumed.
-        self.bytes_in = 0.0
-        #: Reduced bytes this reducer pushed across the pool boundary.
-        self.bytes_out = 0.0
-        fabric._attach_unit(self.name, feeds_pool=True)
-
-    @property
-    def n_ranks(self) -> int:
-        """Gradient streams summed per reduction."""
-        return len(self.ranks)
 
     def reduce(
         self, n_bytes_per_rank: float, extra_delay: float = 0.0
@@ -388,101 +365,18 @@ class FabricReducer:
         """
         _check_amount("n_bytes_per_rank", n_bytes_per_rank)
         _check_amount("extra_delay", extra_delay)
-        fabric = self.fabric
-        sim = fabric.sim
-        stats = fabric.stats
-        R = self.n_ranks
+        return self._collect(n_bytes_per_rank, extra_delay, per_cell=1)
 
-        in_bytes = n_bytes_per_rank * R
-        self.bytes_in += in_bytes
-        stats.tenant_reduce_in_bytes[self.tenant] = (
-            stats.tenant_reduce_in_bytes.get(self.tenant, 0.0) + in_bytes
-        )
-        for port in self.ranks:
-            stats._account_bytes(port, self.tenant, n_bytes_per_rank)
-        mx = sim.metrics
-        if mx.enabled:
-            mx.counter(f"{fabric.name}.reduce.in_bytes").inc(in_bytes)
-            mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(
-                in_bytes
-            )
-
-        cell_sizes = _cell_sizes(
-            n_bytes_per_rank, fabric.params.cells_per_transfer
-        )
-        done = sim.event()
-        remaining = len(cell_sizes)
-
-        def pool_done(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(n_bytes_per_rank)
-
-        for i, cell in enumerate(cell_sizes):
-            state = {"arrived": 0, "first": None}
-            for port in self.ranks:
-                port_ev = fabric.port_links[port].transmit(
-                    cell, extra_delay=extra_delay if i == 0 else 0.0
-                )
-                port_ev.callbacks.append(
-                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
-                        c, p, s, pool_done
-                    )
-                )
-        return done
-
-    # -- stage hand-offs (event callbacks at stage-exit times) -------------
-    def _enter_switch(self, cell: float, port: int, state, pool_done) -> None:
-        fabric = self.fabric
-        sim = fabric.sim
-        t_switch = _stage(
-            fabric,
-            fabric.switch_link,
-            sim.now,
-            cell,
-            tenant=self.tenant,
-            port=port,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=fabric.switch_link.name,
-        )
-        sim.at(t_switch).callbacks.append(
-            lambda _ev: self._arrive_at_reducer(cell, port, state, pool_done)
-        )
-
-    def _arrive_at_reducer(
-        self, cell: float, port: int, state, pool_done
-    ) -> None:
-        fabric = self.fabric
-        sim = fabric.sim
+    def _release(self, cell: float, delivered) -> None:
+        sim = self.fabric.sim
         now = sim.now
-        if state["first"] is None:
-            state["first"] = now
-        state["arrived"] += 1
-        if state["arrived"] < self.n_ranks:
-            return
-        # Last rank's cell is in: early arrivals waited for it.
-        wait = now - state["first"]
-        if wait > 0.0:
-            stats = fabric.stats.tenant_reduce_wait
-            stats[self.tenant] = stats.get(self.tenant, 0.0) + wait
-            if sim.tracer.enabled:
-                sim.tracer.add_span(
-                    state["first"],
-                    now,
-                    "reduce-wait",
-                    "fabric",
-                    track=self.name,
-                    tenant=self.tenant,
-                    bytes=cell,
-                )
         # The ALU sweeps the summed inputs of this cell.
-        ev = self.alu.transmit(cell * self.n_ranks)
+        summed = cell * self.n_ranks
+        ev = self.alu.transmit(summed)
         if sim.tracer.enabled:
             sim.tracer.add_span(
                 now,
-                now + self.alu.bandwidth.time_for(cell * self.n_ranks),
+                now + self.alu.bandwidth.time_for(summed),
                 "fabric-reduce",
                 "fabric",
                 track=self.name,
@@ -490,18 +384,11 @@ class FabricReducer:
                 bytes=cell,
                 ranks=self.n_ranks,
             )
-        ev.callbacks.append(lambda _ev: self._enter_pool(cell, pool_done))
+        ev.callbacks.append(lambda _ev: self._enter_pool(cell, delivered))
 
-    def _enter_pool(self, cell: float, pool_done) -> None:
+    def _enter_pool(self, cell: float, delivered) -> None:
         fabric = self.fabric
-        stats = fabric.stats
-        self.bytes_out += cell
-        stats.tenant_reduce_out_bytes[self.tenant] = (
-            stats.tenant_reduce_out_bytes.get(self.tenant, 0.0) + cell
-        )
-        mx = fabric.sim.metrics
-        if mx.enabled:
-            mx.counter(f"{fabric.name}.reduce.out_bytes").inc(cell)
+        self._account_out(cell)
         pool = fabric.pool_link_for(self.tenant)
         t_pool = _stage(
             fabric,
@@ -510,8 +397,8 @@ class FabricReducer:
             cell,
             tenant=self.tenant,
             port=-1,  # reduced cells no longer belong to one port
-            wait_stats=stats.tenant_pool_wait,
+            wait_stats=fabric.stats.tenant_pool_wait,
             span_name="pool-queue",
             track=pool.name,
         )
-        fabric.sim.at(t_pool).callbacks.append(pool_done)
+        fabric.sim.at(t_pool).callbacks.append(delivered)

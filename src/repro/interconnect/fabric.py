@@ -35,7 +35,8 @@ per-tenant byte and wait accounting through :class:`FabricStats` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 from repro.interconnect.cxl import CXLLinkModel
 from repro.sim import SerialLink, SimEvent, Simulator
@@ -73,6 +74,19 @@ def _check_amount(name: str, value: float) -> None:
     """Reject a byte count or delay that is negative, NaN or infinite."""
     if not 0.0 <= value < _INF:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _check_index(what: str, value, n: int, noun: str) -> int:
+    """``value`` as an index below ``n``; ``ValueError`` if it is not one.
+
+    Integer types of any kind (numpy's included) pass; a float is
+    rejected rather than truncated to some other port or tenant.
+    """
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} {value!r} is not an integer index")
+    if not 0 <= value < n:
+        raise ValueError(f"{what} {value} out of range (fabric has {n} {noun})")
+    return int(value)
 
 
 def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> list[float]:
@@ -225,15 +239,12 @@ class FabricParams:
     cells_per_transfer: int = DEFAULT_CELLS_PER_TRANSFER
 
     def __post_init__(self) -> None:
-        if self.n_ports < 1:
-            raise ValueError("n_ports must be >= 1")
-        if self.n_tenants < 1:
-            raise ValueError("n_tenants must be >= 1")
-        if self.cells_per_transfer < 1:
-            raise ValueError("cells_per_transfer must be >= 1")
-        for lat in (self.port_latency, self.switch_latency, self.pool_latency):
-            if lat < 0:
-                raise ValueError("latencies must be non-negative")
+        for count in ("n_ports", "n_tenants", "cells_per_transfer"):
+            value = getattr(self, count)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{count} must be an integer >= 1, got {value!r}")
+        for lat in ("port_latency", "switch_latency", "pool_latency"):
+            _check_amount(lat, getattr(self, lat))
         object.__setattr__(self, "policy", PartitionPolicy.parse(self.policy))
         if self.policy is PartitionPolicy.WEIGHTED:
             w = self.tenant_weights
@@ -241,8 +252,10 @@ class FabricParams:
                 raise ValueError(
                     "WEIGHTED policy needs tenant_weights of length n_tenants"
                 )
-            if any(x <= 0 for x in w):
-                raise ValueError("tenant_weights must be positive")
+            if not all(0.0 < x < _INF for x in w):
+                raise ValueError(
+                    f"tenant_weights must be finite and positive, got {w}"
+                )
 
     @property
     def resolved_switch_bandwidth(self) -> Bandwidth:
@@ -355,49 +368,18 @@ class FabricStats:
 
     def snapshot(self) -> dict:
         """JSON-ready copy (row material for experiments)."""
-        return {
-            "port_bytes": {str(k): v for k, v in sorted(self.port_bytes.items())},
-            "tenant_bytes": {
-                str(k): v for k, v in sorted(self.tenant_bytes.items())
-            },
-            "tenant_switch_wait": {
-                str(k): v for k, v in sorted(self.tenant_switch_wait.items())
-            },
-            "tenant_pool_wait": {
-                str(k): v for k, v in sorted(self.tenant_pool_wait.items())
-            },
-            "tenant_reduce_in_bytes": {
-                str(k): v
-                for k, v in sorted(self.tenant_reduce_in_bytes.items())
-            },
-            "tenant_reduce_out_bytes": {
-                str(k): v
-                for k, v in sorted(self.tenant_reduce_out_bytes.items())
-            },
-            "tenant_reduce_wait": {
-                str(k): v for k, v in sorted(self.tenant_reduce_wait.items())
-            },
-            "tenant_gather_in_bytes": {
-                str(k): v
-                for k, v in sorted(self.tenant_gather_in_bytes.items())
-            },
-            "tenant_gather_out_bytes": {
-                str(k): v
-                for k, v in sorted(self.tenant_gather_out_bytes.items())
-            },
-            "tenant_gather_wait": {
-                str(k): v for k, v in sorted(self.tenant_gather_wait.items())
-            },
-            "switch_wait": self.switch_wait,
-            "pool_wait": self.pool_wait,
-            "reduce_in_bytes": self.reduce_in_bytes,
-            "reduce_out_bytes": self.reduce_out_bytes,
-            "reduce_wait": self.reduce_wait,
-            "gather_in_bytes": self.gather_in_bytes,
-            "gather_out_bytes": self.gather_out_bytes,
-            "gather_wait": self.gather_wait,
-            "total_bytes": self.total_bytes,
+        names = [f.name for f in fields(self)]
+        snap = {
+            name: {str(k): v for k, v in sorted(getattr(self, name).items())}
+            for name in names
         }
+        # Each field after ``tenant_bytes`` has a total property named
+        # without its ``tenant_`` prefix; ``total_bytes`` comes last.
+        for name in names[2:]:
+            total = name.removeprefix("tenant_")
+            snap[total] = getattr(self, total)
+        snap["total_bytes"] = self.total_bytes
+        return snap
 
 
 class FabricPort:
@@ -595,7 +577,6 @@ class CXLFabric:
                 for t in range(p.n_tenants)
             ]
         self.stats = FabricStats()
-        self._attachments: list[FabricPort] = []
         # Until a reducer or gather unit attaches, the switch is fed by
         # the port links alone and the pool by the switch alone.
         self._switch_books_with_port = p.n_ports == 1
@@ -620,19 +601,12 @@ class CXLFabric:
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""
-        if not 0 <= port_index < self.params.n_ports:
-            raise ValueError(
-                f"port {port_index} out of range (fabric has "
-                f"{self.params.n_ports} ports)"
-            )
-        if not 0 <= tenant < self.params.n_tenants:
-            raise ValueError(
-                f"tenant {tenant} out of range (fabric has "
-                f"{self.params.n_tenants} tenants)"
-            )
-        attachment = FabricPort(self, port_index, tenant)
-        self._attachments.append(attachment)
-        return attachment
+        p = self.params
+        return FabricPort(
+            self,
+            _check_index("port", port_index, p.n_ports, "ports"),
+            _check_index("tenant", tenant, p.n_tenants, "tenants"),
+        )
 
     def pool_link_for(self, tenant: int) -> SerialLink:
         """The pool-stage link serving ``tenant`` under the policy."""
@@ -672,3 +646,162 @@ class CXLFabric:
         from repro.interconnect.gather import FabricGather
 
         return FabricGather(self, ranks, tenant=tenant, **kwargs)
+
+
+class _RankUnit:
+    """Skeleton of an in-fabric unit that collects one cell from every rank.
+
+    ``ranks`` names the fabric port each rank's stream enters through
+    (several ranks may share a port, serializing their cells on it).
+    Every cell crosses its rank's port link and the shared switch stage;
+    the unit then holds it at a per-cell barrier until the matching cell
+    of every rank has arrived, charging early arrivals' wait to
+    ``FabricStats.tenant_<kind>_wait`` and a ``<kind>-wait`` span.
+
+    A subclass sets :attr:`kind` (which names its stats fields, metrics
+    and spans) and :attr:`feeds_pool`, and supplies its public method and
+    :meth:`_release` — what happens to a cell once every rank's is in.
+    """
+
+    #: ``"reduce"`` or ``"gather"``.
+    kind: str
+    #: Whether released cells enter the pool stage (see
+    #: :meth:`CXLFabric._attach_unit`).
+    feeds_pool: bool
+
+    def __init__(
+        self,
+        fabric: "CXLFabric",
+        ranks,
+        *,
+        tenant: int = 0,
+        name: str | None = None,
+    ):
+        p = fabric.params
+        self.fabric = fabric
+        self.ranks = [
+            _check_index("rank port", r, p.n_ports, "ports") for r in ranks
+        ]
+        if not self.ranks:
+            raise ValueError(f"{type(self).__name__} needs at least one rank")
+        self.tenant = _check_index("tenant", tenant, p.n_tenants, "tenants")
+        self.name = name or f"{fabric.name}-{self.kind}-t{self.tenant}"
+        #: Per-rank bytes this unit consumed through the port uplinks.
+        self.bytes_in = 0.0
+        #: Bytes sent on past the barrier: reduced cells into the pool,
+        #: or peer cells multicast back down the ports.
+        self.bytes_out = 0.0
+        fabric._attach_unit(self.name, feeds_pool=self.feeds_pool)
+
+    @property
+    def n_ranks(self) -> int:
+        """Rank streams collected per operation."""
+        return len(self.ranks)
+
+    def _add(self, field_name: str, n: float) -> None:
+        """Add ``n`` to this tenant's entry of ``FabricStats.<field_name>``."""
+        per_tenant = getattr(self.fabric.stats, field_name)
+        per_tenant[self.tenant] = per_tenant.get(self.tenant, 0.0) + n
+
+    def _collect(
+        self, n_bytes: float, extra_delay: float, per_cell: int
+    ) -> SimEvent:
+        """Uplink one ``n_bytes`` stream from every rank.
+
+        Returns the event that fires once each cell has made
+        ``per_cell`` calls to the ``delivered`` callback handed to
+        :meth:`_release`.  ``extra_delay`` is charged once per rank
+        ahead of its first cell.
+        """
+        fabric = self.fabric
+        sim = fabric.sim
+        in_bytes = n_bytes * self.n_ranks
+        self.bytes_in += in_bytes
+        self._add(f"tenant_{self.kind}_in_bytes", in_bytes)
+        for port in self.ranks:
+            fabric.stats._account_bytes(port, self.tenant, n_bytes)
+        mx = sim.metrics
+        if mx.enabled:
+            mx.counter(f"{fabric.name}.{self.kind}.in_bytes").inc(in_bytes)
+            mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(
+                in_bytes
+            )
+
+        cell_sizes = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
+        done = sim.event()
+        remaining = len(cell_sizes) * per_cell
+
+        def delivered(_ev: SimEvent) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                done.succeed(n_bytes)
+
+        for i, cell in enumerate(cell_sizes):
+            state = {"arrived": 0, "first": None}
+            for port in self.ranks:
+                port_ev = fabric.port_links[port].transmit(
+                    cell, extra_delay=extra_delay if i == 0 else 0.0
+                )
+                port_ev.callbacks.append(
+                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
+                        c, p, s, delivered
+                    )
+                )
+        return done
+
+    # -- stage hand-offs (event callbacks at stage-exit times) -------------
+    def _enter_switch(self, cell: float, port: int, state, delivered) -> None:
+        fabric = self.fabric
+        sim = fabric.sim
+        t_switch = _stage(
+            fabric,
+            fabric.switch_link,
+            sim.now,
+            cell,
+            tenant=self.tenant,
+            port=port,
+            wait_stats=fabric.stats.tenant_switch_wait,
+            span_name="switch-queue",
+            track=fabric.switch_link.name,
+        )
+        sim.at(t_switch).callbacks.append(
+            lambda _ev: self._arrive(cell, state, delivered)
+        )
+
+    def _arrive(self, cell: float, state, delivered) -> None:
+        sim = self.fabric.sim
+        now = sim.now
+        if state["first"] is None:
+            state["first"] = now
+        state["arrived"] += 1
+        if state["arrived"] < self.n_ranks:
+            return
+        # Last rank's cell is in: early arrivals waited for it.
+        wait = now - state["first"]
+        if wait > 0.0:
+            self._add(f"tenant_{self.kind}_wait", wait)
+            if sim.tracer.enabled:
+                sim.tracer.add_span(
+                    state["first"],
+                    now,
+                    f"{self.kind}-wait",
+                    "fabric",
+                    track=self.name,
+                    tenant=self.tenant,
+                    bytes=cell,
+                )
+        self._release(cell, delivered)
+
+    def _release(self, cell: float, delivered) -> None:
+        """Forward one barrier-complete ``cell``; calls ``delivered`` per delivery."""
+        raise NotImplementedError
+
+    def _account_out(self, n_bytes: float) -> None:
+        """Charge ``n_bytes`` leaving the unit to its out-byte accounting."""
+        fabric = self.fabric
+        self.bytes_out += n_bytes
+        self._add(f"tenant_{self.kind}_out_bytes", n_bytes)
+        mx = fabric.sim.metrics
+        if mx.enabled:
+            mx.counter(f"{fabric.name}.{self.kind}.out_bytes").inc(n_bytes)

@@ -157,8 +157,10 @@ class SerialLink:
         latency: float = 0.0,
         name: str = "link",
     ):
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        if not 0.0 <= latency < _INF:
+            raise ValueError(
+                f"latency must be finite and non-negative, got {latency}"
+            )
         self.sim = sim
         self.bandwidth = bandwidth
         self.latency = latency

@@ -55,8 +55,9 @@ class Bandwidth:
     bytes_per_second: float
 
     def __post_init__(self) -> None:
-        if self.bytes_per_second <= 0:
-            raise ValueError("bandwidth must be positive")
+        bps = self.bytes_per_second
+        if not 0 < bps < float("inf"):
+            raise ValueError(f"bandwidth must be finite and positive, got {bps}")
 
     def time_for(self, n_bytes: float) -> float:
         """Seconds needed to move ``n_bytes`` at this bandwidth."""

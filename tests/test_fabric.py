@@ -1,5 +1,6 @@
 """Tests for the multi-host CXL fabric and the ClusterEngine."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,37 @@ class TestFabricParams:
             FabricParams(n_tenants=0)
         with pytest.raises(ValueError):
             FabricParams(cells_per_transfer=0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(switch_latency=float("nan")),
+            dict(pool_latency=float("inf")),
+            dict(port_latency=-1e-9),
+            dict(
+                n_tenants=2,
+                policy="weighted",
+                tenant_weights=(1.0, float("nan")),
+            ),
+            dict(
+                n_tenants=2,
+                policy="weighted",
+                tenant_weights=(1.0, float("inf")),
+            ),
+            dict(n_ports=2.5),
+            dict(n_tenants=1.5),
+            dict(cells_per_transfer=2.5),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integer(self, kw):
+        # Each used to be accepted and fail late: a NaN event time at
+        # the first transmit, NaN pool bandwidth, or a TypeError in range.
+        with pytest.raises(ValueError):
+            FabricParams(**kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = FabricParams(n_ports=np.int64(3), cells_per_transfer=np.int32(4))
+        assert len(CXLFabric(Simulator(), p).port_links) == 3
 
 
 class TestCXLFabricTransfers:
@@ -915,6 +947,46 @@ class TestConservation:
 
 
 class TestLateAttachmentAndBadInput:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda f: f.port(1.5),
+            lambda f: f.port(0, tenant=1.0),
+            lambda f: f.reducer(ranks=[1.9]),
+            lambda f: f.reducer(ranks=[0, 1], tenant=0.5),
+            lambda f: f.gather_unit(ranks=[0, 1.0]),
+            lambda f: f.gather_unit(ranks=[0, 1], tenant=0.5),
+        ],
+    )
+    def test_non_integer_index_rejected(self, make):
+        # Used to be truncated (rank 1.9 -> port 1), booked under a
+        # float tenant key, or fail only at the first transmit.
+        fabric = CXLFabric(Simulator(), _params())
+        with pytest.raises(ValueError, match="not an integer index"):
+            make(fabric)
+
+    def test_numpy_integer_indices_accepted(self):
+        fabric = CXLFabric(Simulator(), _params())
+        port = fabric.port(np.int64(1), tenant=np.int32(1))
+        red = fabric.reducer(ranks=np.arange(2), tenant=np.int64(1))
+        assert port.name == "fabric-p1-t1"
+        assert red.ranks == [0, 1]
+        assert red.name == "fabric-reduce-t1"
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(reduce_latency=float("nan")),
+            dict(reduce_bandwidth=float("nan")),
+            dict(reduce_bandwidth=float("inf")),
+        ],
+    )
+    def test_bad_reduce_alu_rejected_before_attaching(self, kw):
+        fabric = CXLFabric(Simulator(), _params())
+        with pytest.raises(ValueError, match="finite"):
+            fabric.reducer(ranks=[0, 1], **kw)
+        assert fabric._pool_books_with_switch
+
     @pytest.mark.parametrize("unit", ["reducer", "gather_unit"])
     def test_unit_must_attach_before_traffic(self, unit):
         sim = Simulator()

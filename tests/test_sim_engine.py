@@ -424,6 +424,11 @@ class TestSerialLink:
         assert links[0].free_at == links[1].free_at
         assert links[0].busy_time == links[1].busy_time
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -1e-9])
+    def test_bad_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            SerialLink(Simulator(), Bandwidth(100.0), latency=latency)
+
 
 class TestAbsoluteTimeAndValidation:
     @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])

@@ -34,6 +34,12 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             Bandwidth(-1)
 
+    @pytest.mark.parametrize("bps", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bps):
+        # NaN slipped past ``<= 0`` and made every time_for() NaN.
+        with pytest.raises(ValueError, match="finite and positive"):
+            Bandwidth(bps)
+
     def test_rejects_negative_amounts(self):
         bw = Bandwidth.gb_per_s(1)
         with pytest.raises(ValueError):
