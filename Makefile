@@ -1,4 +1,4 @@
-.PHONY: install test test-fast verify-resume verify-resume-full bench bench-show bench-smoke trace-smoke exp-smoke service-smoke report examples clean
+.PHONY: install test test-fast verify-resume verify-resume-full bench bench-show bench-smoke check-cube trace-smoke exp-smoke service-smoke report examples clean
 
 install:
 	pip install -e '.[dev]' --no-build-isolation
@@ -34,6 +34,12 @@ bench-show:
 #   PYTHONPATH=src python benchmarks/bench_smoke.py --update-baseline
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_smoke.py
+
+# Exhaustive bit-exactness check of GELU's float32 cube (functional._cube
+# against NumPy's x**3 on every float32 bit pattern; tens of minutes on
+# one core, so not part of `make test`).  Re-run after any NumPy upgrade.
+check-cube:
+	PYTHONPATH=src python benchmarks/check_gelu_cube.py
 
 # Observability smoke: profile a reduced fig10 run, export the Chrome
 # trace-event JSON, and validate its schema + required span categories

@@ -39,6 +39,8 @@ class FlatArena:
         if not named:
             raise ValueError("module has no parameters")
         self.module = module
+        # The module tree is fixed once built; walk it here, not per step.
+        self._named = named
         self.slices: dict[str, slice] = {}
         offset = 0
         for name, p in named:
@@ -52,7 +54,7 @@ class FlatArena:
     # -- parameter mirroring --------------------------------------------------
     def pull_params(self) -> None:
         """Copy model parameter values into the flat arena (CPU side)."""
-        for name, p in self.module.parameters():
+        for name, p in self._named:
             self.params[self.slices[name]] = p.data.reshape(-1)
 
     def push_params(self, source: np.ndarray | None = None) -> None:
@@ -64,7 +66,7 @@ class FlatArena:
         src = self.params if source is None else source
         if src.shape != (self.n_params,):
             raise ValueError(f"expected ({self.n_params},), got {src.shape}")
-        for name, p in self.module.parameters():
+        for name, p in self._named:
             p.data[...] = src[self.slices[name]].reshape(p.shape)
 
     def collect_grads(self) -> None:
@@ -73,7 +75,7 @@ class FlatArena:
         Parameters without gradients contribute zeros (matching the
         all-reduce semantics of a parameter unused in the step).
         """
-        for name, p in self.module.parameters():
+        for name, p in self._named:
             sl = self.slices[name]
             if p.grad is None:
                 self.grads[sl] = 0.0

@@ -31,6 +31,60 @@ __all__ = [
 _SQRT_2_OVER_PI = np.float32(np.sqrt(2.0 / np.pi))
 _GELU_COEF = np.float32(0.044715)
 
+# Float32 bit patterns of 2**-42 and 2**42: a cube is a normal float32
+# exactly when 2**-42 <= |x| < 2**42.
+_CUBE_NORMAL_LO = 0x2A800000
+_CUBE_NORMAL_SPAN = 0x54800000 - _CUBE_NORMAL_LO
+# A float64 mantissa keeps 29 bits below float32's last place.  Low bits
+# in [2**28 - 2**24, 2**28 + 2**24) put the value within 1/32 ULP of a
+# float32 rounding midpoint.
+_LOW29 = (1 << 29) - 1
+_MIDPOINT = 1 << 28
+_TIE_WINDOW = 1 << 24
+
+
+def _cube(d: np.ndarray) -> np.ndarray:
+    """``d ** 3`` of float32 ``d`` bit for bit, without NumPy's scalar path.
+
+    On float32, NumPy cubes non-negative lanes in SIMD but every lane with
+    the sign bit set through a per-element scalar routine (~100x slower).
+    ``np.abs(d) ** 3`` reproduces the SIMD lanes.  A negative lane takes
+    the float64 cube cast to float32 (correctly rounded), which equals the
+    scalar routine's result except within 0.009 ULP of a rounding midpoint;
+    lanes within 1/32 ULP of one, and lanes whose cube is not a normal
+    float32 (including ``-0.0``, ``-inf`` and sign-bit NaNs), still take
+    ``** 3``.  See DESIGN.md, "GELU and the float32 cube".
+    """
+    if d.ndim == 0:
+        return np.asarray(d**3)
+    d = np.ascontiguousarray(d)
+    out = np.abs(d) ** 3
+    neg = np.signbit(d)
+    if not neg.any():
+        return out
+    # Temporaries are updated in place: each is as large as the input.
+    bits = d.view(np.int32)
+    c = d.astype(np.float64)
+    c *= c  # exact
+    c *= d  # the cube, rounded once
+    near = c.view(np.int64) + (_TIE_WINDOW - _MIDPOINT)
+    near &= _LOW29
+    slow = near < 2 * _TIE_WINDOW
+    offset = bits & 0x7FFFFFFF
+    offset -= _CUBE_NORMAL_LO
+    slow |= offset.view(np.uint32) >= _CUBE_NORMAL_SPAN
+    slow &= neg
+    # Select the float64 cube into the lanes whose sign mask is all ones.
+    lanes = out.view(np.int32)
+    swap = c.astype(np.float32).view(np.int32)
+    swap ^= lanes
+    swap &= bits >> 31
+    lanes ^= swap
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        out.reshape(-1)[idx] = d.reshape(-1)[idx] ** 3
+    return out
+
 
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
@@ -68,19 +122,19 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU (the BERT/GPT-2 activation)."""
+    """Tanh-approximated GELU (the BERT/GPT-2 activation).
 
-    def fwd(d: np.ndarray) -> np.ndarray:
-        inner = _SQRT_2_OVER_PI * (d + _GELU_COEF * d**3)
-        return 0.5 * d * (1.0 + np.tanh(inner))
+    The forward ``tanh`` is kept for the backward pass, so each call
+    cubes and takes ``tanh`` once.
+    """
+    d = x.data
+    t = np.tanh(_SQRT_2_OVER_PI * (d + _GELU_COEF * _cube(d)))
 
     def bwd(d: np.ndarray, _y: np.ndarray) -> np.ndarray:
-        inner = _SQRT_2_OVER_PI * (d + _GELU_COEF * d**3)
-        t = np.tanh(inner)
         dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_COEF * d**2)
         return 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner
 
-    return x.apply_elementwise(fwd, bwd)
+    return x.apply_elementwise(lambda d: 0.5 * d * (1.0 + t), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -8,6 +8,7 @@ address space (the giant-cache mapping is by allocation order).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -147,6 +148,8 @@ class LayerNorm(Module):
         super().__init__()
         if dim <= 0:
             raise ValueError("dim must be positive")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
         self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
         self.eps = eps

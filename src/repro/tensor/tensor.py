@@ -14,6 +14,7 @@ semantics.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from collections.abc import Callable, Iterator
 
 import numpy as np
@@ -50,6 +51,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_F32 = np.dtype(np.float32)
+
+
 def _as_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value.astype(np.float32, copy=False)
@@ -75,7 +79,9 @@ class Tensor:
         requires_grad: bool = False,
         name: str = "",
     ):
-        self.data = _as_array(data)
+        if data.__class__ is not np.ndarray or data.dtype is not _F32:
+            data = _as_array(data)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -144,14 +150,18 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
+        live = tuple([p for p in parents if p.requires_grad]) if _grad_enabled else ()
+        out = Tensor(data, requires_grad=bool(live))
+        if live:
+            out._parents = live
             out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        if grad.shape != self.data.shape:
+            raise ValueError(
+                f"gradient shape {grad.shape} != tensor shape {self.data.shape}"
+            )
         grad = grad.astype(np.float32, copy=False)
         if self.grad is None:
             self.grad = grad.copy()
@@ -174,54 +184,42 @@ class Tensor:
         if grad.shape != self.shape:
             raise ValueError(f"grad shape {grad.shape} != tensor shape {self.shape}")
 
-        # Topological order via iterative DFS.
+        # Topological order via iterative DFS.  Tensors hash by identity,
+        # so they key ``visited`` and the gradient sink directly.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
+        push, pop = stack.append, stack.pop
         while stack:
-            node, processed = stack.pop()
+            node, processed = pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
+            visited.add(node)
+            push((node, True))
             for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+                if p not in visited:
+                    push((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[Tensor, np.ndarray] = {self: grad}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node._backward is None or not node._parents:
                 node._accumulate(g)
                 continue
-            # Leaf-style accumulation also for intermediate retained nodes
-            # is not needed; only leaves keep .grad.
-            node._backward_dispatch(g, grads)
-
-    def _backward_dispatch(
-        self, grad: np.ndarray, grads: dict[int, np.ndarray]
-    ) -> None:
-        """Run this node's backward closure, routing into ``grads``."""
-        assert self._backward is not None
-        self._pending_sink = grads  # type: ignore[attr-defined]
-        try:
-            self._backward(grad)
-        finally:
-            del self._pending_sink  # type: ignore[attr-defined]
+            # Only leaves keep .grad; interior nodes route into ``grads``.
+            node._pending_sink = grads
+            node._backward(g)
 
     def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
         """Used inside backward closures to route gradient to a parent."""
-        sink: dict[int, np.ndarray] = self._pending_sink  # type: ignore[attr-defined]
-        key = id(parent)
-        if key in sink:
-            sink[key] = sink[key] + grad
-        else:
-            sink[key] = grad
+        sink = self._pending_sink
+        prev = sink.get(parent)
+        sink[parent] = grad if prev is None else prev + grad
 
     # -- arithmetic --------------------------------------------------------
     def _coerce(self, other) -> "Tensor":
@@ -290,8 +288,12 @@ class Tensor:
         return self._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents supported")
+        if not isinstance(exponent, numbers.Real) or isinstance(exponent, bool):
+            raise TypeError("only real scalar exponents supported")
+        if isinstance(exponent, np.generic):
+            # A Python scalar keeps the result float32 (NumPy scalars of
+            # wider types would promote it).
+            exponent = exponent.item()
         out_data = self.data**exponent
 
         def backward(grad: np.ndarray, a=self, e=exponent) -> None:
@@ -370,7 +372,7 @@ class Tensor:
         """Permute dimensions (reversed by default)."""
         axes_t = axes or tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes_t)
-        inverse = tuple(np.argsort(axes_t))
+        inverse = tuple(np.argsort([ax % self.ndim for ax in axes_t]))
 
         def backward(grad: np.ndarray, a=self) -> None:
             out._send(a, grad.transpose(inverse))

@@ -101,6 +101,42 @@ class TestBasicOps:
         check_gradient(lambda t: t.transpose(1, 0).sum(), (2, 3))
         check_gradient(lambda t: t.swapaxes(0, 1).sum(), (2, 3))
 
+    def test_transpose_negative_axes_gradient_shape(self):
+        t = Tensor(np.zeros((2, 3, 4), dtype=np.float32), requires_grad=True)
+        t.transpose(0, -1, 1).sum().backward()
+        assert t.grad.shape == (2, 3, 4)
+        check_gradient(lambda t: (t.transpose(-1, 0, -2) * 2.0).sum(), (2, 3, 4))
+
+    def test_transpose_negative_axes_routes_values(self):
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        w = rng.standard_normal((2, 4, 3)).astype(np.float32)
+        t = Tensor(x0, requires_grad=True)
+        (t.transpose(0, -1, 1) * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(t.grad, w.transpose(0, 2, 1))
+
+    def test_leaf_rejects_misshapen_gradient(self):
+        t = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        with pytest.raises(ValueError, match="gradient shape"):
+            t._accumulate(np.ones((3, 2), dtype=np.float32))
+        assert t.grad is None
+
+    def test_pow_numpy_scalar_exponents(self):
+        x0 = np.array([1.5, -2.0, 0.5], dtype=np.float32)
+        for e in (np.float32(2), np.int64(2), np.float64(2.0)):
+            t = Tensor(x0, requires_grad=True)
+            out = t**e
+            assert out.data.dtype == np.float32
+            np.testing.assert_array_equal(out.data, x0**2)
+            out.sum().backward()
+            np.testing.assert_array_equal(t.grad, 2 * x0)
+
+    def test_pow_rejects_bool_and_non_scalars(self):
+        t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        for bad in (True, np.bool_(False), "2", np.array([2.0]), 1j):
+            with pytest.raises(TypeError):
+                t**bad
+
     def test_getitem_scatter(self):
         t = Tensor(np.arange(5, dtype=np.float32), requires_grad=True)
         idx = np.array([0, 0, 3])

@@ -55,6 +55,11 @@ class TestModules:
         np.testing.assert_allclose(y.mean(-1), np.zeros(5), atol=1e-4)
         np.testing.assert_allclose(y.std(-1), np.ones(5), atol=1e-2)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_layernorm_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            LayerNorm(4, eps=eps)
+
     def test_layernorm_gradcheck(self):
         ln = LayerNorm(4)
         x = Tensor(
