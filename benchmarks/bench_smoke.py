@@ -55,25 +55,6 @@ def _timed(fn, elements, repeats=REPEATS):
     return {"seconds": best, "throughput": elements / best, "elements": elements}
 
 
-def op_cache_access_block():
-    n = 1 << 16
-    addrs = np.random.default_rng(0).integers(0, 1 << 22, n)
-    cache = SetAssociativeCache(64 * 2**10, 64, 16)
-    return _timed(lambda: cache.access_block(addrs, True), n)
-
-
-def op_hierarchy_access_block():
-    n = 1 << 14
-    addrs = np.random.default_rng(1).integers(0, 1 << 20, n)
-    hierarchy = CacheHierarchy(
-        [
-            SetAssociativeCache(8 * 2**10, 64, 8, name="L1D"),
-            SetAssociativeCache(64 * 2**10, 64, 16, name="L2"),
-        ]
-    )
-    return _timed(lambda: hierarchy.access_block(addrs, True), n)
-
-
 def op_dba_pack():
     n = 1 << 16
     tensor = np.random.default_rng(2).standard_normal(n).astype(np.float32)
@@ -238,8 +219,6 @@ def op_service_warm_cache_hit():
 
 
 OPS = {
-    "cache_access_block_64k": op_cache_access_block,
-    "hierarchy_access_block_16k": op_hierarchy_access_block,
     "dba_pack_64k_words": op_dba_pack,
     "dba_unpack_64k_words": op_dba_unpack,
     "trace_replay_256k_events": op_trace_replay,

@@ -30,32 +30,15 @@ import argparse
 import sys
 
 from repro.experiments import registry
+from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS
 
 __all__ = ["main", "EXPERIMENTS", "LEGACY_EXPERIMENTS"]
 
 #: The pre-registry experiment names, in paper order — what ``all`` runs
-#: and what the legacy ``python -m repro <name>`` aliases cover.  Built
-#: from the registry, never hand-maintained: a registered experiment
-#: cannot silently miss the CLI.
-LEGACY_EXPERIMENTS = (
-    "table1",
-    "fig2",
-    "invalidation",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table5",
-    "table6",
-    "fig13",
-    "table7",
-    "table8",
-    "comm-volume",
-    "overheads",
-    "lammps",
-    "ablations",
-    "scaling",
-    "models",
-)
+#: and what the legacy ``python -m repro <name>`` aliases cover.  Checked
+#: against the registry at import: a listed experiment cannot silently
+#: lose its registration.
+LEGACY_EXPERIMENTS = DEFAULT_REPORT_EXPERIMENTS
 
 
 def _legacy_runner(name: str):

@@ -31,7 +31,6 @@ from repro.experiments import ablation_dpu
 from repro.experiments import ablation_granularity
 from repro.experiments import ablation_interconnect
 from repro.experiments import ablation_seqlen
-from repro.experiments import ablations
 from repro.experiments import scaling
 from repro.experiments import fig_fabric
 from repro.experiments import fig_aggregation
@@ -67,7 +66,6 @@ __all__ = [
     "ablation_granularity",
     "ablation_interconnect",
     "ablation_seqlen",
-    "ablations",
     "scaling",
     "fig_fabric",
     "fig_aggregation",

@@ -17,12 +17,15 @@ experiment here makes it reachable everywhere at once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
+import sys
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 __all__ = [
@@ -47,6 +50,10 @@ _REGISTRY: dict[str, ExperimentSpec] = {}
 #: Modules whose import populates the registry (the experiment package
 #: imports every driver module; see ``repro/experiments/__init__.py``).
 _REGISTRY_PACKAGE = "repro.experiments"
+
+#: The ``repro`` package directory whose sources :func:`_package_digest`
+#: covers.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def json_safe(value):
@@ -209,26 +216,36 @@ class ExperimentSpec:
         return text
 
     def code_version(self) -> str:
-        """Hash of the defining module plus the shared harness modules.
+        """Hash of the whole ``repro`` source tree (plus the defining
+        module when it lives outside the package, e.g. a test module).
 
-        The result cache keys on this: editing an experiment driver (or
-        the harness everything runs through) invalidates exactly the
-        cells whose code changed.
+        The result cache keys on this, so an edit to any library module
+        an experiment runs through — not just its own module — invalidates
+        its cached rows.
         """
-        import importlib
+        version = _package_digest()
+        if self.module.partition(".")[0] != "repro":
+            path = getattr(sys.modules.get(self.module), "__file__", None)
+            if path:
+                version = hashlib.sha256(
+                    version.encode() + Path(path).read_bytes()
+                ).hexdigest()
+        return version[:16]
 
-        digest = hashlib.sha256()
-        names = [self.module, __name__, "repro.experiments.runner"]
-        for mod_name in names:
-            try:
-                mod = importlib.import_module(mod_name)
-                path = getattr(mod, "__file__", None)
-                if path:
-                    with open(path, "rb") as fh:
-                        digest.update(fh.read())
-            except Exception:
-                digest.update(mod_name.encode())
-        return digest.hexdigest()[:16]
+
+@functools.cache
+def _package_digest() -> str:
+    """SHA-256 over every ``repro/**/*.py`` (sorted relative path, then
+    bytes), computed once per process."""
+    digest = hashlib.sha256()
+    for rel in sorted(
+        p.relative_to(_PACKAGE_ROOT).as_posix()
+        for p in _PACKAGE_ROOT.rglob("*.py")
+    ):
+        data = (_PACKAGE_ROOT / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def register(

@@ -10,22 +10,22 @@ the pieces needed to produce and consume such traces natively:
 * :mod:`repro.memsim.hierarchy` — the Table II three-level hierarchy;
 * :mod:`repro.memsim.dram` — DRAM bank/row-buffer cycle model (the
   Ramulator stand-in for Section VIII-D's extra-read experiment).
+
+The caches have one access path, ``access``, one access at a time.  The
+experiments build their write-back traces from the closed-form
+:func:`repro.trace.adam_writeback_trace`; the cache-accurate
+:func:`repro.trace.simulate_sweep_writebacks` checks that model on small
+arenas.
 """
 
-from repro.memsim.cache import BlockAccessResult, CacheStats, SetAssociativeCache
+from repro.memsim.cache import CacheStats, SetAssociativeCache
 from repro.memsim.cpu import CPUModel, gem5_avx_cpu
 from repro.memsim.dram import DRAMModel, DRAMTimings
-from repro.memsim.hierarchy import (
-    CacheHierarchy,
-    HierarchyBlockResult,
-    gem5_avx_hierarchy,
-)
+from repro.memsim.hierarchy import CacheHierarchy, gem5_avx_hierarchy
 from repro.memsim.trace import MemoryAccess, WritebackEvent, WritebackTrace
 
 __all__ = [
     "SetAssociativeCache",
-    "BlockAccessResult",
-    "HierarchyBlockResult",
     "CPUModel",
     "gem5_avx_cpu",
     "CacheStats",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CacheStats", "AccessResult", "BlockAccessResult", "SetAssociativeCache"]
+__all__ = ["CacheStats", "AccessResult", "SetAssociativeCache"]
 
 
 @dataclass
@@ -49,26 +49,6 @@ class AccessResult:
     writeback_address: int | None = None
     #: Line address that had to be fetched from the next level, if any.
     fill_address: int | None = None
-
-
-@dataclass(frozen=True)
-class BlockAccessResult:
-    """Outcome of one :meth:`SetAssociativeCache.access_block` call.
-
-    Arrays are indexed by position in the input stream; ``writeback_address``
-    is ``-1`` where the access evicted nothing dirty.  The compact, ordered
-    write-back stream is :attr:`writebacks`.
-    """
-
-    #: Per-access hit flag.
-    hits: np.ndarray
-    #: Per-access dirty-victim line address (-1 = none).
-    writeback_address: np.ndarray
-
-    @property
-    def writebacks(self) -> np.ndarray:
-        """Dirty-victim line addresses in eviction (stream) order."""
-        return self.writeback_address[self.writeback_address >= 0]
 
 
 class SetAssociativeCache:
@@ -167,203 +147,6 @@ class SetAssociativeCache:
         self._dirty[set_idx, way] = is_write
         self._lru[set_idx, way] = self._tick
         return AccessResult(hit=False, writeback_address=writeback, fill_address=fill)
-
-    def access_block(
-        self, addresses: np.ndarray, is_write: bool | np.ndarray
-    ) -> BlockAccessResult:
-        """Batch access: the whole stream in set-parallel rounds.
-
-        Semantically identical to calling :meth:`access` once per element
-        of ``addresses`` in order (same :class:`CacheStats` counters, same
-        ordered dirty write-back stream, same final tag/valid/dirty/LRU
-        state) — the equivalence is differentially fuzz-tested.  The
-        stream is grouped by set and processed in rounds (round ``k``
-        performs the ``k``-th access of every set at once), so
-        Python-level work is O(max accesses per set), not
-        O(len(addresses)).
-
-        Parameters
-        ----------
-        addresses
-            Byte addresses (any integer or bool dtype; a non-empty float
-            stream is a ``TypeError``, as a float is for :meth:`access`).
-        is_write
-            Single flag for the whole stream, or one flag per access.
-
-        Returns
-        -------
-        BlockAccessResult
-            Per-access hits and dirty-victim addresses (stream order).
-        """
-        addrs = np.atleast_1d(np.asarray(addresses))
-        if addrs.size and addrs.dtype.kind not in "iub":
-            raise TypeError(
-                f"addresses must have an integer dtype, got {addrs.dtype}"
-            )
-        addrs = addrs.astype(np.int64)
-        if addrs.ndim != 1:
-            raise ValueError("addresses must be one-dimensional")
-        if addrs.size and addrs.min() < 0:
-            raise ValueError("address must be non-negative")
-        n = addrs.size
-        writes = np.broadcast_to(
-            np.asarray(is_write, dtype=bool), addrs.shape
-        )
-        hits_out = np.zeros(n, dtype=bool)
-        wb_out = np.full(n, -1, dtype=np.int64)
-        if n:
-            self._access_rounds(addrs, writes, hits_out, wb_out)
-        return BlockAccessResult(hits_out, wb_out)
-
-    def _access_rounds(self, addrs, writes, hits_out, wb_out) -> None:
-        """Set-parallel round algorithm behind :meth:`access_block`: round
-        ``k`` performs the ``k``-th access of every set at once, on
-        sentinel-folded local state."""
-        n = addrs.size
-        lines = addrs >> self._line_shift
-        sets = lines % self.n_sets
-        tags = lines // self.n_sets
-
-        # Group the stream by set: round k visits the k-th access of
-        # every set, i.e. sorted-order positions start[g] + k.
-        order = np.argsort(sets, kind="stable")
-        uniq_sets, start, counts = np.unique(
-            sets[order], return_index=True, return_counts=True
-        )
-        tick0 = self._tick
-
-        # Block-local state with invalid ways folded into sentinels:
-        # tag/LRU -1.  Any valid LRU stamp is >= 1, so argmin over the LRU
-        # row picks the first invalid way when one exists (ties break to
-        # the lowest way index) and the true LRU way otherwise — exactly
-        # the scalar victim choice, without gathering a validity plane.
-        # The round loop is memory-bound on the tag-compare and LRU-argmin
-        # planes; when every tag and LRU stamp fits in 32 bits (any stream
-        # below 2^31 accesses over a < 8-TiB address span) halve the
-        # traffic by running the rounds on int32 copies.
-        compact = (
-            int(tags.max()) < 2**31 - 1
-            and tick0 + n < 2**31 - 1
-            and (
-                not np.any(self._valid)
-                or int(self._tags[self._valid].max()) < 2**31 - 1
-            )
-        )
-        dt = np.int32 if compact else np.int64
-        tags = tags.astype(dt, copy=False)
-        tags_l = np.where(self._valid, self._tags, -1).astype(dt, copy=False)
-        lru_l = np.where(self._valid, self._lru, -1).astype(dt, copy=False)
-        dirty = self._dirty
-        hits = misses = evictions = writebacks = 0
-        for k in range(int(counts.max())):
-            live = counts > k
-            idx = order[start[live] + k]  # stream position, one per set
-            s = uniq_sets[live]
-            tg = tags[idx]
-            wr = writes[idx]
-            stamp = tick0 + idx + 1  # == scalar per-access tick
-            match = tags_l[s] == tg[:, None]
-            hit = match.any(axis=1)
-
-            hi = np.flatnonzero(hit)
-            if hi.size:
-                way = match[hi].argmax(axis=1)
-                lru_l[s[hi], way] = stamp[hi]
-                dirty[s[hi], way] |= wr[hi]
-                hits_out[idx[hi]] = True
-                hits += hi.size
-
-            mi = np.flatnonzero(~hit)
-            if mi.size:
-                ms = s[mi]
-                lru_rows = lru_l[ms]
-                victim = lru_rows.argmin(axis=1)
-                evicted = lru_rows[np.arange(ms.size), victim] != -1
-                dirty_victim = dirty[ms, victim] & evicted
-                dv = np.flatnonzero(dirty_victim)
-                if dv.size:
-                    old_tags = tags_l[ms[dv], victim[dv]].astype(np.int64)
-                    wb_out[idx[mi[dv]]] = (
-                        (old_tags * self.n_sets) + ms[dv]
-                    ) << self._line_shift
-                misses += mi.size
-                evictions += int(np.count_nonzero(evicted))
-                writebacks += dv.size
-                tags_l[ms, victim] = tg[mi]
-                dirty[ms, victim] = wr[mi]
-                lru_l[ms, victim] = stamp[mi]
-
-        # Fold the local state back: ways still holding the sentinel were
-        # invalid on entry and untouched — they keep their stale tag/LRU
-        # exactly as the scalar path would.
-        touched = lru_l != np.int64(-1)
-        np.copyto(self._tags, tags_l, where=touched)
-        np.copyto(self._lru, lru_l, where=touched)
-        self._valid |= touched
-        self._tick += n
-        self.stats.hits += hits
-        self.stats.misses += misses
-        self.stats.evictions += evictions
-        self.stats.writebacks += writebacks
-
-    def access_stream(
-        self, start_address: int, n_lines: int, is_write: bool
-    ) -> np.ndarray:
-        """Vectorized fast path for a linear line-stride sweep — the access
-        pattern of the blocked ADAM update and the gradient buffer.
-
-        Semantically identical to ``n_lines`` successive :meth:`access`
-        calls at line stride (the equivalence is property-tested), but
-        O(n_sets) NumPy work instead of O(n_lines) Python-level work when
-        the cache starts empty.  Falls back to the scalar path otherwise.
-
-        Returns the dirty-line write-back addresses in eviction order.
-        """
-        if n_lines < 0:
-            raise ValueError("n_lines must be non-negative")
-        if start_address < 0 or start_address % self.line_bytes:
-            raise ValueError("start_address must be line aligned")
-        if n_lines == 0:
-            return np.empty(0, dtype=np.int64)
-        if self.resident_lines != 0:
-            out = []
-            for i in range(n_lines):
-                r = self.access(start_address + i * self.line_bytes, is_write)
-                if r.writeback_address is not None:
-                    out.append(r.writeback_address)
-            return np.asarray(out, dtype=np.int64)
-
-        # Cold linear sweep: every access misses; within each set, lines
-        # arrive in tag order and LRU victimization is round-robin, so
-        # line g is evicted exactly when line g + n_sets*ways arrives.
-        start_line = start_address >> self._line_shift
-        g = np.arange(start_line, start_line + n_lines, dtype=np.int64)
-        sets = (g % self.n_sets).astype(np.int64)
-        tags = g // self.n_sets
-        capacity = self.n_sets * self.ways
-
-        self.stats.misses += n_lines
-        n_evicted = max(0, n_lines - capacity)
-        self.stats.evictions += n_evicted
-        if is_write and n_evicted:
-            writebacks = g[:n_evicted] << self._line_shift
-            self.stats.writebacks += n_evicted
-        else:
-            writebacks = np.empty(0, dtype=np.int64)
-
-        # Final state: the last min(capacity, n_lines) lines are resident,
-        # each in way (tag % ways) of its set, LRU-stamped by arrival.
-        resident = g[n_evicted:]
-        r_sets = sets[n_evicted:]
-        r_tags = tags[n_evicted:]
-        r_ways = (r_tags % self.ways).astype(np.int64)
-        arrival = np.arange(resident.size, dtype=np.int64) + self._tick + 1
-        self._tick += n_lines
-        self._tags[r_sets, r_ways] = r_tags
-        self._valid[r_sets, r_ways] = True
-        self._dirty[r_sets, r_ways] = is_write
-        self._lru[r_sets, r_ways] = arrival
-        return writebacks
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident."""

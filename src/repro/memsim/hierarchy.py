@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.memsim.cache import SetAssociativeCache
 from repro.utils.units import KIB, MIB
 
 __all__ = [
     "HierarchyAccess",
-    "HierarchyBlockResult",
     "CacheHierarchy",
     "gem5_avx_hierarchy",
 ]
@@ -33,25 +30,6 @@ class HierarchyAccess:
     hit_level: int
     #: Dirty-line addresses that reached main memory because of this access.
     memory_writebacks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HierarchyBlockResult:
-    """Outcome of one :meth:`CacheHierarchy.access_block` call.
-
-    The write-back stream is returned columnar: ``memory_writebacks[i]``
-    reached main memory while the hierarchy processed input access
-    ``writeback_origins[i]`` — exactly the (access, write-back) pairing
-    the scalar :meth:`CacheHierarchy.access` loop produces, in the same
-    order.
-    """
-
-    #: Per-access level index that served it (len(levels) == memory).
-    hit_levels: np.ndarray
-    #: Dirty-line addresses that reached main memory, in stream order.
-    memory_writebacks: np.ndarray
-    #: Index of the input access each memory write-back belongs to.
-    writeback_origins: np.ndarray
 
 
 class CacheHierarchy:
@@ -89,93 +67,6 @@ class CacheHierarchy:
         # Note: upper levels were already filled by their own misses above.
         self.memory_writes += len(wbs)
         return HierarchyAccess(hit_level=hit_level, memory_writebacks=tuple(wbs))
-
-    def access_block(
-        self, addresses: np.ndarray, is_write: bool | np.ndarray
-    ) -> HierarchyBlockResult:
-        """Vectorized batch access through every level.
-
-        Equivalent to calling :meth:`access` once per address in order
-        (same per-level :class:`~repro.memsim.cache.CacheStats`, same
-        ``memory_reads``/``memory_writes``, same ordered main-memory
-        write-back stream) but built on
-        :meth:`~repro.memsim.cache.SetAssociativeCache.access_block`.
-
-        Each level is batch-simulated once; its outcomes *derive* the next
-        level's input stream: a dirty victim becomes a victim-write event,
-        a demand miss becomes a demand-read event.  Ordering keys double
-        per level (victim child ``2k``, demand child ``2k+1``), which
-        reproduces the scalar loop's depth-first interleaving exactly —
-        including the victim-write landing at level ``i+1`` *before* the
-        demand access that evicted it.
-        """
-        addrs = np.atleast_1d(np.asarray(addresses)).astype(np.int64)
-        n = addrs.size
-        writes = np.broadcast_to(np.asarray(is_write, dtype=bool), addrs.shape)
-        hit_levels = np.full(n, len(self.levels), dtype=np.int64)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return HierarchyBlockResult(hit_levels, empty, empty)
-
-        # Level-0 stream: the demand accesses themselves.
-        ev_addr = addrs
-        ev_write = np.asarray(writes)
-        ev_demand = np.ones(n, dtype=bool)
-        ev_origin = np.arange(n, dtype=np.int64)
-        ev_key = np.arange(n, dtype=np.int64)
-        mem_wb: list[np.ndarray] = []
-        mem_origin: list[np.ndarray] = []
-        mem_key: list[np.ndarray] = []
-        for i, cache in enumerate(self.levels):
-            result = cache.access_block(ev_addr, ev_write)
-            # A demand event only reaches level i if levels 0..i-1 missed,
-            # so a demand hit here pins the access's hit level.
-            demand_hit = ev_demand & result.hits
-            hit_levels[ev_origin[demand_hit]] = i
-            # Children: dirty victims cascade as writes; demand misses
-            # continue down as (clean) reads.
-            vic = result.writeback_address >= 0
-            demand_miss = ev_demand & ~result.hits
-            if i + 1 == len(self.levels):
-                mem_wb.append(result.writeback_address[vic])
-                mem_origin.append(ev_origin[vic])
-                mem_key.append(ev_key[vic] * 2)
-                self.memory_reads += int(np.count_nonzero(demand_miss))
-                break
-            child_addr = np.concatenate(
-                [result.writeback_address[vic], ev_addr[demand_miss]]
-            )
-            child_write = np.concatenate(
-                [np.ones(int(vic.sum()), dtype=bool),
-                 np.zeros(int(demand_miss.sum()), dtype=bool)]
-            )
-            child_demand = np.concatenate(
-                [np.zeros(int(vic.sum()), dtype=bool),
-                 np.ones(int(demand_miss.sum()), dtype=bool)]
-            )
-            child_origin = np.concatenate(
-                [ev_origin[vic], ev_origin[demand_miss]]
-            )
-            child_key = np.concatenate(
-                [ev_key[vic] * 2, ev_key[demand_miss] * 2 + 1]
-            )
-            order = np.argsort(child_key, kind="stable")
-            ev_addr = child_addr[order]
-            ev_write = child_write[order]
-            ev_demand = child_demand[order]
-            ev_origin = child_origin[order]
-            ev_key = child_key[order]
-            if ev_addr.size == 0:
-                break
-        if mem_wb and mem_wb[0].size:
-            order = np.argsort(mem_key[0], kind="stable")
-            writebacks = mem_wb[0][order]
-            origins = mem_origin[0][order]
-        else:
-            writebacks = np.empty(0, dtype=np.int64)
-            origins = np.empty(0, dtype=np.int64)
-        self.memory_writes += int(writebacks.size)
-        return HierarchyBlockResult(hit_levels, writebacks, origins)
 
     def _write_down(self, level: int, line_address: int, wbs: list[int]) -> None:
         """Install a dirty victim into ``level`` (or memory)."""

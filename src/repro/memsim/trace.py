@@ -61,6 +61,12 @@ class WritebackTrace:
         addresses = np.asarray(addresses, dtype=np.uint64)
         if times.shape != addresses.shape or times.ndim != 1:
             raise ValueError("times and addresses must be equal-length 1-D")
+        # min/max reduce without a temporary, unlike np.isfinite(times):
+        # the granularity experiment's trace has ~21M lines.
+        if times.size and not (
+            np.isfinite(times.min()) and np.isfinite(times.max())
+        ):
+            raise ValueError("trace times must be finite")
         if times.size and np.any(np.diff(times) < 0):
             order = np.argsort(times, kind="stable")
             times = times[order]

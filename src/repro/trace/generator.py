@@ -83,7 +83,6 @@ def simulate_sweep_writebacks(
     hierarchy: CacheHierarchy,
     base_address: int = 0,
     words_per_store: int = 16,
-    engine: str = "block",
 ) -> WritebackTrace:
     """Cycle-free cache-accurate trace: drive the hierarchy store by store.
 
@@ -92,44 +91,30 @@ def simulate_sweep_writebacks(
     linearly across the sweep.  The per-iteration flush empties the
     hierarchy at ``sweep_duration``.
 
-    ``engine`` selects the implementation: ``"block"`` (default) drives
-    one :meth:`~repro.memsim.hierarchy.CacheHierarchy.access_block` call
-    over the whole store stream; ``"scalar"`` is the access-by-access
-    reference loop.  Both produce byte-identical traces (golden-trace
-    tested), so the choice is purely a speed knob.
+    This is the reference the closed-form :func:`adam_writeback_trace` is
+    checked against on small arenas; no experiment calls it, so it stays
+    a plain loop over :meth:`~repro.memsim.hierarchy.CacheHierarchy.access`.
     """
     if param_bytes <= 0 or sweep_duration <= 0:
         raise ValueError("param_bytes and sweep_duration must be positive")
     if words_per_store <= 0:
         raise ValueError("words_per_store must be positive")
-    if engine not in ("block", "scalar"):
-        raise ValueError(f"unknown engine {engine!r}")
     n_words = -(-param_bytes // 4)
     stride = words_per_store * 4
     n_stores = -(-n_words * 4 // stride)
     # The ADAM update loads grad/m/v and stores param/m/v; only the
     # parameter-region stores matter for the CXL trace, so we model
     # the parameter-array access stream.
-    if engine == "block":
-        stores = np.arange(n_stores, dtype=np.int64)
-        result = hierarchy.access_block(base_address + stores * stride, True)
-        wb_times = (result.writeback_origins + 1) / n_stores * sweep_duration
-        in_arena = (result.memory_writebacks >= base_address) & (
-            result.memory_writebacks < base_address + param_bytes
-        )
-        times = wb_times[in_arena].tolist()
-        addrs = result.memory_writebacks[in_arena].tolist()
-    else:
-        times = []
-        addrs = []
-        for s in range(n_stores):
-            address = base_address + s * stride
-            t = (s + 1) / n_stores * sweep_duration
-            result = hierarchy.access(address, is_write=True)
-            for wb in result.memory_writebacks:
-                if base_address <= wb < base_address + param_bytes:
-                    times.append(t)
-                    addrs.append(wb)
+    times = []
+    addrs = []
+    for s in range(n_stores):
+        address = base_address + s * stride
+        t = (s + 1) / n_stores * sweep_duration
+        result = hierarchy.access(address, is_write=True)
+        for wb in result.memory_writebacks:
+            if base_address <= wb < base_address + param_bytes:
+                times.append(t)
+                addrs.append(wb)
     for wb in hierarchy.flush():
         if base_address <= wb < base_address + param_bytes:
             times.append(sweep_duration)

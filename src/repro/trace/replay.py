@@ -14,6 +14,8 @@ is vectorized via the standard transformation
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,20 @@ class ReplayResult:
         if self.wire_time == 0:
             return 1.0
         return 1.0 - self.exposed_time / self.wire_time
+
+
+def _check_replay_args(dirty_bytes, start_time) -> None:
+    """Reject inputs that would replay to a silently wrong result (a
+    fractional or out-of-range ``dirty_bytes`` skews the wire bytes, a
+    NaN ``start_time`` hides every exposed second).  Trace times need no
+    check here: :class:`WritebackTrace` only holds finite ones."""
+    integral = isinstance(dirty_bytes, numbers.Integral)
+    if not (integral and 1 <= dirty_bytes <= 4):
+        raise ValueError(
+            f"dirty_bytes must be an integer in 1..4, got {dirty_bytes!r}"
+        )
+    if not math.isfinite(start_time):
+        raise ValueError(f"start_time must be finite, got {start_time!r}")
 
 
 def _observe_replay(result: ReplayResult, first_arrival, tracer, metrics) -> None:
@@ -114,6 +130,7 @@ def replay_trace(
         Optional :mod:`repro.obs` hooks; the replay records summary
         spans/counters (never per-line events — traces can be huge).
     """
+    _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
     n = len(trace)
     if n == 0:
@@ -162,6 +179,7 @@ def replay_trace_chunked(
     """
     if chunk_events <= 0:
         raise ValueError("chunk_events must be positive")
+    _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
     n = len(trace)
     if n == 0:
@@ -203,6 +221,7 @@ def replay_trace_scalar(
     test uses a tight relative tolerance, not bit equality, because the
     algebraic rearrangement rounds differently).
     """
+    _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
     n = len(trace)
     if n == 0:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import EXPERIMENTS, LEGACY_EXPERIMENTS, main
+from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS
 
 
 class TestCLI:
@@ -38,6 +39,11 @@ class TestCLI:
         required = {
             "table1", "fig2", "fig10", "fig11", "fig12", "table5",
             "table6", "fig13", "table7", "table8", "comm-volume",
-            "overheads", "lammps", "invalidation", "ablations",
+            "overheads", "lammps", "invalidation", "dpu", "granularity",
+            "interconnect", "seqlen",
         }
         assert required <= set(EXPERIMENTS)
+        assert required <= set(LEGACY_EXPERIMENTS)
+        # The combined alias is gone: each ablation runs once, by its id.
+        assert "ablations" not in EXPERIMENTS
+        assert LEGACY_EXPERIMENTS is DEFAULT_REPORT_EXPERIMENTS

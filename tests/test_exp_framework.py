@@ -18,6 +18,10 @@ Covers the acceptance criteria of the registry refactor:
 from __future__ import annotations
 
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,44 @@ def test_cache_invalidates_on_param_seed_and_code_change(tmp_path):
     # the stored entry round-trips through JSON bit-exactly
     reloaded = cache.get("dpu", params, 0, code)
     assert reloaded.rows == result.rows
+
+
+def _code_version_in(src_root: Path, name: str) -> str:
+    """``get_spec(name).code_version()`` in a fresh process on ``src_root``."""
+    code = (
+        "from repro.experiments import registry; "
+        "registry.ensure_registered(); "
+        f"print(registry.get_spec({name!r}).code_version())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+        cwd=src_root,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_code_version_covers_library_modules(tmp_path):
+    """An edit to a library module the experiment runs through (not its
+    own module, registry.py or runner.py) must change the cache key, or the
+    cache serves rows of the old code."""
+    src = Path(registry.__file__).resolve().parents[2]
+    copy = tmp_path / "src"
+    shutil.copytree(
+        src / "repro",
+        copy / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    original = _code_version_in(src, "fig_fabric")
+    # Stable across processes, and independent of where the tree lives.
+    assert _code_version_in(src, "fig_fabric") == original
+    assert _code_version_in(copy, "fig_fabric") == original
+    with open(copy / "repro" / "interconnect" / "fabric.py", "a") as fh:
+        fh.write("\n# an edit outside the experiment module\n")
+    assert _code_version_in(copy, "fig_fabric") != original
 
 
 def test_cache_disabled_and_clear(tmp_path):

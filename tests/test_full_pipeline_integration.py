@@ -186,9 +186,11 @@ class TestGradientDirectionPipeline:
         gpu_l2 = SetAssociativeCache(CACHE_LINE_BYTES * 8, CACHE_LINE_BYTES, 2)
 
         # Backward writes gradients line by line through the GPU L2.
-        evicted = gpu_l2.access_stream(
-            region.base, region.n_lines, is_write=True
-        ).tolist()
+        evicted = []
+        for i in range(region.n_lines):
+            r = gpu_l2.access(region.base + i * CACHE_LINE_BYTES, is_write=True)
+            if r.writeback_address is not None:
+                evicted.append(r.writeback_address)
         evicted += gpu_l2.flush()
         assert sorted(set(evicted)) == list(region.lines())
 

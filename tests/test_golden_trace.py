@@ -1,10 +1,10 @@
 """Golden-trace regression test for the sweep write-back generator.
 
 ``tests/data/golden_adam_trace.npz`` is a frozen write-back trace of a
-fixed ADAM parameter sweep, produced once by the scalar (access-by-access)
-engine and committed.  Both engines must keep reproducing it
-byte-for-byte: the fixture pins the *cache semantics* (LRU victim choice,
-write-allocate fills, flush ordering) and the *timestamp arithmetic*
+fixed ADAM parameter sweep, produced once by the access-by-access sweep
+and committed.  The sweep must keep reproducing it byte-for-byte: the
+fixture pins the *cache semantics* (LRU victim choice, write-allocate
+fills, flush ordering) and the *timestamp arithmetic*
 (float-exact ``(store+1)/n_stores*sweep_duration``), so any change to the
 memsim or generator layers that alters a single output bit is caught
 before it silently shifts every downstream CXL replay number.
@@ -24,8 +24,9 @@ from repro.trace import simulate_sweep_writebacks
 
 FIXTURE = Path(__file__).parent / "data" / "golden_adam_trace.npz"
 
-#: Frozen sweep configuration — Table II shapes scaled down so the scalar
-#: engine runs in well under a second while still spilling the LLC.
+#: Frozen sweep configuration — Table II shapes scaled down so the
+#: access-by-access sweep runs in well under a second while still
+#: spilling the LLC.
 PARAM_BYTES = 64 * 1337  # deliberately not a line-count power of two
 SWEEP_DURATION = 0.125
 BASE_ADDRESS = 1 << 20
@@ -41,13 +42,12 @@ def golden_hierarchy() -> CacheHierarchy:
     )
 
 
-def generate(engine: str) -> WritebackTrace:
+def generate() -> WritebackTrace:
     return simulate_sweep_writebacks(
         PARAM_BYTES,
         SWEEP_DURATION,
         golden_hierarchy(),
         base_address=BASE_ADDRESS,
-        engine=engine,
     )
 
 
@@ -69,9 +69,8 @@ class TestGoldenTrace:
         assert golden.addresses.max() < BASE_ADDRESS + PARAM_BYTES
         assert golden.times.max() == SWEEP_DURATION
 
-    @pytest.mark.parametrize("engine", ["scalar", "block"])
-    def test_engine_reproduces_fixture_exactly(self, golden, engine):
-        trace = generate(engine)
+    def test_sweep_reproduces_fixture_exactly(self, golden):
+        trace = generate()
         assert trace.times.tobytes() == golden.times.tobytes()
         assert trace.addresses.tobytes() == golden.addresses.tobytes()
 
@@ -81,7 +80,7 @@ if __name__ == "__main__":
 
     if "--regenerate" in sys.argv:
         FIXTURE.parent.mkdir(exist_ok=True)
-        generate("scalar").save(FIXTURE)
+        generate().save(FIXTURE)
         print(f"wrote {FIXTURE}")
     else:
         sys.exit("run under pytest, or pass --regenerate")

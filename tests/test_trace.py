@@ -8,8 +8,12 @@ from repro.memsim import CacheHierarchy, SetAssociativeCache, WritebackTrace
 from repro.trace import (
     adam_writeback_trace,
     replay_trace,
+    replay_trace_chunked,
+    replay_trace_scalar,
     simulate_sweep_writebacks,
 )
+
+REPLAYS = [replay_trace, replay_trace_chunked, replay_trace_scalar]
 
 
 class TestAnalyticGenerator:
@@ -125,6 +129,28 @@ class TestReplay:
         r0 = replay_trace(tr)
         r5 = replay_trace(tr, start_time=5.0)
         assert r5.finish_time == pytest.approx(5.0 + r0.finish_time)
+
+    @pytest.mark.parametrize("replay", REPLAYS)
+    @pytest.mark.parametrize("dirty_bytes", [0, 5, 2.5, -1, 4.0])
+    def test_bad_dirty_bytes_rejected(self, replay, dirty_bytes):
+        """Only whole bytes 1..4 per word exist: 5 would report 88 wire
+        bytes per 64-B line and 2.5 a float ``wire_bytes``."""
+        tr = WritebackTrace(np.zeros(4), np.arange(4, dtype=np.uint64) * 64)
+        with pytest.raises(ValueError, match="dirty_bytes"):
+            replay(tr, dirty_bytes=dirty_bytes)
+
+    @pytest.mark.parametrize("replay", REPLAYS)
+    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_non_finite_start_time_rejected(self, replay, n, start):
+        tr = WritebackTrace(np.zeros(n), np.arange(n, dtype=np.uint64) * 64)
+        with pytest.raises(ValueError, match="start_time"):
+            replay(tr, start_time=start)
+
+    @pytest.mark.parametrize("replay", REPLAYS)
+    def test_numpy_integer_dirty_bytes_accepted(self, replay):
+        tr = WritebackTrace(np.zeros(4), np.arange(4, dtype=np.uint64) * 64)
+        assert replay(tr, dirty_bytes=np.int64(2)) == replay(tr, dirty_bytes=2)
 
 
 class TestGradientTraceGenerator:
