@@ -7,7 +7,7 @@ ablation quantifies that directly:
 * baseline side: sweep ZeRO-Offload's gradient-buffer size from fine to
   coarse and measure exposed gradient-transfer time (coarser buffers stall
   longer per flush and leave a bigger unoverlapped tail);
-* TECO side: sweep the streaming chunpkiness of the fluid model toward
+* TECO side: sweep the streaming chunkiness of the write-back stream toward
   coarse chunks and watch the overlap benefit of cache-line streaming
   collapse back to baseline behaviour.
 """
@@ -20,7 +20,7 @@ from repro.interconnect.cxl import CXLLinkModel
 from repro.models import get_model
 from repro.offload import HardwareParams
 from repro.offload.engines import ZeROOffloadEngine
-from repro.trace import adam_writeback_trace, replay_trace
+from repro.trace import adam_writeback_chunks, replay_trace
 from repro.utils.tables import format_table
 from repro.utils.units import MIB, bytes_human
 
@@ -66,38 +66,28 @@ def run_stream_granularity(
 ) -> list[dict]:
     """Exposed parameter-transfer time vs streaming granularity.
 
-    Replays the ADAM write-back trace with timestamps quantized to chunk
+    Replays the ADAM write-back stream with timestamps quantized to chunk
     boundaries — chunk 1 is TECO's per-line streaming; chunk 0 means "one
-    transfer at sweep end" (the coarse-grained baseline behaviour).
+    transfer at sweep end" (the coarse-grained baseline behaviour).  Each
+    replay folds bounded blocks, so no full trace is ever built.
     """
     spec = get_model(model)
-    hw = HardwareParams.paper_default()
-    adam_time = hw.adam_time(spec)
-    trace = adam_writeback_trace(spec.param_bytes, adam_time)
+    adam_time = HardwareParams.paper_default().adam_time(spec)
+    # Built up front: the sources check ``chunk_lines`` before any replay.
+    streams = [
+        adam_writeback_chunks(spec.param_bytes, adam_time, chunk_lines=chunk)
+        for chunk in chunk_lines
+    ]
     link = CXLLinkModel.paper_default()
     rows = []
-    import numpy as np
-
-    for chunk in chunk_lines:
-        times = trace.times.copy()
+    for chunk, stream in zip(chunk_lines, streams):
+        result = replay_trace(stream, link)
         if chunk == 0:
-            times[:] = adam_time  # everything waits for sweep end
-            label = "whole tensor"
-        elif chunk > 1:
-            # A line only becomes visible when its chunk completes.
-            idx = np.arange(times.size)
-            chunk_end = np.minimum(
-                ((idx // chunk) + 1) * chunk - 1, times.size - 1
-            )
-            times = times[chunk_end]
-            label = f"{chunk} lines"
-        else:
+            label = "whole tensor"  # everything waits for sweep end
+        elif chunk == 1:
             label = "per line (TECO)"
-        from repro.memsim.trace import WritebackTrace
-
-        result = replay_trace(
-            WritebackTrace(times, trace.addresses.copy()), link
-        )
+        else:
+            label = f"{chunk} lines"  # a line shows when its chunk completes
         rows.append(
             {
                 "granularity": label,

@@ -7,13 +7,15 @@ emulator to get the transfer time not overlapped with compute
 (``process.py``).  This package is that pipeline:
 
 * :mod:`repro.trace.generator` — produces the write-back trace of a
-  blocked, vectorized ADAM sweep, either analytically (streaming model) or
-  through the real cache hierarchy;
-* :mod:`repro.trace.replay` — replays a trace over a CXL link model and
-  reports exposed (non-overlapped) transfer time and wire volume.
+  blocked, vectorized ADAM sweep, either analytically (streaming model,
+  whole or as bounded chunks) or through the real cache hierarchy;
+* :mod:`repro.trace.replay` — replays a trace, or a stream of its chunks,
+  over a CXL link model and reports exposed (non-overlapped) transfer
+  time and wire volume.
 """
 
 from repro.trace.generator import (
+    adam_writeback_chunks,
     adam_writeback_trace,
     gradient_writeback_trace,
     simulate_sweep_writebacks,
@@ -21,16 +23,15 @@ from repro.trace.generator import (
 from repro.trace.replay import (
     ReplayResult,
     replay_trace,
-    replay_trace_chunked,
     replay_trace_scalar,
 )
 
 __all__ = [
+    "adam_writeback_chunks",
     "adam_writeback_trace",
     "gradient_writeback_trace",
     "simulate_sweep_writebacks",
     "ReplayResult",
     "replay_trace",
-    "replay_trace_chunked",
     "replay_trace_scalar",
 ]

@@ -10,14 +10,19 @@ Two generators are provided:
 
 * :func:`adam_writeback_trace` — the analytic streaming model: exact for a
   linear sweep (each line written once, written back ``llc_lines`` lines
-  later, remainder flushed at sweep end).  Scales to billions of
-  parameters because it is closed-form.
+  later, remainder flushed at sweep end).  It is closed-form, and
+  :func:`adam_writeback_chunks` streams the same times in bounded
+  blocks, so billions of parameters replay without building the trace.
 * :func:`simulate_sweep_writebacks` — drives the real
   :class:`~repro.memsim.hierarchy.CacheHierarchy` access by access;
   used to validate the analytic model on small arenas (see tests).
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -26,7 +31,36 @@ from repro.memsim.hierarchy import CacheHierarchy
 from repro.memsim.trace import WritebackTrace
 from repro.utils.units import Bandwidth
 
-__all__ = ["adam_writeback_trace", "simulate_sweep_writebacks"]
+__all__ = [
+    "adam_writeback_chunks",
+    "adam_writeback_trace",
+    "simulate_sweep_writebacks",
+]
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject a non-integral, ``bool`` or too small count up front."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_sweep(param_bytes, sweep_duration, llc_bytes) -> tuple[int, int]:
+    """Validate one ADAM sweep; returns ``(n_lines, llc_lines)``.
+
+    A fractional or ``bool`` byte count would silently round to a line
+    count, an LLC under one line would silently become one line, and a
+    non-finite duration would poison every timestamp.
+    """
+    _check_int("param_bytes", param_bytes, 1)
+    _check_int("llc_bytes", llc_bytes, CACHE_LINE_BYTES)
+    if not (math.isfinite(sweep_duration) and sweep_duration > 0):
+        raise ValueError(
+            f"sweep_duration must be finite and positive, got {sweep_duration!r}"
+        )
+    n_lines = -(-int(param_bytes) // CACHE_LINE_BYTES)
+    return n_lines, int(llc_bytes) // CACHE_LINE_BYTES
 
 
 def adam_writeback_trace(
@@ -53,28 +87,63 @@ def adam_writeback_trace(
     -------
     WritebackTrace
         One event per parameter cache line, timestamped when the line
-        reaches main memory.
+        reaches main memory: :func:`adam_writeback_chunks` as one block.
     """
-    if param_bytes <= 0 or sweep_duration <= 0:
-        raise ValueError("param_bytes and sweep_duration must be positive")
-    if llc_bytes <= 0:
-        raise ValueError("llc_bytes must be positive")
+    n_lines, _ = _check_sweep(param_bytes, sweep_duration, llc_bytes)
     if base_address % CACHE_LINE_BYTES:
         raise ValueError("base_address must be line aligned")
-    n_lines = -(-param_bytes // CACHE_LINE_BYTES)
-    llc_lines = max(1, llc_bytes // CACHE_LINE_BYTES)
-    line_idx = np.arange(n_lines, dtype=np.float64)
-    time_per_line = sweep_duration / n_lines
-    # Line i is written at (i+1)*tpl and written back when the front
-    # reaches i + llc_lines; lines inside the final LLC-capacity window
-    # are flushed at sweep end.
-    writeback_time = np.minimum(
-        (line_idx + llc_lines) * time_per_line, sweep_duration
+    (writeback_time,) = adam_writeback_chunks(
+        param_bytes, sweep_duration, llc_bytes, block_lines=n_lines
     )
     addresses = (
-        base_address + line_idx.astype(np.uint64) * CACHE_LINE_BYTES
+        base_address + np.arange(n_lines, dtype=np.uint64) * CACHE_LINE_BYTES
     )
     return WritebackTrace(writeback_time, addresses)
+
+
+def adam_writeback_chunks(
+    param_bytes: int,
+    sweep_duration: float,
+    llc_bytes: int = 16 * 2**20,
+    chunk_lines: int = 1,
+    block_lines: int = 1 << 16,
+) -> Iterator[np.ndarray]:
+    """Stream the ADAM sweep's write-back times in bounded blocks.
+
+    Yields float64 time arrays for line-index blocks ``[lo, lo +
+    block_lines)`` in order, so :func:`~repro.trace.replay.replay_trace`
+    can fold a billion-line sweep in ``block_lines``-sized memory.  The
+    arguments are checked here, before the first block is built.
+
+    ``chunk_lines`` sets the streaming granularity: 1 is per-line
+    streaming (the times of :func:`adam_writeback_trace`); ``c > 1``
+    makes each line visible only when its ``c``-line chunk completes,
+    i.e. at the write-back time of line ``min((i // c + 1) * c - 1,
+    n - 1)``; 0 sends every line at sweep end.  The quantization works
+    on the global line index, so a chunk may straddle blocks.
+    """
+    n_lines, llc_lines = _check_sweep(param_bytes, sweep_duration, llc_bytes)
+    _check_int("chunk_lines", chunk_lines, 0)
+    _check_int("block_lines", block_lines, 1)
+    time_per_line = sweep_duration / n_lines
+
+    def block(lo: int) -> np.ndarray:
+        hi = min(lo + block_lines, n_lines)
+        if chunk_lines == 0:
+            return np.full(hi - lo, sweep_duration, dtype=np.float64)
+        idx = np.arange(lo, hi)
+        if chunk_lines > 1:
+            chunk_end = (idx // chunk_lines + 1) * chunk_lines - 1
+            idx = np.minimum(chunk_end, n_lines - 1)
+        # Line i is written at (i+1)*tpl and written back when the front
+        # reaches i + llc_lines; lines inside the final LLC-capacity
+        # window are flushed at sweep end.
+        return np.minimum(
+            (idx.astype(np.float64) + llc_lines) * time_per_line,
+            sweep_duration,
+        )
+
+    return map(block, range(0, n_lines, block_lines))
 
 
 def simulate_sweep_writebacks(

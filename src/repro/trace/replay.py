@@ -10,23 +10,26 @@ The queueing recursion ``depart[i] = max(arrive[i], depart[i-1]) + t_line``
 is vectorized via the standard transformation
 ``depart[i] = t_line*(i+1) + max_{j<=i}(arrive[j] - t_line*j)``
 (a running maximum), so multi-million-line traces replay in milliseconds.
+The maximum folds across chunks, so a trace can also arrive as a stream
+of time arrays and replay in bounded memory.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.interconnect.cxl import CXLLinkModel
+from repro.interconnect.packets import CACHE_LINE_BYTES, packet_wire_bytes
 from repro.memsim.trace import WritebackTrace
 
 __all__ = [
     "ReplayResult",
     "replay_trace",
-    "replay_trace_chunked",
     "replay_trace_scalar",
 ]
 
@@ -58,8 +61,8 @@ class ReplayResult:
 def _check_replay_args(dirty_bytes, start_time) -> None:
     """Reject inputs that would replay to a silently wrong result (a
     fractional or out-of-range ``dirty_bytes`` skews the wire bytes, a
-    NaN ``start_time`` hides every exposed second).  Trace times need no
-    check here: :class:`WritebackTrace` only holds finite ones."""
+    NaN ``start_time`` hides every exposed second).  Trace times are
+    checked by :func:`_time_chunks`."""
     integral = isinstance(dirty_bytes, numbers.Integral)
     if not (integral and 1 <= dirty_bytes <= 4):
         raise ValueError(
@@ -106,8 +109,35 @@ def _observe_replay(result: ReplayResult, first_arrival, tracer, metrics) -> Non
         )
 
 
+def _time_chunks(trace) -> Iterator[np.ndarray]:
+    """The non-empty 1-D time arrays of ``trace``, checked if a stream.
+
+    A :class:`WritebackTrace` is one chunk and already sorted and finite.
+    A chunk stream cannot be sorted after the fact, so each chunk must be
+    1-D, finite, and non-decreasing within and across chunk boundaries.
+    """
+    if isinstance(trace, WritebackTrace):
+        if len(trace):
+            yield trace.times
+        return
+    last = -math.inf
+    for k, times in enumerate(trace):
+        times = np.asarray(times, dtype=np.float64)
+        if times.ndim != 1:
+            raise ValueError(f"chunk {k} must be 1-D, got shape {times.shape}")
+        if not times.size:
+            continue
+        # min/max reduce without a temporary, unlike np.isfinite(times).
+        if not (math.isfinite(times.min()) and math.isfinite(times.max())):
+            raise ValueError(f"chunk {k} holds a non-finite time")
+        if times[0] < last or (times[1:] < times[:-1]).any():
+            raise ValueError(f"chunk {k} decreases in time; sort the stream")
+        last = times[-1]
+        yield times
+
+
 def replay_trace(
-    trace: WritebackTrace,
+    trace: WritebackTrace | Iterable[np.ndarray],
     link: CXLLinkModel | None = None,
     dirty_bytes: int = 4,
     start_time: float = 0.0,
@@ -119,7 +149,13 @@ def replay_trace(
     Parameters
     ----------
     trace
-        Write-back events (time-sorted).
+        Write-back events: a :class:`WritebackTrace`, or an iterable of
+        1-D time arrays (e.g.
+        :func:`~repro.trace.generator.adam_writeback_chunks`) that
+        together are non-decreasing.  The running maximum closing the
+        queueing recursion folds across chunks, so a stream replays in
+        one chunk's memory and gives bit for bit the result of its
+        concatenation.
     link
         CXL link model (paper default if omitted).
     dirty_bytes
@@ -132,7 +168,18 @@ def replay_trace(
     """
     _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
-    n = len(trace)
+    t_line = link.line_transfer_time(dirty_bytes)
+    n = 0
+    head_start = -np.inf
+    first_arrival = compute_end = start_time
+    for times in _time_chunks(trace):
+        arrive = np.maximum(times, start_time)
+        if n == 0:
+            first_arrival = float(arrive[0])
+        compute_end = float(arrive[-1])
+        idx = np.arange(n, n + times.size, dtype=np.float64)
+        head_start = max(head_start, float(np.max(arrive - idx * t_line)))
+        n += times.size
     if n == 0:
         return ReplayResult(
             finish_time=start_time,
@@ -142,14 +189,7 @@ def replay_trace(
             wire_bytes=0,
             n_lines=0,
         )
-    t_line = link.line_transfer_time(dirty_bytes)
-    arrive = np.maximum(trace.times, start_time)
-    idx = np.arange(n, dtype=np.float64)
-    head_start = np.maximum.accumulate(arrive - idx * t_line)
-    depart_last = float(t_line * n + head_start[-1])
-    compute_end = float(arrive[-1])
-    from repro.interconnect.packets import packet_wire_bytes, CACHE_LINE_BYTES
-
+    depart_last = float(t_line * n + head_start)
     per_line_bytes = packet_wire_bytes(CACHE_LINE_BYTES * dirty_bytes // 4)
     result = ReplayResult(
         finish_time=depart_last,
@@ -159,52 +199,8 @@ def replay_trace(
         wire_bytes=per_line_bytes * n,
         n_lines=n,
     )
-    _observe_replay(result, float(arrive[0]), tracer, metrics)
+    _observe_replay(result, first_arrival, tracer, metrics)
     return result
-
-
-def replay_trace_chunked(
-    trace: WritebackTrace,
-    link: CXLLinkModel | None = None,
-    dirty_bytes: int = 4,
-    start_time: float = 0.0,
-    chunk_events: int = 1 << 18,
-) -> ReplayResult:
-    """Replay in fixed-size chunks; bit-identical to :func:`replay_trace`.
-
-    The running maximum ``max_j(arrive[j] - j*t_line)`` that closes the
-    queueing recursion folds across chunk boundaries, so a trace can be
-    consumed incrementally (bounded peak memory for streamed traces)
-    without changing a single output bit — the equivalence is tested.
-    """
-    if chunk_events <= 0:
-        raise ValueError("chunk_events must be positive")
-    _check_replay_args(dirty_bytes, start_time)
-    link = link or CXLLinkModel.paper_default()
-    n = len(trace)
-    if n == 0:
-        return replay_trace(trace, link, dirty_bytes, start_time)
-    t_line = link.line_transfer_time(dirty_bytes)
-    head_start = -np.inf
-    compute_end = start_time
-    for lo in range(0, n, chunk_events):
-        times = trace.times[lo : lo + chunk_events]
-        arrive = np.maximum(times, start_time)
-        idx = np.arange(lo, lo + times.size, dtype=np.float64)
-        head_start = max(head_start, float(np.max(arrive - idx * t_line)))
-        compute_end = float(arrive[-1])
-    depart_last = float(t_line * n + head_start)
-    from repro.interconnect.packets import packet_wire_bytes, CACHE_LINE_BYTES
-
-    per_line_bytes = packet_wire_bytes(CACHE_LINE_BYTES * dirty_bytes // 4)
-    return ReplayResult(
-        finish_time=depart_last,
-        compute_end=compute_end,
-        exposed_time=max(0.0, depart_last - compute_end),
-        wire_time=t_line * n,
-        wire_bytes=per_line_bytes * n,
-        n_lines=n,
-    )
 
 
 def replay_trace_scalar(
@@ -233,8 +229,6 @@ def replay_trace_scalar(
         arrive = max(float(t), start_time)
         depart = max(arrive, depart) + t_line
         compute_end = arrive
-    from repro.interconnect.packets import packet_wire_bytes, CACHE_LINE_BYTES
-
     per_line_bytes = packet_wire_bytes(CACHE_LINE_BYTES * dirty_bytes // 4)
     return ReplayResult(
         finish_time=float(depart),

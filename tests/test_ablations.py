@@ -1,6 +1,11 @@
 """Tests for the extra ablation experiments (DPU, granularity, dirty
 bytes, interconnect generation)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.ablation_dirty_bytes import run_dirty_bytes_ablation
@@ -13,6 +18,8 @@ from repro.experiments.ablation_granularity import (
     run_stream_granularity,
 )
 from repro.experiments.ablation_interconnect import run_interconnect_ablation
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestDPUAblation:
@@ -31,24 +38,74 @@ class TestDPUAblation:
             assert 0.0 <= r["dpu_hidden_fraction"] <= 1.0 + 1e-9
 
 
+#: The bert-large stream rows as ``float.hex`` of (exposed, overlap): the
+#: values the whole-trace replay gives, which the streamed fold must match
+#: bit for bit.
+GOLDEN_STREAM_ROWS = {
+    1: ("0x1.26b21f988b31bp-5", "0x1.3f3d728f683f2p-1"),
+    64: ("0x1.26b2815ad8db9p-5", "0x1.3f3d329dbfaedp-1"),
+    4096: ("0x1.26caf1ee43519p-5", "0x1.3f2d36339b9dcp-1"),
+    262144: ("0x1.2ce716c8e0d25p-5", "0x1.3b2e1baa97580p-1"),
+    0: ("0x1.8760ea8db59dcp-4", "0x0.0p+0"),
+}
+
+
 class TestGranularityAblation:
-    @pytest.mark.slow
-    def test_whole_tensor_exposes_everything(self):
-        rows = run_stream_granularity(chunk_lines=(1, 0))
-        fine, coarse = rows
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return {r["chunk_lines"]: r for r in run_stream_granularity()}
+
+    def test_stream_rows_match_golden(self, stream):
+        got = {
+            c: (float(r["exposed"]).hex(), float(r["overlap"]).hex())
+            for c, r in stream.items()
+        }
+        assert got == GOLDEN_STREAM_ROWS
+        assert [r["granularity"] for r in stream.values()] == [
+            "per line (TECO)", "64 lines", "4096 lines", "262144 lines",
+            "whole tensor",
+        ]
+
+    def test_whole_tensor_exposes_everything(self, stream):
+        fine, coarse = stream[1], stream[0]
         assert fine["overlap"] > 0.5
         assert coarse["overlap"] < 0.05
         assert fine["exposed"] < coarse["exposed"]
 
-    @pytest.mark.slow
-    def test_streaming_robust_to_chunk_size(self):
-        """Chunking the fluid stream from 1 to 4096 lines barely changes
+    def test_streaming_robust_to_chunk_size(self, stream):
+        """Chunking the stream from 1 to 4096 lines barely changes
         exposure (bandwidth-limited, not granularity-limited) — which also
         validates the engines' STREAM_CHUNKS approximation."""
-        rows = run_stream_granularity(chunk_lines=(1, 4096))
-        assert rows[0]["exposed"] == pytest.approx(
-            rows[1]["exposed"], rel=0.05
+        assert stream[1]["exposed"] == pytest.approx(
+            stream[4096]["exposed"], rel=0.05
         )
+
+    @pytest.mark.parametrize("chunk_lines", [-5, 2.5, True, None])
+    def test_bad_chunk_lines_rejected(self, chunk_lines):
+        """-5 used to come back as a row labelled "per line (TECO)"."""
+        with pytest.raises(ValueError, match="chunk_lines"):
+            run_stream_granularity(chunk_lines=(1, chunk_lines))
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux"
+    )
+    def test_experiment_peak_rss_bounded(self):
+        """The stream side folds bounded blocks: the whole experiment, in a
+        fresh interpreter, peaks far below the ~1.6 GiB that building the
+        bert-large write-back trace took."""
+        code = (
+            "import resource\n"
+            "from repro.experiments.registry import run_experiment\n"
+            "run_experiment('granularity')\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        peak_mib = int(out.stdout.split()[-1]) / 1024
+        assert peak_mib < 256, f"granularity peaked at {peak_mib:.0f} MiB"
 
     def test_buffer_sweep_shapes(self):
         rows = run_buffer_granularity(buffer_sizes=(2 * 2**20, 256 * 2**20))

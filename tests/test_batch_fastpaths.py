@@ -2,11 +2,12 @@
 references.
 
 Every vectorized path kept for throughput — the byte-gather DBA
-packer/merger and trace replay (whole and chunked) — must be
-*observationally identical* to the scalar reference it replaces: same
-counters, same payload bytes, same replay timings.  These tests drive
-both implementations with random inputs (every ``dirty_bytes``, partial
-cache lines, arbitrary chunk sizes) and require exact agreement, so a
+packer/merger, trace replay (whole and streamed) and the streamed
+write-back chunk source — must be *observationally identical* to the
+reference it replaces: same counters, same payload bytes, same replay
+timings, same trace times.  These tests drive both implementations with
+random inputs (every ``dirty_bytes``, partial cache lines, arbitrary
+split points) and require exact agreement, so a
 future "optimization" that drifts semantically fails loudly instead of
 silently skewing every experiment downstream.
 """
@@ -19,7 +20,12 @@ from hypothesis import strategies as st
 from repro.dba import Aggregator, DBARegister, Disaggregator
 from repro.interconnect.cxl import CXLLinkModel
 from repro.memsim import WritebackTrace
-from repro.trace import replay_trace, replay_trace_chunked, replay_trace_scalar
+from repro.trace import (
+    adam_writeback_chunks,
+    adam_writeback_trace,
+    replay_trace,
+    replay_trace_scalar,
+)
 
 
 class TestDBADifferential:
@@ -73,20 +79,24 @@ class TestReplayDifferential:
     @given(
         st.integers(1, 2000),
         st.integers(0, 2**32 - 1),
-        st.sampled_from([1, 7, 100, 1 << 18]),
+        st.lists(st.integers(0, 2000), max_size=12),
+        st.integers(1, 4),
         st.floats(0.0, 0.5),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_chunked_is_bit_identical(self, n, seed, chunk, start):
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_is_bit_identical(self, n, seed, cuts, db, start):
+        """Replaying the times split at arbitrary points (empty chunks
+        included) folds to exactly the whole trace's result."""
         rng = np.random.default_rng(seed)
         trace = WritebackTrace(
             np.sort(rng.random(n)),
             rng.integers(0, 1 << 30, n).astype(np.uint64) * 64,
         )
         link = CXLLinkModel.paper_default()
-        whole = replay_trace(trace, link, 2, start)
-        chunked = replay_trace_chunked(trace, link, 2, start, chunk_events=chunk)
-        assert whole == chunked  # dataclass equality: every field bit-equal
+        chunks = np.split(trace.times, sorted(min(c, n) for c in cuts))
+        whole = replay_trace(trace, link, db, start)
+        streamed = replay_trace(chunks, link, db, start)
+        assert whole == streamed  # dataclass equality: every field bit-equal
 
     @given(st.integers(1, 400), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -106,7 +116,39 @@ class TestReplayDifferential:
             ref.exposed_time, rel=1e-9, abs=1e-15
         )
 
-    def test_chunked_rejects_bad_chunk(self):
-        trace = WritebackTrace(np.empty(0), np.empty(0, dtype=np.uint64))
-        with pytest.raises(ValueError):
-            replay_trace_chunked(trace, chunk_events=0)
+    def test_chunk_source_rejects_bad_block_lines(self):
+        for block_lines in (0, -1):
+            with pytest.raises(ValueError, match="block_lines"):
+                adam_writeback_chunks(64 * 10, 1.0, block_lines=block_lines)
+
+
+class TestChunkSourceDifferential:
+    N_LINES = 1000
+    LLC_LINES = 100
+
+    @pytest.mark.parametrize("block_lines", [1, 7, 1 << 18])
+    @pytest.mark.parametrize("chunk_lines", [1, 3, 64, 0])
+    def test_blocks_concatenate_to_full_trace(self, block_lines, chunk_lines):
+        """The streamed blocks are, byte for byte, the full trace's times
+        quantized the way the whole-trace path did it: indexed by each
+        line's chunk end, or all at sweep end for ``chunk_lines=0``."""
+        n, sweep = self.N_LINES, 0.37
+        full = adam_writeback_trace(
+            64 * n - 5, sweep, llc_bytes=64 * self.LLC_LINES
+        ).times
+        if chunk_lines == 0:
+            expected = np.full(n, sweep)
+        else:
+            idx = np.arange(n)
+            chunk_end = np.minimum(
+                ((idx // chunk_lines) + 1) * chunk_lines - 1, n - 1
+            )
+            expected = full[chunk_end]
+        blocks = adam_writeback_chunks(
+            64 * n - 5,
+            sweep,
+            llc_bytes=64 * self.LLC_LINES,
+            chunk_lines=chunk_lines,
+            block_lines=block_lines,
+        )
+        assert np.concatenate(list(blocks)).tobytes() == expected.tobytes()

@@ -376,6 +376,27 @@ class TestReplayInstrumentation:
         assert mx.value("replay.lines") == 50
         assert mx.value("replay.wire_bytes") == result.wire_bytes
 
+    def test_streamed_replay_records_same_summary(self):
+        """A chunk stream reports the span a whole trace does, starting at
+        the first chunk's first arrival."""
+        from repro.memsim.trace import WritebackTrace
+        from repro.trace.replay import replay_trace
+
+        times = np.linspace(1e-7, 1e-6, 50)
+        traced = []
+        for trace in (
+            WritebackTrace(times, np.arange(50) * 64),
+            [times[:0], times[:20], times[20:]],
+        ):
+            tr, mx = Tracer(), Metrics()
+            result = replay_trace(trace, tracer=tr, metrics=mx)
+            (stream,) = [s for s in tr.spans_in("link") if s.name == "stream"]
+            traced.append(
+                (result, stream.begin, stream.end, mx.value("replay.lines"))
+            )
+        assert traced[0] == traced[1]
+        assert traced[1][1] == times[0]
+
     def test_replay_untraced_unchanged(self):
         from repro.memsim.trace import WritebackTrace
         from repro.trace.replay import replay_trace

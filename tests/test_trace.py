@@ -6,14 +6,25 @@ import pytest
 from repro.interconnect.cxl import CXLLinkModel
 from repro.memsim import CacheHierarchy, SetAssociativeCache, WritebackTrace
 from repro.trace import (
+    adam_writeback_chunks,
     adam_writeback_trace,
     replay_trace,
-    replay_trace_chunked,
     replay_trace_scalar,
     simulate_sweep_writebacks,
 )
 
-REPLAYS = [replay_trace, replay_trace_chunked, replay_trace_scalar]
+
+def _replay_as_chunks(trace, **kwargs):
+    """``replay_trace`` fed the trace's times as a stream of three chunks."""
+    return replay_trace(np.array_split(trace.times, 3), **kwargs)
+
+
+REPLAYS = [
+    pytest.param(replay_trace, id="replay_trace"),
+    pytest.param(_replay_as_chunks, id="replay_trace_chunked"),
+    pytest.param(replay_trace_scalar, id="replay_trace_scalar"),
+]
+GENERATORS = [adam_writeback_trace, adam_writeback_chunks]
 
 
 class TestAnalyticGenerator:
@@ -45,6 +56,57 @@ class TestAnalyticGenerator:
             adam_writeback_trace(64, 0.0)
         with pytest.raises(ValueError):
             adam_writeback_trace(64, 1.0, base_address=1)
+
+    @pytest.mark.parametrize("generate", GENERATORS)
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"param_bytes": 640.5}, "param_bytes"),  # would round to 11 lines
+            ({"param_bytes": True}, "param_bytes"),  # would be one line
+            ({"param_bytes": -64}, "param_bytes"),
+            ({"llc_bytes": 4096.0}, "llc_bytes"),
+            ({"llc_bytes": True}, "llc_bytes"),
+            ({"llc_bytes": 32}, "llc_bytes"),  # would become one line
+            ({"sweep_duration": float("nan")}, "sweep_duration"),
+            ({"sweep_duration": float("inf")}, "sweep_duration"),
+            ({"sweep_duration": -1.0}, "sweep_duration"),
+        ],
+        ids=[
+            "param-fractional", "param-bool", "param-negative",
+            "llc-float", "llc-bool", "llc-sub-line",
+            "duration-nan", "duration-inf", "duration-negative",
+        ],
+    )
+    def test_bad_sweep_rejected(self, generate, kwargs, match):
+        args = {"param_bytes": 64 * 100, "sweep_duration": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            generate(**args)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"block_lines": 0}, "block_lines"),
+            ({"block_lines": -1}, "block_lines"),
+            ({"block_lines": 2.0}, "block_lines"),
+            ({"chunk_lines": -5}, "chunk_lines"),
+            ({"chunk_lines": 1.5}, "chunk_lines"),
+            ({"chunk_lines": True}, "chunk_lines"),
+        ],
+        ids=[
+            "block-zero", "block-negative", "block-float",
+            "chunk-negative", "chunk-fractional", "chunk-bool",
+        ],
+    )
+    def test_bad_chunking_rejected_before_iteration(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            adam_writeback_chunks(64 * 100, 1.0, **kwargs)
+
+    def test_chunks_are_bounded_blocks(self):
+        blocks = list(
+            adam_writeback_chunks(64 * 100, 1.0, llc_bytes=64 * 10, block_lines=32)
+        )
+        assert [b.size for b in blocks] == [32, 32, 32, 4]
+        assert all(b.dtype == np.float64 for b in blocks)
 
 
 class TestSimulatedGenerator:
@@ -146,6 +208,43 @@ class TestReplay:
         tr = WritebackTrace(np.zeros(n), np.arange(n, dtype=np.uint64) * 64)
         with pytest.raises(ValueError, match="start_time"):
             replay(tr, start_time=start)
+
+    @pytest.mark.parametrize(
+        "chunks, match",
+        [
+            ([np.zeros((2, 2))], "1-D"),
+            ([np.float64(0.0)], "1-D"),
+            ([np.array([0.0, np.nan])], "non-finite"),
+            ([np.array([0.0, 1.0]), np.array([np.inf])], "non-finite"),
+            ([np.array([-np.inf, 0.0])], "non-finite"),
+            ([np.array([0.0, 2.0, 1.0])], "decreases"),
+            ([np.array([0.0, 2.0]), np.array([1.0, 3.0])], "decreases"),
+            ([np.array([0.0, 2.0]), np.empty(0), np.array([1.0])], "decreases"),
+        ],
+        ids=[
+            "2d", "0d", "nan", "inf-next-chunk", "neg-inf",
+            "within", "across", "across-empty",
+        ],
+    )
+    def test_bad_stream_rejected(self, chunks, match):
+        """A stream cannot be sorted after the fact the way a
+        :class:`WritebackTrace` is, so disorder and non-finite times fail."""
+        with pytest.raises(ValueError, match=match):
+            replay_trace(chunks)
+
+    def test_stream_matches_concatenation(self):
+        rng = np.random.default_rng(1)
+        times = np.sort(rng.random(300)) * 1e-6
+        chunks = [times[:100], times[100:100], times[100:], np.empty(0)]
+        whole = replay_trace(WritebackTrace(times, np.zeros(300, np.uint64)))
+        assert replay_trace(chunks) == whole
+        assert replay_trace(iter(chunks)) == whole
+        assert replay_trace([c.tolist() for c in chunks]) == whole
+
+    def test_empty_stream(self):
+        assert replay_trace([]) == replay_trace(
+            WritebackTrace(np.empty(0), np.empty(0, dtype=np.uint64))
+        )
 
     @pytest.mark.parametrize("replay", REPLAYS)
     def test_numpy_integer_dirty_bytes_accepted(self, replay):
