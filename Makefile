@@ -71,6 +71,7 @@ examples:
 	python examples/bert_finetune.py
 	python examples/lammps_melt.py
 	python examples/tune_activation.py
+	python examples/memory_planning.py
 
 clean:
 	rm -rf results .pytest_cache .benchmarks

@@ -2,16 +2,15 @@
 
 from repro.experiments.ablation_granularity import (
     render_granularity,
-    run_buffer_granularity,
-    run_stream_granularity,
+    run_granularity,
 )
 
 
 def test_granularity_ablation(run_once, benchmark):
-    stream_rows = run_once(run_stream_granularity)
-    buffer_rows = run_buffer_granularity()
+    rows = run_once(run_granularity)
     print()
-    print(render_granularity(buffer_rows, stream_rows))
+    print(render_granularity(rows))
+    stream_rows = [r for r in rows if r["side"] == "stream"]
     benchmark.extra_info["stream"] = [
         {k: r[k] for k in ("granularity", "exposed", "overlap")}
         for r in stream_rows

@@ -4,9 +4,10 @@ from repro.experiments import lammps
 
 
 def test_lammps(run_once, benchmark):
-    result = run_once(lammps.run_lammps)
+    rows = run_once(lammps.run_lammps)
     print()
-    print(lammps.render_lammps(result))
+    print(lammps.render_lammps(rows))
+    result = rows[0]
     benchmark.extra_info["result"] = {
         k: result[k]
         for k in ("improvement", "volume_reduction", "cxl_share", "dba_share")

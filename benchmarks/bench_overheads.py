@@ -4,8 +4,9 @@ from repro.experiments import overheads
 
 
 def test_overheads(run_once, benchmark):
-    dram = run_once(overheads.run_dram_overhead)
+    rows = run_once(overheads.run_overheads)
     print()
-    print(overheads.render_overheads())
+    print(overheads.render_overheads(rows))
+    dram = rows[-1]  # the kind="dram" row
     benchmark.extra_info["dram"] = dram
     assert dram["sequential"] > dram["shuffled"] > 1.0

@@ -59,11 +59,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.cli import LEGACY_EXPERIMENTS  # noqa: E402
 from repro.experiments import registry  # noqa: E402
 from repro.experiments.cache import ResultCache  # noqa: E402
 from repro.experiments.executor import SweepCell, run_sweep  # noqa: E402
 from repro.experiments.registry import canonical_json  # noqa: E402
+from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS  # noqa: E402
 
 SPEEDUP_MIN_CPUS = 4
 SPEEDUP_FLOOR = 2.0
@@ -80,11 +80,11 @@ def usable_cpus() -> int:
 def check_registry() -> None:
     """Every legacy CLI name must resolve through the registry."""
     names = registry.spec_names()
-    missing = [n for n in LEGACY_EXPERIMENTS if n not in names]
+    missing = [n for n in DEFAULT_REPORT_EXPERIMENTS if n not in names]
     assert not missing, f"legacy experiments missing from registry: {missing}"
-    assert len(names) >= len(LEGACY_EXPERIMENTS)
-    print(f"registry: {len(names)} experiments, all {len(LEGACY_EXPERIMENTS)} "
-          "legacy CLI names covered")
+    assert len(names) >= len(DEFAULT_REPORT_EXPERIMENTS)
+    print(f"registry: {len(names)} experiments, all "
+          f"{len(DEFAULT_REPORT_EXPERIMENTS)} legacy CLI names covered")
 
 
 def check_cached_equals_fresh(cache_root: str) -> None:

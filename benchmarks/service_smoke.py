@@ -51,10 +51,10 @@ CRASH_EXPERIMENT = "service-smoke-crash"
 
 
 @registry.register(CRASH_EXPERIMENT, "smoke-only: optionally kills its worker")
-def _crash_cell(ctx, crash=False, value=1):
+def _crash_cell(crash=False, value=1, seed=0):
     if crash:
         os.kill(os.getpid(), signal.SIGKILL)
-    return [{"value": value, "seed": ctx.seed}]
+    return [{"value": value, "seed": seed}]
 
 
 def _mini_cells() -> list[SweepCell]:

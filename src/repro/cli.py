@@ -32,38 +32,7 @@ import sys
 from repro.experiments import registry
 from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS
 
-__all__ = ["main", "EXPERIMENTS", "LEGACY_EXPERIMENTS"]
-
-#: The pre-registry experiment names, in paper order — what ``all`` runs
-#: and what the legacy ``python -m repro <name>`` aliases cover.  Checked
-#: against the registry at import: a listed experiment cannot silently
-#: lose its registration.
-LEGACY_EXPERIMENTS = DEFAULT_REPORT_EXPERIMENTS
-
-
-def _legacy_runner(name: str):
-    def run() -> str:
-        result = registry.run_experiment(name)
-        return registry.render_result(result)
-
-    return run
-
-
-def _experiments_view() -> dict:
-    """name -> (runner, description), generated from the registry."""
-    registry.ensure_registered()
-    view = {}
-    for spec in registry.all_specs():
-        view[spec.name] = (_legacy_runner(spec.name), spec.description)
-    missing = [n for n in LEGACY_EXPERIMENTS if n not in view]
-    if missing:  # a paper experiment lost its registration — fail loudly
-        raise RuntimeError(f"experiments missing from registry: {missing}")
-    return view
-
-
-#: Back-compat view of the registry (name -> (runner, description)),
-#: ordered as registered (= paper order).
-EXPERIMENTS = _experiments_view()
+__all__ = ["main"]
 
 
 def _make_cache(args):
@@ -128,34 +97,20 @@ def _cmd_run(args) -> int:
 
 def _sweep_cells(spec, args):
     """Cross-product of swept params × seeds -> SweepCell list."""
-    import itertools
+    from repro.experiments.executor import grid_cells
 
-    from repro.experiments.executor import SweepCell
-
-    axes: list[tuple[str, list]] = []
+    axes = {}
     for text in args.set or []:
         if "=" not in text:
             raise SystemExit(f"--set expects key=value[,value...], got {text!r}")
         key, value = text.split("=", 1)
-        default = spec.params.get(key)
-        if isinstance(default, (tuple, list)):
-            # tuple-typed params take one value per --set (no sweeping)
-            axes.append((key, [spec.coerce_param(key, value)]))
+        if isinstance(spec.params.get(key), (tuple, list)):
+            # a tuple-typed value is itself comma-separated: one point
+            axes[key] = spec.coerce_param(key, value)
         else:
-            axes.append(
-                (key, [spec.coerce_param(key, v) for v in value.split(",")])
-            )
+            axes[key] = [spec.coerce_param(key, v) for v in value.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
-    cells = []
-    keys = [k for k, _ in axes]
-    for combo in itertools.product(*[vals for _, vals in axes]):
-        for seed in seeds:
-            cells.append(
-                SweepCell.make(
-                    spec.name, dict(zip(keys, combo)), seed=seed
-                )
-            )
-    return cells
+    return grid_cells(spec, axes, seeds)
 
 
 def _cmd_sweep(args) -> int:
@@ -197,7 +152,9 @@ def _cmd_all(args) -> int:
 
     cache = _make_cache(args)
     if args.jobs > 1:
-        cells = [SweepCell.make(n, seed=0) for n in LEGACY_EXPERIMENTS]
+        cells = [
+            SweepCell.make(n, seed=0) for n in DEFAULT_REPORT_EXPERIMENTS
+        ]
         report = run_sweep(cells, jobs=args.jobs, cache=cache)
         for outcome in report.outcomes:
             print()
@@ -208,7 +165,7 @@ def _cmd_all(args) -> int:
         print()
         print(report.summary())
         return 0 if report.failed == 0 else 1
-    for i, name in enumerate(LEGACY_EXPERIMENTS):
+    for i, name in enumerate(DEFAULT_REPORT_EXPERIMENTS):
         if i:
             print()
         result = registry.run_experiment(name, seed=0, cache=cache)
@@ -710,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # Legacy aliases: 'repro fig10' == 'repro run fig10'.
-    if argv and argv[0] in EXPERIMENTS:
+    if argv and argv[0] in registry.spec_names():
         argv = ["run", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)

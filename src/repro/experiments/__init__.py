@@ -1,11 +1,12 @@
 """Experiment drivers: one module per paper table/figure.
 
-Each module exposes a ``run_*`` function returning plain dict/list rows —
-the same rows the paper's tables report — consumed by the benchmark
-harness (``benchmarks/``) and the examples, and a *registry* adapter
-(:mod:`repro.experiments.registry`) that makes the experiment reachable
-through ``python -m repro run/sweep`` with caching and parallel
-execution.  See DESIGN.md section 3 for the experiment index.
+Each module exposes a ``run_*`` function returning plain dict rows —
+the same rows the paper's tables report — and a ``render_*(rows)`` text
+renderer, consumed by the benchmark harness (``benchmarks/``) and the
+examples.  Both are registered with :mod:`repro.experiments.registry`,
+which makes the experiment reachable through ``python -m repro
+run/sweep`` with caching and parallel execution.  See DESIGN.md section
+3 for the experiment index.
 
 Modules are imported in paper order: importing this package populates
 the registry in the order ``python -m repro list`` shows.

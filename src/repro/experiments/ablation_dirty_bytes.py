@@ -9,6 +9,7 @@ choice of 2 visibly the knee of the curve.
 from __future__ import annotations
 
 from repro.dba import ActivationPolicy
+from repro.experiments.registry import register, renderer
 from repro.experiments.runner import finetune, pretrained_lm
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind, TrainerMode, simulate_system
@@ -18,16 +19,20 @@ from repro.utils.tables import format_table
 __all__ = ["run_dirty_bytes_ablation", "render_dirty_bytes"]
 
 
+@register(
+    "dirty-bytes",
+    "Ablation — dirty_bytes trade-off (1..4)",
+    tags=("ablation", "timing", "functional"),
+)
 def run_dirty_bytes_ablation(
     model: str = "bert-large-cased",
     batch: int = 4,
     n_steps: int = 80,
     seed: int = 0,
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """One row per dirty_bytes in {1, 2, 3, 4}."""
     spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     base = simulate_system(SystemKind.ZERO_OFFLOAD, spec, batch, hw)
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
     baseline_tr = finetune(setup, TrainerMode.ZERO_OFFLOAD, seed=seed + 1)
@@ -57,6 +62,7 @@ def run_dirty_bytes_ablation(
     return rows
 
 
+@renderer("dirty-bytes")
 def render_dirty_bytes(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -76,26 +82,3 @@ def render_dirty_bytes(rows: list[dict]) -> str:
             "(paper default 2 = knee: half the volume, low-byte-only loss)"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "dirty-bytes",
-    "Ablation — dirty_bytes trade-off (1..4)",
-    tags=("ablation", "timing", "functional"),
-)
-def _dirty_bytes_experiment(
-    ctx, model="bert-large-cased", batch=4, n_steps=80
-):
-    return run_dirty_bytes_ablation(
-        model=model, batch=batch, n_steps=n_steps, seed=ctx.seed
-    )
-
-
-@renderer("dirty-bytes")
-def _dirty_bytes_render(result):
-    return render_dirty_bytes(result.rows)

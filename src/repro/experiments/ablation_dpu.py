@@ -12,6 +12,7 @@ manages to hide versus TECO-Reduction.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind, simulate_system
 from repro.offload.engines import ZeROOffloadEngine
@@ -20,14 +21,18 @@ from repro.utils.tables import format_table
 __all__ = ["run_dpu_ablation", "render_dpu_ablation"]
 
 
+@register(
+    "dpu",
+    "Ablation — delayed parameter update vs TECO",
+    tags=("ablation", "timing"),
+)
 def run_dpu_ablation(
     model: str = "bert-large-cased",
     batch_sizes: tuple[int, ...] = (1, 4, 8, 16, 32, 64),
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """Run the experiment; returns one dict per row."""
     spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for batch in batch_sizes:
         plain = ZeROOffloadEngine(spec, batch, hw).simulate_step()
@@ -56,6 +61,7 @@ def dpu_requires_large_batch(rows: list[dict]) -> bool:
     return fracs == sorted(fracs) and fracs[0] < 0.999
 
 
+@renderer("dpu")
 def render_dpu_ablation(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -74,24 +80,3 @@ def render_dpu_ablation(rows: list[dict]) -> str:
             "TECO does not risk stale-parameter convergence)"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "dpu",
-    "Ablation — delayed parameter update vs TECO",
-    tags=("ablation", "timing"),
-)
-def _dpu_experiment(
-    ctx, model="bert-large-cased", batch_sizes=(1, 4, 8, 16, 32, 64)
-):
-    return run_dpu_ablation(model=model, batch_sizes=tuple(batch_sizes))
-
-
-@renderer("dpu")
-def _dpu_render(result):
-    return render_dpu_ablation(result.rows)

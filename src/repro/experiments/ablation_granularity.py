@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.experiments.registry import register, renderer
 from repro.interconnect.cxl import CXLLinkModel
 from repro.models import get_model
 from repro.offload import HardwareParams
@@ -27,6 +28,7 @@ from repro.utils.units import MIB, bytes_human
 __all__ = [
     "run_buffer_granularity",
     "run_stream_granularity",
+    "run_granularity",
     "render_granularity",
 ]
 
@@ -99,10 +101,27 @@ def run_stream_granularity(
     return rows
 
 
-def render_granularity(
-    buffer_rows: list[dict], stream_rows: list[dict]
-) -> str:
-    """Render the measured rows as a plain-text table."""
+@register(
+    "granularity",
+    "Ablation — transfer granularity (buffer + stream)",
+    tags=("ablation", "timing"),
+)
+def run_granularity(
+    model: str = "bert-large-cased", batch: int = 4
+) -> list[dict]:
+    """Both sweeps as one row list, each row tagged with its ``side``."""
+    rows = [
+        {"side": "buffer", **r} for r in run_buffer_granularity(model, batch)
+    ]
+    rows += [
+        {"side": "stream", **r} for r in run_stream_granularity(model)
+    ]
+    return rows
+
+
+@renderer("granularity")
+def render_granularity(rows: list[dict]) -> str:
+    """Render the rows of :func:`run_granularity` as two tables."""
     a = format_table(
         ["gradient buffer", "exposed grad transfer", "step total"],
         [
@@ -111,7 +130,8 @@ def render_granularity(
                 f"{r['grad_exposed'] * 1e3:.1f} ms",
                 f"{r['total'] * 1e3:.1f} ms",
             )
-            for r in buffer_rows
+            for r in rows
+            if r["side"] == "buffer"
         ],
         title="Ablation — ZeRO-Offload gradient-buffer granularity",
     )
@@ -123,36 +143,9 @@ def render_granularity(
                 f"{r['exposed'] * 1e3:.1f} ms",
                 f"{r['overlap']:.0%}",
             )
-            for r in stream_rows
+            for r in rows
+            if r["side"] == "stream"
         ],
         title="Ablation — parameter-stream granularity over CXL",
     )
     return a + "\n\n" + b
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "granularity",
-    "Ablation — transfer granularity (buffer + stream)",
-    tags=("ablation", "timing"),
-)
-def _granularity_experiment(ctx, model="bert-large-cased", batch=4):
-    rows = [
-        {"side": "buffer", **r} for r in run_buffer_granularity(model, batch)
-    ]
-    rows += [
-        {"side": "stream", **r} for r in run_stream_granularity(model)
-    ]
-    return rows
-
-
-@renderer("granularity")
-def _granularity_render(result):
-    return render_granularity(
-        [r for r in result.rows if r["side"] == "buffer"],
-        [r for r in result.rows if r["side"] == "stream"],
-    )

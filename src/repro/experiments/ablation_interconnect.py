@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.experiments.registry import register, renderer
 from repro.interconnect.cxl import CXLLinkModel
 from repro.interconnect.pcie import PCIeGen, PCIeLinkModel
 from repro.models import get_model
@@ -21,15 +22,19 @@ from repro.utils.units import GB
 __all__ = ["run_interconnect_ablation", "render_interconnect"]
 
 
+@register(
+    "interconnect",
+    "Ablation — PCIe generation sensitivity",
+    tags=("ablation", "timing"),
+)
 def run_interconnect_ablation(
     model: str = "bert-large-cased",
     batch: int = 4,
-    gens: tuple[PCIeGen, ...] = (PCIeGen.GEN3, PCIeGen.GEN4, PCIeGen.GEN5),
 ) -> list[dict]:
     """Run the experiment; returns one dict per row."""
     spec = get_model(model)
     rows = []
-    for gen in gens:
+    for gen in (PCIeGen.GEN3, PCIeGen.GEN4, PCIeGen.GEN5):
         pcie = PCIeLinkModel(gen=gen, lanes=16, payload_efficiency=0.85)
         cxl = CXLLinkModel(pcie=PCIeLinkModel(gen=gen, lanes=16))
         hw = dataclasses.replace(
@@ -48,6 +53,7 @@ def run_interconnect_ablation(
     return rows
 
 
+@renderer("interconnect")
 def render_interconnect(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -63,22 +69,3 @@ def render_interconnect(rows: list[dict]) -> str:
         ],
         title="Ablation — PCIe generation sensitivity (batch 4)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "interconnect",
-    "Ablation — PCIe generation sensitivity",
-    tags=("ablation", "timing"),
-)
-def _interconnect_experiment(ctx, model="bert-large-cased", batch=4):
-    return run_interconnect_ablation(model=model, batch=batch)
-
-
-@renderer("interconnect")
-def _interconnect_render(result):
-    return render_interconnect(result.rows)

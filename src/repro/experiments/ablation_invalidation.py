@@ -9,6 +9,7 @@ extension).
 from __future__ import annotations
 
 from repro.coherence.home_agent import CoherenceMode
+from repro.experiments.registry import register, renderer
 from repro.models import evaluation_models
 from repro.models.specs import ModelFamily
 from repro.offload import HardwareParams
@@ -18,11 +19,14 @@ from repro.utils.tables import format_table
 __all__ = ["run_invalidation_ablation", "render_ablation"]
 
 
-def run_invalidation_ablation(
-    batch: int = 4, hw: HardwareParams | None = None
-) -> list[dict]:
+@register(
+    "invalidation",
+    "Sec IV-A2 — invalidation vs update",
+    tags=("ablation", "timing"),
+)
+def run_invalidation_ablation(batch: int = 4) -> list[dict]:
     """Per model: step time under update vs invalidation coherence."""
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for spec in evaluation_models():
         b = batch if spec.family is not ModelFamily.GNN else 1
@@ -48,6 +52,7 @@ def average_slowdown(rows: list[dict]) -> float:
     return sum(r["slowdown"] for r in rows) / len(rows)
 
 
+@renderer("invalidation")
 def render_ablation(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     table = format_table(
@@ -59,22 +64,3 @@ def render_ablation(rows: list[dict]) -> str:
         ),
     )
     return table + f"\naverage: +{average_slowdown(rows):.1%}"
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "invalidation",
-    "Sec IV-A2 — invalidation vs update",
-    tags=("ablation", "timing"),
-)
-def _invalidation_experiment(ctx, batch=4):
-    return run_invalidation_ablation(batch=batch)
-
-
-@renderer("invalidation")
-def _invalidation_render(result):
-    return render_ablation(result.rows)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind, simulate_system
 from repro.utils.tables import format_table
@@ -19,15 +20,19 @@ from repro.utils.tables import format_table
 __all__ = ["run_seqlen_ablation", "render_seqlen"]
 
 
+@register(
+    "seqlen",
+    "Ablation — sequence-length sensitivity",
+    tags=("ablation", "timing"),
+)
 def run_seqlen_ablation(
     model: str = "bert-large-cased",
     batch: int = 4,
     seq_lens: tuple[int, ...] = (32, 64, 128, 256, 512),
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """Run the experiment; returns one dict per row."""
     base_spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for seq in seq_lens:
         spec = dataclasses.replace(base_spec, seq_len=seq)
@@ -43,6 +48,7 @@ def run_seqlen_ablation(
     return rows
 
 
+@renderer("seqlen")
 def render_seqlen(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -57,26 +63,3 @@ def render_seqlen(rows: list[dict]) -> str:
         ],
         title="Ablation — sequence-length sensitivity (calibration check)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "seqlen",
-    "Ablation — sequence-length sensitivity",
-    tags=("ablation", "timing"),
-)
-def _seqlen_experiment(
-    ctx, model="bert-large-cased", batch=4, seq_lens=(32, 64, 128, 256, 512)
-):
-    return run_seqlen_ablation(
-        model=model, batch=batch, seq_lens=tuple(seq_lens)
-    )
-
-
-@renderer("seqlen")
-def _seqlen_render(result):
-    return render_seqlen(result.rows)

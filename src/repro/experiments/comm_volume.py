@@ -8,6 +8,7 @@ headline communication-overhead reduction is 93.7% on average (up to
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import evaluation_models
 from repro.models.specs import ModelFamily
 from repro.offload import HardwareParams, SystemKind, simulate_system
@@ -16,11 +17,14 @@ from repro.utils.tables import format_table
 __all__ = ["run_comm_volume", "render_comm_volume"]
 
 
-def run_comm_volume(
-    batch: int = 4, hw: HardwareParams | None = None
-) -> list[dict]:
+@register(
+    "comm-volume",
+    "Sec VIII-C — communication volume",
+    tags=("table", "timing"),
+)
+def run_comm_volume(batch: int = 4) -> list[dict]:
     """Run the experiment; returns one dict per row."""
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for spec in evaluation_models():
         b = batch if spec.family is not ModelFamily.GNN else 1
@@ -54,6 +58,7 @@ def average(rows: list[dict], key: str) -> float:
     return sum(r[key] for r in rows) / len(rows)
 
 
+@renderer("comm-volume")
 def render_comm_volume(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     table = format_table(
@@ -77,22 +82,3 @@ def render_comm_volume(rows: list[dict]) -> str:
         + f"\naverage overhead reduction: "
         f"{average(rows, 'comm_overhead_reduction'):.1%}"
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "comm-volume",
-    "Sec VIII-C — communication volume",
-    tags=("table", "timing"),
-)
-def _comm_volume_experiment(ctx, batch=4):
-    return run_comm_volume(batch=batch)
-
-
-@renderer("comm-volume")
-def _comm_volume_render(result):
-    return render_comm_volume(result.rows)

@@ -19,14 +19,17 @@ seed)`` triples.  :func:`run_sweep` executes them either inline
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections.abc import Iterable, Mapping
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.experiments.registry import (
     ExperimentResult,
+    ExperimentSpec,
     RunContext,
     content_hash,
     run_experiment,
@@ -34,6 +37,7 @@ from repro.experiments.registry import (
 
 __all__ = [
     "SweepCell",
+    "grid_cells",
     "CellOutcome",
     "SweepReport",
     "WorkerPool",
@@ -73,6 +77,30 @@ class SweepCell:
         if self.seed is not None:
             bits.append(f"seed={self.seed}")
         return " ".join(bits)
+
+
+def grid_cells(
+    spec: ExperimentSpec, axes: Mapping, seeds: Iterable[int]
+) -> list[SweepCell]:
+    """The cells of ``axes`` (param -> values) crossed with ``seeds``.
+
+    A list value is swept, one cell per element; any other value is a
+    single point.  A tuple-typed param takes its (list) value whole, so
+    it is never swept.  Seeds vary fastest.
+    """
+    points = [
+        values
+        if isinstance(values, list)
+        and not isinstance(spec.params.get(key), (tuple, list))
+        else [values]
+        for key, values in axes.items()
+    ]
+    seeds = list(seeds)
+    return [
+        SweepCell.make(spec.name, dict(zip(axes, combo)), seed=seed)
+        for combo in itertools.product(*points)
+        for seed in seeds
+    ]
 
 
 def derive_cell_seed(base_seed: int, cell: SweepCell) -> int:

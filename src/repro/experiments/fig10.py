@@ -8,20 +8,30 @@ checkpoint under both systems and return both curves.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dba import ActivationPolicy
+from repro.experiments.registry import register, renderer
 from repro.experiments.runner import (
+    FINETUNE_LR,
+    checkpoint_file,
     finetune,
     pretrained_classifier,
     pretrained_lm,
 )
 from repro.offload import TrainerMode
+from repro.utils.tables import format_table
 
-__all__ = ["Fig10Result", "run_fig10", "run_fig10_albert"]
+__all__ = [
+    "Fig10Result",
+    "run_fig10",
+    "run_fig10_albert",
+    "run_fig10_rows",
+    "run_fig10_albert_rows",
+    "render_fig10",
+]
 
 
 @dataclass(frozen=True)
@@ -66,14 +76,18 @@ def _compare(
     seed: int,
     lr: float,
     checkpoint_dir=None,
-    checkpoint_every: int | None = None,
     tag: str = "fig10",
     profile=None,
 ) -> Fig10Result:
-    def ckpt(name: str):
-        if checkpoint_dir is None:
-            return None
-        return os.path.join(os.fspath(checkpoint_dir), f"{tag}-{name}.teco-ckpt")
+    def ckpt(run: str):
+        return checkpoint_file(
+            checkpoint_dir,
+            f"{tag}-{run}",
+            seed=seed,
+            n_steps=len(setup.train_batches),
+            act_aft_steps=act_aft_steps,
+            lr=lr,
+        )
 
     baseline = finetune(
         setup,
@@ -81,7 +95,6 @@ def _compare(
         lr=lr,
         seed=seed + 1,
         checkpoint_path=ckpt("baseline"),
-        checkpoint_every=checkpoint_every,
         profile=profile,
     )
     teco = finetune(
@@ -91,7 +104,6 @@ def _compare(
         seed=seed + 1,
         policy=ActivationPolicy(act_aft_steps=act_aft_steps, dirty_bytes=2),
         checkpoint_path=ckpt("teco"),
-        checkpoint_every=checkpoint_every,
         profile=profile,
     )
     return Fig10Result(
@@ -102,21 +114,20 @@ def _compare(
 
 
 def run_fig10(
-    n_steps: int = 120,
-    act_aft_steps: int = 30,
+    n_steps: int,
+    act_aft_steps: int,
     seed: int = 0,
-    lr: float = 5e-4,
+    lr: float = FINETUNE_LR,
     checkpoint_dir=None,
-    checkpoint_every: int | None = None,
     profile=None,
 ) -> Fig10Result:
     """The GPT-2 panel: decoder-proxy fine-tuning loss curves.
 
-    Pass ``checkpoint_dir`` (and optionally ``checkpoint_every``) to make
-    the two fine-tuning runs interruptible: killed sweeps resume
-    bit-exactly from their last checkpoint on the next invocation.
-    ``profile`` (a :class:`repro.obs.Profile`) records per-step phase
-    spans and payload metrics from both fine-tuning runs.
+    Pass ``checkpoint_dir`` to make the two fine-tuning runs
+    interruptible: killed sweeps resume bit-exactly from their last
+    checkpoint on the next invocation.  ``profile`` (a
+    :class:`repro.obs.Profile`) records per-step phase spans and payload
+    metrics from both fine-tuning runs.
     """
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
     return _compare(
@@ -125,19 +136,17 @@ def run_fig10(
         seed,
         lr,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
         tag="fig10-gpt2",
         profile=profile,
     )
 
 
 def run_fig10_albert(
-    n_steps: int = 120,
-    act_aft_steps: int = 30,
+    n_steps: int,
+    act_aft_steps: int,
     seed: int = 0,
-    lr: float = 5e-4,
+    lr: float = FINETUNE_LR,
     checkpoint_dir=None,
-    checkpoint_every: int | None = None,
     profile=None,
 ) -> Fig10Result:
     """The Albert panel: shared-layer encoder fine-tuning loss curves."""
@@ -148,20 +157,13 @@ def run_fig10_albert(
         seed,
         lr,
         checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
         tag="fig10-albert",
         profile=profile,
     )
 
 
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
 def rows_from_result(result: Fig10Result) -> list[dict]:
-    """Canonical per-step rows of a :class:`Fig10Result` (shared by the
-    registry adapter and the golden-row equivalence tests)."""
+    """Canonical per-step rows of a :class:`Fig10Result`."""
     return [
         {
             "step": i,
@@ -172,55 +174,55 @@ def rows_from_result(result: Fig10Result) -> list[dict]:
     ]
 
 
-@register(
+def _rows_runner(panel):
+    """The registered runner of one Figure-10 panel: ``panel`` as
+    per-step rows."""
+
+    def rows(
+        n_steps: int = 100,
+        act_aft_steps: int = 25,
+        lr: float = FINETUNE_LR,
+        seed: int = 0,
+        checkpoint_dir=None,
+        profile=None,
+    ) -> list[dict]:
+        result = panel(
+            n_steps,
+            act_aft_steps,
+            seed=seed,
+            lr=lr,
+            checkpoint_dir=checkpoint_dir,
+            profile=profile,
+        )
+        return rows_from_result(result)
+
+    rows.__doc__ = f":func:`{panel.__name__}` as per-step rows."
+    return rows
+
+
+run_fig10_rows = register(
     "fig10",
     "Figure 10 — loss curves with/without DBA",
     tags=("figure", "functional"),
-)
-def _fig10_experiment(ctx, n_steps=100, act_aft_steps=25, lr=5e-4):
-    result = run_fig10(
-        n_steps=n_steps,
-        act_aft_steps=act_aft_steps,
-        seed=ctx.seed,
-        lr=lr,
-        checkpoint_dir=ctx.checkpoint_dir,
-        profile=ctx.profile,
-    )
-    return rows_from_result(result)
+)(_rows_runner(run_fig10))
+
+run_fig10_albert_rows = register(
+    "fig10-albert",
+    "Figure 10 (Albert panel) — shared-layer encoder loss curves",
+    tags=("figure", "functional"),
+)(_rows_runner(run_fig10_albert))
 
 
 @renderer("fig10")
-def _fig10_render(result):
-    from repro.utils.tables import format_table
-
-    stride = max(1, len(result.rows) // 10)
+@renderer("fig10-albert")
+def render_fig10(rows: list[dict]) -> str:
+    """Render about ten evenly spaced steps of both loss curves."""
+    stride = max(1, len(rows) // 10)
     return format_table(
         ["step", "original", "TECO-Reduction"],
         [
             (r["step"], f"{r['baseline']:.4f}", f"{r['teco']:.4f}")
-            for r in result.rows[::stride]
+            for r in rows[::stride]
         ],
         title="Figure 10 — training loss curves",
     )
-
-
-@register(
-    "fig10-albert",
-    "Figure 10 (Albert panel) — shared-layer encoder loss curves",
-    tags=("figure", "functional"),
-)
-def _fig10_albert_experiment(ctx, n_steps=100, act_aft_steps=25, lr=5e-4):
-    result = run_fig10_albert(
-        n_steps=n_steps,
-        act_aft_steps=act_aft_steps,
-        seed=ctx.seed,
-        lr=lr,
-        checkpoint_dir=ctx.checkpoint_dir,
-        profile=ctx.profile,
-    )
-    return rows_from_result(result)
-
-
-@renderer("fig10-albert")
-def _fig10_albert_render(result):
-    return _fig10_render(result)

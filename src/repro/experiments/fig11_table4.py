@@ -8,6 +8,7 @@ GCNII fixed full-graph batch.  TECO-CXL trails TECO-Reduction by up to
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import evaluation_models
 from repro.models.specs import ModelFamily
 from repro.offload import HardwareParams, SystemKind, simulate_system
@@ -42,16 +43,20 @@ def _t5_oom(name: str, batch: int) -> bool:
     return name == "t5-large" and batch >= T5_OOM_BATCH
 
 
+@register(
+    "fig11",
+    "Figure 11 / Table IV — speedups",
+    tags=("figure", "table", "timing"),
+)
 def run_fig11_table4(
     batch_sizes: tuple[int, ...] = (4, 8, 16),
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """One row per (model, batch): CXL and Reduction speedups.
 
     GCNII appears once (full-graph training fixes its batch); T5-large at
     batch 16 is marked OOM, as in the paper.
     """
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows: list[dict] = []
     for spec in evaluation_models():
         batches = (
@@ -88,6 +93,7 @@ def run_fig11_table4(
     return rows
 
 
+@renderer("fig11")
 def render_speedups(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     def fmt(value, suffix="x"):
@@ -107,22 +113,3 @@ def render_speedups(rows: list[dict]) -> str:
         ],
         title="Figure 11 / Table IV — speedup over ZeRO-Offload",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig11",
-    "Figure 11 / Table IV — speedups",
-    tags=("figure", "table", "timing"),
-)
-def _fig11_experiment(ctx, batch_sizes=(4, 8, 16)):
-    return run_fig11_table4(tuple(batch_sizes))
-
-
-@renderer("fig11")
-def _fig11_render(result):
-    return render_speedups(result.rows)

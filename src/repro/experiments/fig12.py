@@ -11,6 +11,7 @@ the rest.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind, simulate_system
 from repro.utils.tables import format_table
@@ -25,14 +26,18 @@ SYSTEMS = (
 )
 
 
+@register(
+    "fig12",
+    "Figure 12 — T5-large phase breakdown",
+    tags=("figure", "timing"),
+)
 def run_fig12(
     model: str = "t5-large",
     batch_sizes: tuple[int, ...] = (4, 8),
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """One row per (system, batch) with the five phase components."""
     spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for batch in batch_sizes:
         for kind in SYSTEMS:
@@ -54,6 +59,7 @@ def run_fig12(
     return rows
 
 
+@renderer("fig12")
 def render_fig12(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -73,22 +79,3 @@ def render_fig12(rows: list[dict]) -> str:
         ],
         title="Figure 12 — time breakdown (T5-large; exposed components)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig12",
-    "Figure 12 — T5-large phase breakdown",
-    tags=("figure", "timing"),
-)
-def _fig12_experiment(ctx, model="t5-large", batch_sizes=(4, 8)):
-    return run_fig12(model=model, batch_sizes=tuple(batch_sizes))
-
-
-@renderer("fig12")
-def _fig12_render(result):
-    return render_fig12(result.rows)

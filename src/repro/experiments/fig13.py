@@ -16,10 +16,9 @@ Two coupled measurements:
 
 from __future__ import annotations
 
-import os
-
 from repro.dba import ActivationPolicy
-from repro.experiments.runner import finetune, pretrained_lm
+from repro.experiments.registry import register, renderer
+from repro.experiments.runner import checkpoint_file, finetune, pretrained_lm
 from repro.models import get_model
 from repro.offload import (
     HardwareParams,
@@ -37,13 +36,12 @@ def mixed_speedup(
     total_steps: int,
     batch: int = 4,
     model: str = "gpt2",
-    hw: HardwareParams | None = None,
 ) -> float:
     """Whole-run speedup when DBA activates at ``act_aft_steps``."""
     if not 0 <= act_aft_steps <= total_steps:
         raise ValueError("act_aft_steps must be within the run")
     spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     base = simulate_system(SystemKind.ZERO_OFFLOAD, spec, batch, hw).total
     cxl = simulate_system(SystemKind.TECO_CXL, spec, batch, hw).total
     red = simulate_system(SystemKind.TECO_REDUCTION, spec, batch, hw).total
@@ -51,13 +49,17 @@ def mixed_speedup(
     return base * total_steps / mixed
 
 
+@register(
+    "fig13",
+    "Figure 13 — DBA activation sweep",
+    tags=("figure", "functional", "timing"),
+)
 def run_fig13(
     sweep: tuple[int, ...] = (0, 20, 40, 80, 120),
     total_steps: int = 120,
     paper_total_steps: int = 1775,
     seed: int = 0,
     checkpoint_dir=None,
-    checkpoint_every: int | None = None,
     profile=None,
 ) -> list[dict]:
     """One row per activation point: proxy perplexity + modelled speedup.
@@ -74,12 +76,11 @@ def run_fig13(
     setup = pretrained_lm(seed=seed, finetune_batches=total_steps)
     rows = []
     for act in sweep:
-        ckpt = (
-            None
-            if checkpoint_dir is None
-            else os.path.join(
-                os.fspath(checkpoint_dir), f"fig13-act{act}.teco-ckpt"
-            )
+        ckpt = checkpoint_file(
+            checkpoint_dir,
+            f"fig13-act{act}",
+            seed=seed,
+            total_steps=total_steps,
         )
         trainer = finetune(
             setup,
@@ -87,7 +88,6 @@ def run_fig13(
             seed=seed + 1,
             policy=ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
             checkpoint_path=ckpt,
-            checkpoint_every=checkpoint_every,
             profile=profile,
         )
         ppl = trainer.model.perplexity(setup.eval_batch)
@@ -102,6 +102,7 @@ def run_fig13(
     return rows
 
 
+@renderer("fig13")
 def render_fig13(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -115,31 +116,3 @@ def render_fig13(rows: list[dict]) -> str:
             "(paper: speedup 1.63x..1.15x, perplexity 22.50..21.21)"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig13",
-    "Figure 13 — DBA activation sweep",
-    tags=("figure", "functional", "timing"),
-)
-def _fig13_experiment(
-    ctx, sweep=(0, 20, 40, 80, 120), total_steps=120, paper_total_steps=1775
-):
-    return run_fig13(
-        sweep=tuple(sweep),
-        total_steps=total_steps,
-        paper_total_steps=paper_total_steps,
-        seed=ctx.seed,
-        checkpoint_dir=ctx.checkpoint_dir,
-        profile=ctx.profile,
-    )
-
-
-@renderer("fig13")
-def _fig13_render(result):
-    return render_fig13(result.rows)

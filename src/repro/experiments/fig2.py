@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.experiments.registry import register, renderer
 from repro.experiments.runner import pretrained_classifier
 from repro.offload import OffloadTrainer
 from repro.profiling import ValueChangeProfiler
 from repro.utils.rng import make_rng
+from repro.utils.tables import format_table
 
-__all__ = ["Fig2Result", "run_fig2"]
+__all__ = ["Fig2Result", "run_fig2", "run_fig2_rows", "render_fig2"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ NEAR_CONVERGENCE_LR = 5e-7
 
 
 def run_fig2(
-    n_steps: int = 60, lr: float = MID_TRAINING_LR, seed: int = 0
+    n_steps: int, lr: float = MID_TRAINING_LR, seed: int = 0
 ) -> Fig2Result:
     """Fine-tune the proxy, profiling parameter and gradient byte changes.
 
@@ -85,19 +87,16 @@ def run_fig2(
     )
 
 
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
 @register(
     "fig2",
     "Figure 2 — value-changed byte distribution",
     tags=("figure", "functional"),
 )
-def _fig2_experiment(ctx, n_steps=40):
-    near = run_fig2(n_steps=n_steps, lr=NEAR_CONVERGENCE_LR, seed=ctx.seed)
-    mid = run_fig2(n_steps=n_steps, lr=MID_TRAINING_LR, seed=ctx.seed)
+def run_fig2_rows(n_steps: int = 40, seed: int = 0) -> list[dict]:
+    """Mean byte-change fractions: parameters near convergence and
+    mid-training, and gradients (one row each)."""
+    near = run_fig2(n_steps=n_steps, lr=NEAR_CONVERGENCE_LR, seed=seed)
+    mid = run_fig2(n_steps=n_steps, lr=MID_TRAINING_LR, seed=seed)
     return [
         {"tensor": label, **means}
         for label, means in (
@@ -109,9 +108,8 @@ def _fig2_experiment(ctx, n_steps=40):
 
 
 @renderer("fig2")
-def _fig2_render(result):
-    from repro.utils.tables import format_table
-
+def render_fig2(rows: list[dict]) -> str:
+    """Render the rows as a plain-text table."""
     return format_table(
         ["tensor", "last byte", "last 2 bytes", "other"],
         [
@@ -121,7 +119,7 @@ def _fig2_render(result):
                 f"{r['last_two_bytes']:.0%}",
                 f"{r['other']:.0%}",
             )
-            for r in result.rows
+            for r in rows
         ],
         title="Figure 2 — value-changed byte distribution",
     )

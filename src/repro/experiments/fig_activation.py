@@ -17,6 +17,7 @@ only shrink.  ``make exp-smoke`` gates ``speedup > 1`` at full offload.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload.group_offload import (
     ActivationOffloadEngine,
@@ -28,6 +29,11 @@ from repro.utils.units import GB
 __all__ = ["run_fig_activation", "render_fig_activation"]
 
 
+@register(
+    "fig_activation",
+    "Extension — group-prefetch activation offloading (fraction x prefetch)",
+    tags=("extension", "offload", "timing"),
+)
 def run_fig_activation(
     model: str = "bert-large-cased",
     batch: int = 4,
@@ -35,8 +41,7 @@ def run_fig_activation(
     fractions: tuple[float, ...] = (0.0, 0.5, 1.0),
     prefetches: tuple[int, ...] = (0, 1, 2),
     dba: bool = False,
-    tracer=None,
-    metrics=None,
+    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per (offload fraction, prefetch) cell."""
     spec = get_model(model)
@@ -55,8 +60,8 @@ def run_fig_activation(
                 batch,
                 policy=policy,
                 dba=dba,
-                tracer=tracer,
-                metrics=metrics,
+                tracer=None if profile is None else profile.tracer,
+                metrics=None if profile is None else profile.metrics,
             ).simulate_step()
             if baseline is None:
                 baseline = result  # prefetches[0] is the reference
@@ -82,6 +87,7 @@ def run_fig_activation(
     return rows
 
 
+@renderer("fig_activation")
 def render_fig_activation(rows: list[dict]) -> str:
     """Render the sweep as a plain-text table."""
     return format_table(
@@ -112,40 +118,3 @@ def render_fig_activation(rows: list[dict]) -> str:
             f"batch {rows[0]['batch'] if rows else '?'})"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig_activation",
-    "Extension — group-prefetch activation offloading (fraction x prefetch)",
-    tags=("extension", "offload", "timing"),
-)
-def _fig_activation_experiment(
-    ctx,
-    model="bert-large-cased",
-    batch=4,
-    group_size=2,
-    fractions=(0.0, 0.5, 1.0),
-    prefetches=(0, 1, 2),
-    dba=False,
-):
-    profile = ctx.profile
-    return run_fig_activation(
-        model=model,
-        batch=batch,
-        group_size=group_size,
-        fractions=tuple(fractions),
-        prefetches=tuple(prefetches),
-        dba=dba,
-        tracer=profile.tracer if profile is not None else None,
-        metrics=profile.metrics if profile is not None else None,
-    )
-
-
-@renderer("fig_activation")
-def _fig_activation_render(result):
-    return render_fig_activation(result.rows)

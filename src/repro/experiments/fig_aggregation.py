@@ -25,6 +25,7 @@ Pareto sits at the 8-bit formats (pinned group-wise in
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.experiments.runner import finetune, pretrained_lm
 from repro.interconnect.aggregation import WireFormat, wire_roundtrip
 from repro.models import get_model
@@ -88,6 +89,11 @@ def _format_accuracy(
     return out
 
 
+@register(
+    "fig_aggregation",
+    "Extension — in-fabric aggregation Pareto (format x ranks x policy)",
+    tags=("extension", "fabric", "timing", "functional"),
+)
 def run_fig_aggregation(
     model: str = "bert-large-cased",
     system: str = "teco-reduction",
@@ -145,6 +151,7 @@ def run_fig_aggregation(
     return rows
 
 
+@renderer("fig_aggregation")
 def render_fig_aggregation(rows: list[dict]) -> str:
     """Render the sweep as a plain-text table."""
     return format_table(
@@ -178,42 +185,3 @@ def render_fig_aggregation(rows: list[dict]) -> str:
             f"({rows[0]['system'] if rows else '?'})"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig_aggregation",
-    "Extension — in-fabric aggregation Pareto (format x ranks x policy)",
-    tags=("extension", "fabric", "timing", "functional"),
-)
-def _fig_aggregation_experiment(
-    ctx,
-    model="bert-large-cased",
-    system="teco-reduction",
-    micro_batch=2,
-    n_tenants=2,
-    formats=DEFAULT_FORMATS,
-    ranks=(2, 4, 8),
-    policies=("fair", "shared"),
-    n_steps=80,
-):
-    return run_fig_aggregation(
-        model=model,
-        system=system,
-        micro_batch=micro_batch,
-        n_tenants=n_tenants,
-        formats=tuple(formats),
-        ranks=tuple(ranks),
-        policies=tuple(policies),
-        n_steps=n_steps,
-        seed=ctx.seed,
-    )
-
-
-@renderer("fig_aggregation")
-def _fig_aggregation_render(result):
-    return render_fig_aggregation(result.rows)

@@ -21,6 +21,7 @@ tenants — pinned by ``tests/test_fabric.py``.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import SystemKind
 from repro.offload.cluster import ClusterEngine
@@ -58,6 +59,11 @@ def _simulate_cell(
     return engine.simulate_step()
 
 
+@register(
+    "fig_fabric",
+    "Extension — multi-host CXL fabric (nodes x tenants x policy)",
+    tags=("extension", "fabric", "timing"),
+)
 def run_fig_fabric(
     model: str = "bert-large-cased",
     system: str = "teco-reduction",
@@ -103,6 +109,7 @@ def run_fig_fabric(
     return rows
 
 
+@renderer("fig_fabric")
 def render_fig_fabric(rows: list[dict]) -> str:
     """Render the sweep as a plain-text table."""
     return format_table(
@@ -134,39 +141,3 @@ def render_fig_fabric(rows: list[dict]) -> str:
             f"partition policy ({rows[0]['system'] if rows else '?'})"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig_fabric",
-    "Extension — multi-host CXL fabric (nodes x tenants x policy)",
-    tags=("extension", "fabric", "timing"),
-)
-def _fig_fabric_experiment(
-    ctx,
-    model="bert-large-cased",
-    system="teco-reduction",
-    global_batch=4,
-    gpus_per_job=1,
-    nodes=(1, 2, 4),
-    tenants=(1, 2, 4, 8),
-    policies=("fair", "weighted", "shared"),
-):
-    return run_fig_fabric(
-        model=model,
-        system=system,
-        global_batch=global_batch,
-        gpus_per_job=gpus_per_job,
-        nodes=tuple(nodes),
-        tenants=tuple(tenants),
-        policies=tuple(policies),
-    )
-
-
-@renderer("fig_fabric")
-def _fig_fabric_render(result):
-    return render_fig_fabric(result.rows)

@@ -21,9 +21,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.dba import ActivationPolicy
-from repro.experiments.fig10 import Fig10Result, rows_from_result
+from repro.experiments.fig10 import (
+    Fig10Result,
+    render_fig10,
+    rows_from_result,
+)
 from repro.experiments.fig13 import render_fig13, run_fig13
-from repro.experiments.runner import finetune, pretrained_lm
+from repro.experiments.registry import register, renderer
+from repro.experiments.runner import FINETUNE_LR, finetune, pretrained_lm
 from repro.offload import TrainerMode
 
 __all__ = [
@@ -70,20 +75,27 @@ def _fig10_cell(mode_name, n_steps, act_aft_steps, seed, lr):
     return trainer.loss_curve
 
 
+@register(
+    "fig10_full",
+    "Figure 10 at full paper scale (1775 steps, one process per cell)",
+    tags=("figure", "functional", "full"),
+)
 def run_fig10_full(
     n_steps: int = FULL_STEPS,
     act_aft_steps: int = FULL_ACT_AFT,
+    lr: float = FINETUNE_LR,
     seed: int = 0,
-    lr: float = 5e-4,
-) -> Fig10Result:
-    """Full-size Figure 10: baseline and TECO curves as two pool cells."""
+) -> list[dict]:
+    """Full-size Figure 10: baseline and TECO curves as two pool cells,
+    returned as per-step rows."""
     baseline, teco = _map_cells(
         _fig10_cell,
         [(mode, n_steps, act_aft_steps, seed, lr) for mode in ("baseline", "teco")],
     )
-    return Fig10Result(
-        baseline_curve=baseline, teco_curve=teco, act_aft_steps=act_aft_steps
-    )
+    return rows_from_result(Fig10Result(baseline, teco, act_aft_steps))
+
+
+renderer("fig10_full")(render_fig10)
 
 
 def _fig13_cell(act, total_steps, paper_total_steps, seed):
@@ -91,6 +103,11 @@ def _fig13_cell(act, total_steps, paper_total_steps, seed):
     return run_fig13((act,), total_steps, paper_total_steps, seed)[0]
 
 
+@register(
+    "fig13_full",
+    "Figure 13 at full paper scale (1775-step sweep, one process per cell)",
+    tags=("figure", "functional", "timing", "full"),
+)
 def run_fig13_full(
     sweep: tuple[int, ...] = FULL_SWEEP,
     total_steps: int = FULL_STEPS,
@@ -106,51 +123,4 @@ def run_fig13_full(
     )
 
 
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig10_full",
-    "Figure 10 at full paper scale (1775 steps, one process per cell)",
-    tags=("figure", "functional", "full"),
-)
-def _fig10_full_experiment(
-    ctx, n_steps=FULL_STEPS, act_aft_steps=FULL_ACT_AFT, lr=5e-4
-):
-    result = run_fig10_full(
-        n_steps=n_steps, act_aft_steps=act_aft_steps, seed=ctx.seed, lr=lr
-    )
-    return rows_from_result(result)
-
-
-@renderer("fig10_full")
-def _fig10_full_render(result):
-    from repro.experiments.fig10 import _fig10_render
-
-    return _fig10_render(result)
-
-
-@register(
-    "fig13_full",
-    "Figure 13 at full paper scale (1775-step sweep, one process per cell)",
-    tags=("figure", "functional", "timing", "full"),
-)
-def _fig13_full_experiment(
-    ctx,
-    sweep=FULL_SWEEP,
-    total_steps=FULL_STEPS,
-    paper_total_steps=FULL_STEPS,
-):
-    return run_fig13_full(
-        sweep=tuple(sweep),
-        total_steps=total_steps,
-        paper_total_steps=paper_total_steps,
-        seed=ctx.seed,
-    )
-
-
-@renderer("fig13_full")
-def _fig13_full_render(result):
-    return render_fig13(result.rows)
+renderer("fig13_full")(render_fig13)

@@ -13,6 +13,7 @@ adds per-step fetch bytes while the decode compute stays fixed.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload.kvcache import KVCacheEngine, kv_bytes_per_token
 from repro.utils.tables import format_table
@@ -21,13 +22,17 @@ from repro.utils.units import GB
 __all__ = ["run_fig_kvcache", "render_fig_kvcache"]
 
 
+@register(
+    "fig_kvcache",
+    "Extension — KV-cache decode with CXL spill (tokens/s vs residency)",
+    tags=("extension", "offload", "inference", "timing"),
+)
 def run_fig_kvcache(
     model: str = "bert-large-cased",
     prompt_tokens: int = 512,
     decode_tokens: int = 128,
     residencies: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
-    tracer=None,
-    metrics=None,
+    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per residency cell."""
     spec = get_model(model)
@@ -39,8 +44,8 @@ def run_fig_kvcache(
             residency,
             prompt_tokens=prompt_tokens,
             decode_tokens=decode_tokens,
-            tracer=tracer,
-            metrics=metrics,
+            tracer=None if profile is None else profile.tracer,
+            metrics=None if profile is None else profile.metrics,
         ).simulate_decode()
         if reference is None:
             reference = result  # highest residency = fastest cell
@@ -67,6 +72,7 @@ def run_fig_kvcache(
     return rows
 
 
+@renderer("fig_kvcache")
 def render_fig_kvcache(rows: list[dict]) -> str:
     """Render the sweep as a plain-text table."""
     return format_table(
@@ -96,36 +102,3 @@ def render_fig_kvcache(rows: list[dict]) -> str:
             f"{rows[0]['decode_tokens'] if rows else '?'} tokens)"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig_kvcache",
-    "Extension — KV-cache decode with CXL spill (tokens/s vs residency)",
-    tags=("extension", "offload", "inference", "timing"),
-)
-def _fig_kvcache_experiment(
-    ctx,
-    model="bert-large-cased",
-    prompt_tokens=512,
-    decode_tokens=128,
-    residencies=(0.25, 0.5, 0.75, 1.0),
-):
-    profile = ctx.profile
-    return run_fig_kvcache(
-        model=model,
-        prompt_tokens=prompt_tokens,
-        decode_tokens=decode_tokens,
-        residencies=tuple(residencies),
-        tracer=profile.tracer if profile is not None else None,
-        metrics=profile.metrics if profile is not None else None,
-    )
-
-
-@renderer("fig_kvcache")
-def _fig_kvcache_render(result):
-    return render_fig_kvcache(result.rows)

@@ -17,6 +17,7 @@ fp32 at the same rank count.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload.zero3 import Zero3Engine
 from repro.utils.tables import format_table
@@ -25,14 +26,18 @@ from repro.utils.units import GB
 __all__ = ["run_fig_zero3", "render_fig_zero3"]
 
 
+@register(
+    "fig_zero3",
+    "Extension — ZeRO-3 parameter sharding over CXL (ranks x wire format)",
+    tags=("extension", "offload", "fabric", "timing"),
+)
 def run_fig_zero3(
     model: str = "bert-large-cased",
     global_batch: int = 8,
     ranks: tuple[int, ...] = (1, 2, 4, 8),
     formats: tuple[str, ...] = ("fp32", "fp16"),
     prefetch_layers: int = 1,
-    tracer=None,
-    metrics=None,
+    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per (ranks, wire format) cell."""
     spec = get_model(model)
@@ -45,8 +50,8 @@ def run_fig_zero3(
                 ranks=r,
                 prefetch_layers=prefetch_layers,
                 wire_format=fmt,
-                tracer=tracer,
-                metrics=metrics,
+                tracer=None if profile is None else profile.tracer,
+                metrics=None if profile is None else profile.metrics,
             ).simulate_step()
             b = result.breakdown
             rows.append(
@@ -72,6 +77,7 @@ def run_fig_zero3(
     return rows
 
 
+@renderer("fig_zero3")
 def render_fig_zero3(rows: list[dict]) -> str:
     """Render the sweep as a plain-text table."""
     return format_table(
@@ -104,38 +110,3 @@ def render_fig_zero3(rows: list[dict]) -> str:
             f"{rows[0]['global_batch'] if rows else '?'})"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "fig_zero3",
-    "Extension — ZeRO-3 parameter sharding over CXL (ranks x wire format)",
-    tags=("extension", "offload", "fabric", "timing"),
-)
-def _fig_zero3_experiment(
-    ctx,
-    model="bert-large-cased",
-    global_batch=8,
-    ranks=(1, 2, 4, 8),
-    formats=("fp32", "fp16"),
-    prefetch_layers=1,
-):
-    profile = ctx.profile
-    return run_fig_zero3(
-        model=model,
-        global_batch=global_batch,
-        ranks=tuple(ranks),
-        formats=tuple(formats),
-        prefetch_layers=prefetch_layers,
-        tracer=profile.tracer if profile is not None else None,
-        metrics=profile.metrics if profile is not None else None,
-    )
-
-
-@renderer("fig_zero3")
-def _fig_zero3_render(result):
-    return render_fig_zero3(result.rows)

@@ -7,6 +7,7 @@ volume 17%; CXL contributes 78% of the gain, DBA 22%.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.mdsim import MDOffloadModel, MDOffloadSimulation
 from repro.offload import HardwareParams
 from repro.utils.tables import format_table
@@ -21,21 +22,23 @@ PAPER = {
 }
 
 
+@register(
+    "lammps",
+    "Sec VII — LJ melt generality",
+    tags=("table", "functional", "md"),
+)
 def run_lammps(
-    n_side: int = 5,
-    n_steps: int = 30,
-    hw: HardwareParams | None = None,
-    seed: int = 0,
-) -> dict:
+    n_side: int = 5, n_steps: int = 30, seed: int = 0
+) -> list[dict]:
     """Run the melt with DBA, measure volume + byte-change stats, then
-    apply the timing model."""
+    apply the timing model; returns the one result row."""
     sim = MDOffloadSimulation(n_side=n_side, dba=True, dirty_bytes=2, seed=seed)
     sim.run(n_steps)
     volume_reduction = sim.volume_reduction()
     byte_stats = sim.profiler.mean_fractions()
-    model = MDOffloadModel(hw or HardwareParams.paper_default())
+    model = MDOffloadModel(HardwareParams.paper_default())
     perf = model.improvement(volume_reduction)
-    return {
+    row = {
         "n_atoms": sim.n_atoms,
         "volume_reduction": volume_reduction,
         "low_byte_fraction": byte_stats["last_byte"]
@@ -45,12 +48,15 @@ def run_lammps(
         "dba_share": perf["dba_share"],
         "paper": PAPER,
     }
+    return [row]
 
 
-def render_lammps(result: dict) -> str:
-    """Render the measured rows as a plain-text table."""
+@renderer("lammps")
+def render_lammps(rows: list[dict]) -> str:
+    """Render the measured row as a plain-text table."""
+    result = rows[0]
     paper = result["paper"]
-    rows = [
+    table = [
         ("performance improvement", f"{result['improvement']:.1%}", f"{paper['improvement']:.1%}"),
         ("communication volume cut", f"{result['volume_reduction']:.1%}", f"{paper['volume_reduction']:.1%}"),
         ("CXL contribution", f"{result['cxl_share']:.0%}", f"{paper['cxl_share']:.0%}"),
@@ -58,25 +64,6 @@ def render_lammps(result: dict) -> str:
     ]
     return format_table(
         ["quantity", "ours", "paper"],
-        rows,
+        table,
         title=f"Section VII — LJ melt with TECO ({result['n_atoms']} atoms)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "lammps",
-    "Sec VII — LJ melt generality",
-    tags=("table", "functional", "md"),
-)
-def _lammps_experiment(ctx, n_side=5, n_steps=30):
-    return [run_lammps(n_side=n_side, n_steps=n_steps, seed=ctx.seed)]
-
-
-@renderer("lammps")
-def _lammps_render(result):
-    return render_lammps(result.rows[0])

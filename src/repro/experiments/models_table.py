@@ -22,6 +22,11 @@ COLUMNS = (
 )
 
 
+@register(
+    "models",
+    "Table III — the evaluated model zoo",
+    tags=("table", "metadata"),
+)
 def run_models_table() -> list[dict]:
     """One dict per model-zoo entry, keyed by the Table III columns."""
     from repro.models import MODEL_REGISTRY
@@ -32,6 +37,7 @@ def run_models_table() -> list[dict]:
     ]
 
 
+@renderer("models")
 def render_models_table(rows: list[dict]) -> str:
     """Render the rows in the pre-registry CLI format."""
     from repro.utils.tables import format_table
@@ -41,17 +47,3 @@ def render_models_table(rows: list[dict]) -> str:
         [tuple(r[c] for c in COLUMNS) for r in rows],
         title="Table III — evaluated models",
     )
-
-
-@register(
-    "models",
-    "Table III — the evaluated model zoo",
-    tags=("table", "metadata"),
-)
-def _models_experiment(ctx):
-    return run_models_table()
-
-
-@renderer("models")
-def _models_render(result):
-    return render_models_table(result.rows)

@@ -23,11 +23,17 @@ from repro.dba.hw import (
     paper_aggregator,
     paper_disaggregator,
 )
+from repro.experiments.registry import register, renderer
 from repro.interconnect.cxl import CXLLinkModel
 from repro.memsim import DRAMModel
 from repro.utils.tables import format_table
 
-__all__ = ["run_hw_costs", "run_dram_overhead", "render_overheads"]
+__all__ = [
+    "run_hw_costs",
+    "run_dram_overhead",
+    "run_overheads",
+    "render_overheads",
+]
 
 
 def run_hw_costs() -> list[dict]:
@@ -73,13 +79,23 @@ def run_dram_overhead(
     return out
 
 
-def render_overheads() -> str:
-    """Run both measurements and render them as one text block."""
-    return _render_parts(run_hw_costs(), run_dram_overhead())
+@register(
+    "overheads",
+    "Sec VIII-D — hardware overheads",
+    tags=("table", "hardware"),
+)
+def run_overheads(n_lines: int = 1 << 15, seed: int = 0) -> list[dict]:
+    """One row per unit (``kind="unit"``) plus the DRAM inflation row
+    (``kind="dram"``)."""
+    rows = [{"kind": "unit", **r} for r in run_hw_costs()]
+    rows.append({"kind": "dram", **run_dram_overhead(n_lines, seed)})
+    return rows
 
 
-def _render_parts(hw_rows: list[dict], dram: dict[str, float]) -> str:
-    """Render pre-computed rows (shared with the registry renderer)."""
+@renderer("overheads")
+def render_overheads(rows: list[dict]) -> str:
+    """Render the rows of :func:`run_overheads` as one text block."""
+    dram = next(r for r in rows if r["kind"] == "dram")
     table = format_table(
         ["unit", "power (W)", "latency (ns)", "pipelined overhead (ns)"],
         [
@@ -89,7 +105,8 @@ def _render_parts(hw_rows: list[dict], dram: dict[str, float]) -> str:
                 f"{r['latency_ns']:.3f}",
                 f"{r['pipelined_overhead_ns']:.2f}",
             )
-            for r in hw_rows
+            for r in rows
+            if r["kind"] == "unit"
         ],
         title="Section VIII-D — DBA hardware overheads",
     )
@@ -99,27 +116,3 @@ def _render_parts(hw_rows: list[dict], dram: dict[str, float]) -> str:
         + f"sequential {dram['sequential']:.2f}x (paper 2.48x), "
         + f"shuffled {dram['shuffled']:.2f}x (paper 1.9x)"
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "overheads",
-    "Sec VIII-D — hardware overheads",
-    tags=("table", "hardware"),
-)
-def _overheads_experiment(ctx, n_lines=1 << 15):
-    rows = [{"kind": "unit", **r} for r in run_hw_costs()]
-    dram = run_dram_overhead(n_lines=n_lines, seed=ctx.seed)
-    rows.append({"kind": "dram", **dram})
-    return rows
-
-
-@renderer("overheads")
-def _overheads_render(result):
-    hw_rows = [r for r in result.rows if r["kind"] == "unit"]
-    dram = next(r for r in result.rows if r["kind"] == "dram")
-    return _render_parts(hw_rows, dram)

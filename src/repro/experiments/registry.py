@@ -1,12 +1,13 @@
 """Typed experiment registry: one schema for every table/figure/ablation.
 
-Every paper experiment registers an :class:`ExperimentSpec` through the
-:func:`register` decorator.  A spec names the experiment, carries its
-parameter schema (derived from the runner's keyword defaults), tags, and
-what it produces; running it through :func:`run_experiment` threads a
-:class:`RunContext` (seed, output dir, :class:`repro.obs.Profile`,
-checkpoint dir) into the runner and wraps the returned rows in a
-canonical :class:`ExperimentResult` (rows + metadata + provenance hash).
+Every paper experiment registers its public ``run_*`` function through
+the :func:`register` decorator, and its ``render_*(rows)`` function
+through :func:`renderer`.  A spec names the experiment, carries its
+parameter schema (the runner's keyword defaults) and tags; running it
+through :func:`run_experiment` fills the runner's :class:`RunContext`
+parameters (seed, :class:`repro.obs.Profile`, checkpoint dir) and wraps
+the returned rows in a canonical :class:`ExperimentResult` (rows +
+metadata + provenance hash).
 
 The registry is the single source of truth consumed by the CLI
 (``python -m repro run/sweep/list``), the parallel sweep executor
@@ -24,7 +25,7 @@ import json
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -92,14 +93,16 @@ def content_hash(value) -> str:
 
 @dataclass
 class RunContext:
-    """Per-run services threaded into every experiment runner.
+    """Per-run services handed to the experiment runners that take them.
+
+    A runner parameter named after one of these fields is filled from
+    the context by :func:`run_experiment` and is not part of the spec's
+    schema.
 
     Parameters
     ----------
     seed
         The run's base seed; runners derive all RNG streams from it.
-    out_dir
-        Directory for artifacts the experiment chooses to persist.
     profile
         A live :class:`repro.obs.Profile` (or ``None``): runners that
         support observability attach it to their trainers.
@@ -108,9 +111,12 @@ class RunContext:
     """
 
     seed: int = 0
-    out_dir: str | None = None
     profile: Any = None
     checkpoint_dir: str | None = None
+
+
+#: Runner parameters :func:`run_experiment` fills from the context.
+_CONTEXT_FIELDS = frozenset(f.name for f in fields(RunContext))
 
 
 @dataclass
@@ -174,9 +180,8 @@ class ExperimentSpec:
     runner: Callable[..., list[dict]]
     params: dict[str, Any]
     tags: tuple[str, ...] = ()
-    produces: str = "rows"
     module: str = ""
-    render: Callable[[ExperimentResult], str] | None = None
+    render: Callable[[list[dict]], str] | None = None
 
     def resolve_params(self, overrides: Mapping[str, Any] | None) -> dict:
         """Defaults merged with ``overrides``; unknown keys are an error."""
@@ -249,28 +254,20 @@ def _package_digest() -> str:
 
 
 def register(
-    name: str,
-    description: str,
-    tags: tuple[str, ...] = (),
-    produces: str = "rows",
+    name: str, description: str, tags: tuple[str, ...] = ()
 ) -> Callable:
-    """Decorator: register ``fn(ctx, **params)`` as experiment ``name``.
+    """Decorator: register ``fn(**params)`` as experiment ``name``.
 
-    The parameter schema is read from the runner's signature — every
-    parameter after the leading :class:`RunContext` must have a default,
-    which becomes the spec's default params.
+    The parameter schema is read from the runner's signature: every
+    parameter not named after a :class:`RunContext` field must have a
+    default, which becomes the spec's default params.
     """
 
     def deco(fn: Callable) -> Callable:
-        sig = inspect.signature(fn)
-        names = list(sig.parameters.values())
-        if not names or names[0].name != "ctx":
-            raise TypeError(
-                f"experiment runner {fn.__qualname__} must take a leading "
-                "'ctx' (RunContext) parameter"
-            )
         params: dict[str, Any] = {}
-        for p in names[1:]:
+        for p in inspect.signature(fn).parameters.values():
+            if p.name in _CONTEXT_FIELDS:
+                continue
             if p.default is inspect.Parameter.empty:
                 raise TypeError(
                     f"experiment parameter {p.name!r} of {name!r} needs a "
@@ -285,7 +282,6 @@ def register(
             runner=fn,
             params=params,
             tags=tuple(tags),
-            produces=produces,
             module=fn.__module__,
         )
         return fn
@@ -294,7 +290,7 @@ def register(
 
 
 def renderer(name: str) -> Callable:
-    """Decorator: attach ``fn(result) -> str`` as ``name``'s renderer."""
+    """Decorator: attach ``fn(rows) -> str`` as ``name``'s renderer."""
 
     def deco(fn: Callable) -> Callable:
         spec = _REGISTRY.get(name)
@@ -362,7 +358,9 @@ def run_experiment(
     ctx
         Optional pre-built :class:`RunContext` (for profile/checkpoint
         dirs); its seed is set to ``seed`` so result provenance and the
-        context can never disagree.
+        context can never disagree.  Runner parameters named after a
+        context field are filled from it; a parameter whose default is a
+        tuple receives its value as a tuple.
     cache
         A :class:`repro.experiments.cache.ResultCache` (or ``None`` to
         always compute).  On a hit the cached rows are returned without
@@ -377,8 +375,15 @@ def run_experiment(
             return hit
     run_ctx = ctx or RunContext()
     run_ctx.seed = seed
+    signature = inspect.signature(spec.runner).parameters
+    kwargs = {
+        key: tuple(v) if isinstance(signature[key].default, tuple) else v
+        for key, v in resolved.items()
+    }
+    for key in _CONTEXT_FIELDS & signature.keys():
+        kwargs[key] = getattr(run_ctx, key)
     t0 = time.perf_counter()
-    rows = spec.runner(run_ctx, **resolved)
+    rows = spec.runner(**kwargs)
     seconds = time.perf_counter() - t0
     result = ExperimentResult(
         name=name,
@@ -400,5 +405,5 @@ def render_result(result: ExperimentResult) -> str:
     """Render a result with its spec's renderer (fallback: raw rows)."""
     spec = get_spec(result.name)
     if spec.render is not None:
-        return spec.render(result)
+        return spec.render(result.rows)
     return json.dumps(json_safe(result.rows), indent=2)

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.data import classification_set, lm_batches, lm_corpus
 from repro.experiments.pretrained import memoized_setup
+from repro.experiments.registry import content_hash
 from repro.models import TinyProxyConfig
 from repro.offload import OffloadTrainer, TrainerMode
 from repro.state import save_state
@@ -36,9 +37,19 @@ __all__ = [
     "pretrained_lm",
     "pretrained_classifier",
     "finetune",
+    "checkpoint_file",
+    "CHECKPOINT_EVERY",
+    "FINETUNE_LR",
 ]
 
 DEFAULT_CFG = TinyProxyConfig()
+
+#: Steps between the checkpoints :func:`finetune` writes to its
+#: ``checkpoint_path`` (it also writes one after the last step).
+CHECKPOINT_EVERY = 25
+
+#: Default fine-tuning learning rate (Adam).
+FINETUNE_LR = 5e-4
 
 
 @dataclass
@@ -216,7 +227,8 @@ class AsyncCheckpointer:
     then a single background thread writes it through
     :func:`repro.state.save_state`, which is atomic (temp file +
     ``os.replace``): a kill mid-save always leaves the previous
-    checkpoint at ``path`` intact.
+    checkpoint at ``path`` intact.  The parent directory is created if
+    missing.
 
     Snapshots are written in submission order; :meth:`close` drains the
     queue and re-raises the first writer error, so a completed run is
@@ -226,6 +238,7 @@ class AsyncCheckpointer:
     def __init__(self, trainer: OffloadTrainer, path) -> None:
         self._trainer = trainer
         self._path = os.fspath(path)
+        os.makedirs(os.path.dirname(self._path) or ".", exist_ok=True)
         self._queue: queue.Queue = queue.Queue()
         self._error: BaseException | None = None
         self._thread = threading.Thread(
@@ -263,14 +276,28 @@ class AsyncCheckpointer:
             raise self._error
 
 
+def checkpoint_file(checkpoint_dir, run: str, **cell) -> str | None:
+    """Checkpoint path of fine-tuning run ``run`` inside ``checkpoint_dir``
+    (``None`` without a directory).
+
+    ``cell`` holds every seed and parameter the run's trajectory depends
+    on; the file name carries a short hash of it, so a rerun with other
+    settings starts its own checkpoint instead of resuming another
+    cell's.
+    """
+    if checkpoint_dir is None:
+        return None
+    name = f"{run}-{content_hash(cell)[:12]}.teco-ckpt"
+    return os.path.join(os.fspath(checkpoint_dir), name)
+
+
 def finetune(
     setup: LMSetup | ClassifierSetup,
     mode: TrainerMode,
-    lr: float = 5e-4,
+    lr: float = FINETUNE_LR,
     seed: int = 99,
     policy=None,
     checkpoint_path: str | os.PathLike | None = None,
-    checkpoint_every: int | None = None,
     profile=None,
     grad_transform=None,
 ) -> OffloadTrainer:
@@ -278,9 +305,11 @@ def finetune(
 
     With ``checkpoint_path`` the run becomes interruptible: an existing
     checkpoint at that path is resumed (bit-exactly — already-trained
-    batches are skipped), and with ``checkpoint_every`` the trainer
-    re-checkpoints every that-many steps.  Long Figure-10/13 sweeps can
-    then be killed and relaunched without redoing finished work.
+    batches are skipped), and the trainer re-checkpoints there every
+    :data:`CHECKPOINT_EVERY` steps and after its last step.  Long
+    Figure-10/13 sweeps can then be killed and relaunched without
+    redoing finished work; they name each run's path with
+    :func:`checkpoint_file`.
 
     ``profile`` (a :class:`repro.obs.Profile`) attaches the observability
     layer to the fine-tuning trainer: per-step phase spans and payload
@@ -311,14 +340,17 @@ def finetune(
                 f"this run only has {len(batches)} batches; wrong checkpoint?"
             )
     writer = (
-        AsyncCheckpointer(trainer, checkpoint_path)
-        if checkpoint_path is not None and checkpoint_every is not None
-        else None
+        None
+        if checkpoint_path is None
+        else AsyncCheckpointer(trainer, checkpoint_path)
     )
     try:
         for i in range(start, len(batches)):
             trainer.step(*batches[i])
-            if writer is not None and (i + 1) % checkpoint_every == 0:
+            done = i + 1
+            if writer is not None and (
+                done % CHECKPOINT_EVERY == 0 or done == len(batches)
+            ):
                 writer.submit()
     finally:
         if writer is not None:

@@ -13,6 +13,7 @@ motivation describes.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind
 from repro.offload.parallel import ClusterParams, DataParallelEngine
@@ -21,15 +22,19 @@ from repro.utils.tables import format_table
 __all__ = ["run_scaling", "render_scaling"]
 
 
+@register(
+    "scaling",
+    "extension — data-parallel scaling",
+    tags=("table", "timing", "extension"),
+)
 def run_scaling(
     model: str = "bert-large-cased",
     global_batch: int = 32,
     gpu_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """Run the experiment; returns one dict per row."""
     spec = get_model(model)
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for n in gpu_counts:
         if global_batch % n:
@@ -54,6 +59,7 @@ def run_scaling(
     return rows
 
 
+@renderer("scaling")
 def render_scaling(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -72,26 +78,3 @@ def render_scaling(rows: list[dict]) -> str:
             "(TECO's win persists as per-GPU batch shrinks)"
         ),
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "scaling",
-    "extension — data-parallel scaling",
-    tags=("table", "timing", "extension"),
-)
-def _scaling_experiment(
-    ctx, model="bert-large-cased", global_batch=32, gpu_counts=(1, 2, 4, 8, 16)
-):
-    return run_scaling(
-        model=model, global_batch=global_batch, gpu_counts=tuple(gpu_counts)
-    )
-
-
-@renderer("scaling")
-def _scaling_render(result):
-    return render_scaling(result.rows)

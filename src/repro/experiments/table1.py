@@ -6,6 +6,7 @@ sizes 4 / 8 / 16 / 20.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.profiling import communication_fraction_rows
 from repro.utils.tables import format_table
@@ -15,6 +16,11 @@ __all__ = ["run_table1", "render_table1", "PAPER_TABLE1"]
 PAPER_TABLE1 = {4: 0.4224, 8: 0.3787, 16: 0.2865, 20: 0.2595}
 
 
+@register(
+    "table1",
+    "Table I — ZeRO-Offload communication fractions",
+    tags=("table", "timing"),
+)
 def run_table1(batch_sizes: tuple[int, ...] = (4, 8, 16, 20)) -> list[dict]:
     """Measured communication fractions plus the paper's reference."""
     rows = communication_fraction_rows(
@@ -25,6 +31,7 @@ def run_table1(batch_sizes: tuple[int, ...] = (4, 8, 16, 20)) -> list[dict]:
     return rows
 
 
+@renderer("table1")
 def render_table1(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -35,22 +42,3 @@ def render_table1(rows: list[dict]) -> str:
         ],
         title="Table I — ZeRO-Offload exposed communication (Bert-large-cased)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "table1",
-    "Table I — ZeRO-Offload communication fractions",
-    tags=("table", "timing"),
-)
-def _table1_experiment(ctx, batch_sizes=(4, 8, 16, 20)):
-    return run_table1(tuple(batch_sizes))
-
-
-@renderer("table1")
-def _table1_render(result):
-    return render_table1(result.rows)

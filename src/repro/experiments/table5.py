@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data import qa_span_set, summarization_pairs, wisconsin_like_graph
+from repro.experiments.registry import register, renderer
 from repro.tensor.span import TinySpanExtractor
 from repro.dba import ActivationPolicy
 from repro.experiments.runner import (
@@ -198,6 +199,11 @@ def _gcnii_row(n_steps: int, seed: int) -> dict:
     }
 
 
+@register(
+    "table5",
+    "Table V — final model metrics",
+    tags=("table", "functional"),
+)
 def run_table5(n_steps: int = 80, seed: int = 0) -> list[dict]:
     """All five Table V rows on the proxy workloads."""
     return [
@@ -209,6 +215,7 @@ def run_table5(n_steps: int = 80, seed: int = 0) -> list[dict]:
     ]
 
 
+@renderer("table5")
 def render_table5(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     def fmt(v):
@@ -222,22 +229,3 @@ def render_table5(rows: list[dict]) -> str:
         ],
         title="Table V — final model metrics (proxy tasks)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "table5",
-    "Table V — final model metrics",
-    tags=("table", "functional"),
-)
-def _table5_experiment(ctx, n_steps=80):
-    return run_table5(n_steps=n_steps, seed=ctx.seed)
-
-
-@renderer("table5")
-def _table5_render(result):
-    return render_table5(result.rows)

@@ -7,6 +7,7 @@ model's compute (63.4% of total) bounds what TECO can remove.
 
 from __future__ import annotations
 
+from repro.experiments.registry import register, renderer
 from repro.models import gpt2_scaling_series
 from repro.offload import HardwareParams, SystemKind, simulate_system
 from repro.utils.tables import format_table
@@ -21,11 +22,14 @@ PAPER_TABLE6 = {
 }
 
 
-def run_table6(
-    batch: int = 4, hw: HardwareParams | None = None
-) -> list[dict]:
+@register(
+    "table6",
+    "Table VI — model-size sensitivity",
+    tags=("table", "timing"),
+)
+def run_table6(batch: int = 4) -> list[dict]:
     """Run the experiment; returns one dict per row."""
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     rows = []
     for spec in gpt2_scaling_series():
         base = simulate_system(SystemKind.ZERO_OFFLOAD, spec, batch, hw)
@@ -45,6 +49,7 @@ def run_table6(
     return rows
 
 
+@renderer("table6")
 def render_table6(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -61,22 +66,3 @@ def render_table6(rows: list[dict]) -> str:
         ],
         title="Table VI — model-size sensitivity (batch 4)",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "table6",
-    "Table VI — model-size sensitivity",
-    tags=("table", "timing"),
-)
-def _table6_experiment(ctx, batch=4):
-    return run_table6(batch=batch)
-
-
-@renderer("table6")
-def _table6_render(result):
-    return render_table6(result.rows)

@@ -8,6 +8,7 @@ full-precision teacher along.
 from __future__ import annotations
 
 from repro.compression.quant import ZeroQuantTimeModel, teco_training_hours
+from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import HardwareParams
 from repro.utils.tables import format_table
@@ -21,13 +22,17 @@ MNLI_STEPS = 73_700
 MNLI_BATCH = 16
 
 
+@register(
+    "table7",
+    "Table VII — ZeRO-Quant comparison",
+    tags=("table", "timing"),
+)
 def run_table7(
     n_steps: int = MNLI_STEPS,
     batch: int = MNLI_BATCH,
-    hw: HardwareParams | None = None,
 ) -> list[dict]:
     """Run the experiment; returns one dict per row."""
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     spec = get_model("bert-base-uncased")
     zq = ZeroQuantTimeModel(hw).training_hours(spec, batch, n_steps)
     teco = teco_training_hours(spec, batch, n_steps, hw)
@@ -49,6 +54,7 @@ def run_table7(
     ]
 
 
+@renderer("table7")
 def render_table7(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     ratio = rows[0]["hours"] / rows[1]["hours"]
@@ -61,22 +67,3 @@ def render_table7(rows: list[dict]) -> str:
         title="Table VII — lossy-compression baseline (teacher-student)",
     )
     return table + f"\nratio: {ratio:.2f}x (paper: 2.86x)"
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "table7",
-    "Table VII — ZeRO-Quant comparison",
-    tags=("table", "timing"),
-)
-def _table7_experiment(ctx, n_steps=MNLI_STEPS, batch=MNLI_BATCH):
-    return run_table7(n_steps=n_steps, batch=batch)
-
-
-@renderer("table7")
-def _table7_render(result):
-    return render_table7(result.rows)

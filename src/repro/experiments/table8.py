@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.compression import compression_ratio
 from repro.compression.lz4 import lz4_pipeline_time
+from repro.experiments.registry import register, renderer
 from repro.experiments.runner import pretrained_lm
 from repro.models import evaluation_models
 from repro.models.specs import ModelFamily
@@ -45,11 +46,14 @@ def measured_parameter_ratio(seed: int = 0) -> float:
     return compression_ratio(blob.astype(np.float32).tobytes()[:SAMPLE_BYTES])
 
 
-def run_table8(
-    batch: int = 4, hw: HardwareParams | None = None, seed: int = 0
-) -> list[dict]:
+@register(
+    "table8",
+    "Table VIII — LZ4 comparison",
+    tags=("table", "timing", "functional"),
+)
+def run_table8(batch: int = 4, seed: int = 0) -> list[dict]:
     """Run the experiment; returns one dict per row."""
-    hw = hw or HardwareParams.paper_default()
+    hw = HardwareParams.paper_default()
     trained_ratio = measured_parameter_ratio(seed)
     rows = []
     for spec in evaluation_models():
@@ -81,6 +85,7 @@ def run_table8(
     return rows
 
 
+@renderer("table8")
 def render_table8(rows: list[dict]) -> str:
     """Render the measured rows as a plain-text table."""
     return format_table(
@@ -97,22 +102,3 @@ def render_table8(rows: list[dict]) -> str:
         ],
         title="Table VIII — lossless compression (LZ4) vs TECO-Reduction",
     )
-
-
-# --- registry ------------------------------------------------------------
-
-from repro.experiments.registry import register, renderer
-
-
-@register(
-    "table8",
-    "Table VIII — LZ4 comparison",
-    tags=("table", "timing", "functional"),
-)
-def _table8_experiment(ctx, batch=4):
-    return run_table8(batch=batch, seed=ctx.seed)
-
-
-@renderer("table8")
-def _table8_render(result):
-    return render_table8(result.rows)

@@ -23,10 +23,8 @@ failed cell discovered by polling.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.experiments import registry
-from repro.experiments.executor import SweepCell
+from repro.experiments.executor import SweepCell, grid_cells
 
 __all__ = ["SpecError", "parse_sweep_spec", "JobOptions"]
 
@@ -80,38 +78,13 @@ def _cells_from_axes(payload: dict) -> list[SweepCell]:
     sweep = payload.get("sweep") or {}
     if not isinstance(sweep, dict):
         raise SpecError("'sweep' must be an object of param -> value(s)")
-    try:
-        spec = registry.get_spec(experiment)
-    except KeyError as exc:
-        raise SpecError(str(exc)) from None
-    axes: list[tuple[str, list]] = []
-    for key, values in sweep.items():
-        if key not in spec.params:
-            raise SpecError(
-                f"experiment {experiment!r} has no parameter {key!r} "
-                f"(available: {sorted(spec.params)})"
-            )
-        default = spec.params.get(key)
-        if isinstance(default, (tuple, list)):
-            # tuple-typed params take one (list) value; no sweeping
-            axes.append((key, [values]))
-        else:
-            axes.append(
-                (key, values if isinstance(values, list) else [values])
-            )
+    _validate_cell(experiment, sweep)
     seeds = payload.get("seeds", [0])
     if not isinstance(seeds, list) or not all(
         isinstance(s, int) for s in seeds
     ):
         raise SpecError("'seeds' must be an array of integers")
-    keys = [k for k, _ in axes]
-    cells = []
-    for combo in itertools.product(*[vals for _, vals in axes]):
-        params = dict(zip(keys, combo))
-        _validate_cell(experiment, params)
-        for seed in seeds:
-            cells.append(SweepCell.make(experiment, params, seed=seed))
-    return cells
+    return grid_cells(registry.get_spec(experiment), sweep, seeds)
 
 
 def parse_sweep_spec(payload) -> tuple[list[SweepCell], JobOptions]:

@@ -19,10 +19,10 @@ from repro.experiments import registry
 CRASH_NAME = "test-crash-cell"
 
 
-def _crash_cell(ctx, crash=False, value=1):
+def _crash_cell(crash=False, value=1, seed=0):
     if crash:
         os.kill(os.getpid(), signal.SIGKILL)
-    return [{"value": value, "seed": ctx.seed}]
+    return [{"value": value, "seed": seed}]
 
 
 def ensure_crash_experiment() -> str:

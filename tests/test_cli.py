@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, LEGACY_EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments import registry
 from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS
 
 
@@ -10,7 +11,7 @@ class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in registry.spec_names():
             assert name in out
 
     def test_table1(self, capsys):
@@ -42,8 +43,35 @@ class TestCLI:
             "overheads", "lammps", "invalidation", "dpu", "granularity",
             "interconnect", "seqlen",
         }
-        assert required <= set(EXPERIMENTS)
-        assert required <= set(LEGACY_EXPERIMENTS)
+        assert required <= set(registry.spec_names())
+        assert required <= set(DEFAULT_REPORT_EXPERIMENTS)
         # The combined alias is gone: each ablation runs once, by its id.
-        assert "ablations" not in EXPERIMENTS
-        assert LEGACY_EXPERIMENTS is DEFAULT_REPORT_EXPERIMENTS
+        assert "ablations" not in registry.spec_names()
+
+
+def test_sweep_grid_matches_the_service():
+    """``repro sweep`` and ``POST /jobs`` axes build the same cells."""
+    import argparse
+
+    from repro.cli import _sweep_cells
+    from repro.service.protocol import parse_sweep_spec
+
+    def both(name, sets, seeds, sweep, seed_list):
+        args = argparse.Namespace(set=sets, seeds=seeds)
+        cli = _sweep_cells(registry.get_spec(name), args)
+        service, _ = parse_sweep_spec(
+            {"experiment": name, "sweep": sweep, "seeds": seed_list}
+        )
+        return cli, service
+
+    cli, service = both(
+        "table6", ["batch=2,4"], "0,1", {"batch": [2, 4]}, [0, 1]
+    )
+    assert cli == service
+    assert [(c.params_dict["batch"], c.seed) for c in cli] == [
+        (2, 0), (2, 1), (4, 0), (4, 1),
+    ]
+    # A tuple-typed param is one point, never swept.
+    cli, service = both("fig13", ["sweep=0,30"], None, {"sweep": [0, 30]}, [0])
+    assert cli == service
+    assert [c.params_dict for c in cli] == [{"sweep": [0, 30]}]

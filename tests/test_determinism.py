@@ -55,8 +55,8 @@ class TestFunctionalDeterminism:
         ) == table8.measured_parameter_ratio(seed=0)
 
     def test_lammps_reproducible(self):
-        a = run_lammps(n_side=3, n_steps=5, seed=2)
-        b = run_lammps(n_side=3, n_steps=5, seed=2)
+        [a] = run_lammps(n_side=3, n_steps=5, seed=2)
+        [b] = run_lammps(n_side=3, n_steps=5, seed=2)
         assert a["volume_reduction"] == b["volume_reduction"]
         assert a["low_byte_fraction"] == b["low_byte_fraction"]
 

@@ -21,6 +21,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,11 @@ from repro.experiments.registry import (
 
 
 def test_registry_covers_legacy_cli_names():
-    from repro.cli import EXPERIMENTS, LEGACY_EXPERIMENTS
+    from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS
 
     names = registry.spec_names()
-    for name in LEGACY_EXPERIMENTS:
+    for name in DEFAULT_REPORT_EXPERIMENTS:
         assert name in names
-        assert name in EXPERIMENTS
 
 
 def test_registry_rejects_unknown_params_and_names():
@@ -63,16 +63,83 @@ def test_registry_rejects_unknown_params_and_names():
         registry.get_spec("not-an-experiment")
 
 
-def test_register_requires_ctx_and_defaults():
+def test_register_requires_defaults():
     with pytest.raises(TypeError):
-        registry.register("bad-no-ctx", "x")(lambda n_steps=3: [])
-    with pytest.raises(TypeError):
-        registry.register("bad-no-default", "x")(lambda ctx, n_steps: [])
+        registry.register("bad-no-default", "x")(lambda n_steps: [])
 
 
 def test_register_rejects_duplicates():
     with pytest.raises(ValueError):
-        registry.register("fig10", "again")(lambda ctx: [])
+        registry.register("fig10", "again")(lambda: [])
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Registrations made by the test vanish with it."""
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+
+def test_context_params_are_filled_from_the_run_context(scratch_registry):
+    seen = {}
+
+    def runner(seed, profile=None, checkpoint_dir=None, batch=2):
+        seen.update(
+            seed=seed, profile=profile, checkpoint_dir=checkpoint_dir
+        )
+        return [{"batch": batch}]
+
+    registry.register("test-context-params", "test-only")(runner)
+    spec = registry.get_spec("test-context-params")
+    assert spec.params == {"batch": 2}
+    marker = object()
+    ctx = RunContext(profile=marker, checkpoint_dir="ckpts")
+    result = registry.run_experiment(
+        "test-context-params", {"batch": 3}, seed=7, ctx=ctx
+    )
+    assert seen == {"seed": 7, "profile": marker, "checkpoint_dir": "ckpts"}
+    assert result.rows == [{"batch": 3}]
+    assert result.params == {"batch": 3}
+
+
+def test_tuple_default_arrives_as_a_tuple(scratch_registry):
+    seen = []
+
+    def runner(sizes=(1, 2), names=("a",)):
+        seen.append((sizes, names))
+        return [{"n": len(sizes)}]
+
+    registry.register("test-tuple-params", "test-only")(runner)
+    assert registry.get_spec("test-tuple-params").params == {
+        "sizes": [1, 2],
+        "names": ["a"],
+    }
+    registry.run_experiment("test-tuple-params")
+    registry.run_experiment("test-tuple-params", {"sizes": [4, 8, 16]})
+    assert seen == [((1, 2), ("a",)), ((4, 8, 16), ("a",))]
+
+
+def test_specs_match_golden_schemas():
+    """Every spec's name, description, tags and default params, in
+    registration order, are pinned (they key caches and reference
+    hashes)."""
+    import json
+
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "golden_experiment_schemas.json")
+        .read_text(encoding="utf-8")
+    )
+    specs = [
+        s for s in registry.all_specs() if not s.name.startswith("test-")
+    ]
+    assert [
+        {
+            "name": s.name,
+            "description": s.description,
+            "tags": list(s.tags),
+            "params": [[k, v] for k, v in json_safe(s.params).items()],
+        }
+        for s in specs
+    ] == golden
 
 
 def test_coerce_param_types():
@@ -487,28 +554,102 @@ def test_async_checkpointer_kill_mid_save_keeps_previous(tmp_path, monkeypatch):
     assert state["step_count"] == trainer.step_count
 
 
-def test_finetune_checkpoint_every_resumes_bit_exactly(tmp_path):
+def _interrupt_after(monkeypatch, n_steps):
+    """Make the ``n_steps + 1``-th trainer step raise, as a kill would."""
+    from repro.offload import OffloadTrainer
+
+    step = OffloadTrainer.step
+    calls = []
+
+    def doomed_step(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) > n_steps:
+            raise KeyboardInterrupt("killed mid-run")
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(OffloadTrainer, "step", doomed_step)
+
+
+def test_finetune_checkpoints_resume_bit_exactly(tmp_path, monkeypatch):
+    from repro.experiments import runner
     from repro.experiments.runner import finetune, pretrained_lm
     from repro.offload import TrainerMode
 
     setup = pretrained_lm(seed=3, pretrain_steps=4, finetune_batches=8)
+    plain = finetune(setup, TrainerMode.TECO_REDUCTION)
     path = tmp_path / "ft.teco-ckpt"
-    first = finetune(
-        setup,
-        TrainerMode.TECO_REDUCTION,
-        checkpoint_path=path,
-        checkpoint_every=4,
-    )
-    assert path.exists()
-    resumed = finetune(
-        setup,
-        TrainerMode.TECO_REDUCTION,
-        checkpoint_path=path,
-        checkpoint_every=4,
-    )
-    # the checkpoint covered every batch, so the resume trains nothing
-    assert resumed.step_count == first.step_count == 8
-    assert resumed.loss_curve == first.loss_curve
+    monkeypatch.setattr(runner, "CHECKPOINT_EVERY", 3)
+    with monkeypatch.context() as patch:
+        _interrupt_after(patch, 7)
+        with pytest.raises(KeyboardInterrupt):
+            finetune(setup, TrainerMode.TECO_REDUCTION, checkpoint_path=path)
+    from repro.state import load_state
+
+    assert load_state(path)[0]["step_count"] == 6  # the last multiple of 3
+    resumed = finetune(setup, TrainerMode.TECO_REDUCTION, checkpoint_path=path)
+    assert resumed.step_count == 8
+    assert resumed.loss_curve == plain.loss_curve
+    # the run checkpointed after its last step: a rerun trains nothing
+    assert load_state(path)[0]["step_count"] == 8
+    _interrupt_after(monkeypatch, 0)
+    again = finetune(setup, TrainerMode.TECO_REDUCTION, checkpoint_path=path)
+    assert again.loss_curve == plain.loss_curve
+
+
+@pytest.mark.slow
+def test_fig10_checkpoint_dir_writes_and_resumes(tmp_path, monkeypatch):
+    """``RunContext.checkpoint_dir`` makes fig10 write, reuse and resume
+    its two fine-tuning checkpoints without changing its rows."""
+    from repro.experiments import runner
+
+    params = {"n_steps": 8, "act_aft_steps": 2}
+    fresh = registry.run_experiment("fig10", params)
+
+    def run(ckpt_dir):
+        ctx = RunContext(checkpoint_dir=str(ckpt_dir))
+        return registry.run_experiment("fig10", params, ctx=ctx)
+
+    first = run(tmp_path / "a")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(names) == 2
+    assert fnmatch(names[0], "fig10-gpt2-baseline-*.teco-ckpt")
+    assert fnmatch(names[1], "fig10-gpt2-teco-*.teco-ckpt")
+    assert run(tmp_path / "a").result_hash == first.result_hash
+    assert first.result_hash == fresh.result_hash
+
+    # Kill the TECO run after 5 of its 8 steps; it has a step-3
+    # checkpoint, and the resumed run matches the uninterrupted curves.
+    monkeypatch.setattr(runner, "CHECKPOINT_EVERY", 3)
+    with monkeypatch.context() as patch:
+        _interrupt_after(patch, 8 + 5)
+        with pytest.raises(KeyboardInterrupt):
+            run(tmp_path / "b")
+    from repro.state import load_state
+
+    (teco,) = (tmp_path / "b").glob("fig10-gpt2-teco-*.teco-ckpt")
+    assert load_state(teco)[0]["step_count"] == 3
+    assert run(tmp_path / "b").rows == fresh.rows
+
+
+@pytest.mark.slow
+def test_checkpoint_dir_never_resumes_another_cells_run(tmp_path):
+    """Cells sharing one checkpoint directory keep separate checkpoints:
+    a rerun with another seed or parameter computes its own rows instead
+    of returning the finished run of the first cell."""
+    ctx = RunContext(checkpoint_dir=str(tmp_path))
+    cases = [
+        ("fig10", {"n_steps": 6, "act_aft_steps": 2}, 0),
+        ("fig10", {"n_steps": 6, "act_aft_steps": 2}, 1),
+        ("fig10", {"n_steps": 6, "act_aft_steps": 4}, 1),
+        ("fig13", {"sweep": (2,), "total_steps": 4}, 0),
+        ("fig13", {"sweep": (2,), "total_steps": 4}, 1),
+    ]
+    for name, params, seed in cases:
+        shared = registry.run_experiment(name, params, seed=seed, ctx=ctx)
+        alone = registry.run_experiment(name, params, seed=seed)
+        assert shared.rows == alone.rows, (name, params, seed)
+    assert len(list(tmp_path.glob("fig10-gpt2-*.teco-ckpt"))) == 6
+    assert len(list(tmp_path.glob("fig13-act2-*.teco-ckpt"))) == 2
 
 
 # --------------------------------------------------- pretrained memo store

@@ -259,12 +259,13 @@ class TestOverheads:
         assert out["sequential"] > out["shuffled"]
 
     def test_render(self):
-        assert "DRAM" in overheads.render_overheads()
+        out = overheads.render_overheads(overheads.run_overheads(n_lines=4096))
+        assert "DRAM" in out
 
 
 class TestLammps:
     def test_section7_shape(self):
-        result = lammps.run_lammps(n_side=4, n_steps=12)
+        [result] = lammps.run_lammps(n_side=4, n_steps=12)
         assert 0.10 < result["improvement"] < 0.30  # paper: 21.5%
         assert 0.08 < result["volume_reduction"] < 0.30  # paper: 17%
         assert result["cxl_share"] > result["dba_share"]  # paper: 78/22
