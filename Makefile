@@ -3,7 +3,7 @@
 install:
 	pip install -e '.[dev]' --no-build-isolation
 
-test: verify-resume exp-smoke service-smoke
+test: verify-resume exp-smoke service-smoke trace-smoke
 	PYTHONPATH=src pytest tests/
 
 # Inner-loop tier: skips the @slow-marked multi-second cases (see
@@ -41,9 +41,10 @@ bench-smoke:
 check-cube:
 	PYTHONPATH=src python benchmarks/check_gelu_cube.py
 
-# Observability smoke: profile a reduced fig10 run, export the Chrome
-# trace-event JSON, and validate its schema + required span categories
-# (CXL link, pending queue, trainer phases).
+# Observability smoke: trace a reduced fig10 run and table6 through
+# `repro.obs.trace_experiment`, export the Chrome trace-event JSON, and
+# validate its schema + required span categories (CXL link, pending
+# queue, trainer phases).
 trace-smoke:
 	PYTHONPATH=src python benchmarks/trace_smoke.py results/trace-smoke.json
 

@@ -167,7 +167,7 @@ def op_tracer_disabled_steps():
     from repro.offload import TECOEngine
 
     spec = evaluation_models()[0]
-    engine = TECOEngine(spec, 4)  # tracer/metrics default to the nulls
+    engine = TECOEngine(spec, 4)  # no active profile: the null objects
     n_steps = 5
 
     def run():

@@ -1,17 +1,24 @@
 #!/usr/bin/env python
 """Traced-run smoke check (``make trace-smoke``).
 
-Profiles a reduced Figure-10 run through :func:`repro.obs.trace_experiment`,
-exports the Chrome trace-event JSON, and fails (exit 1) unless the file
+Profiles two registered experiments through
+:func:`repro.obs.trace_experiment`, exports each Chrome trace-event JSON,
+and fails (exit 1) unless every file passes
+:func:`repro.obs.validate_chrome_trace` (required fields, ``dur >= 0``,
+monotonic timestamps) and carries its required span categories:
 
-* passes :func:`repro.obs.validate_chrome_trace` (required fields,
-  ``dur >= 0``, monotonic timestamps), and
-* contains spans from the CXL link (``link``), the controller's pending
-  queue (``queue``), and the trainer phases (``trainer``).
+* a reduced ``fig10`` (functional fine-tuning): the CXL link (``link``),
+  the controller's pending queue (``queue``) and the trainer phases
+  (``trainer``), with trainer steps counted in the metrics;
+* ``table6`` (timing engines only): the engines' wires (``link``) and
+  their step phases (``trainer``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/trace_smoke.py [out.json]
+
+``out.json`` receives the fig10 trace; the table6 trace is written next
+to it as ``<stem>-table6.json``.
 """
 
 from __future__ import annotations
@@ -20,30 +27,45 @@ import json
 import sys
 from pathlib import Path
 
-REQUIRED_CATEGORIES = {"link", "queue", "trainer"}
+#: experiment -> (params, span categories its trace must contain).
+CASES = {
+    "fig10": ({"n_steps": 6, "act_aft_steps": 2}, {"link", "queue", "trainer"}),
+    "table6": ({}, {"link", "trainer"}),
+}
 
 
-def main(argv) -> int:
-    """Run the traced fig10 smoke and validate the exported JSON."""
+def check(name: str, out: Path) -> bool:
+    """Trace one case into ``out``; print and return whether it passed."""
     from repro.obs import trace_experiment, validate_chrome_trace
 
-    out = Path(argv[0]) if argv else Path("results") / "trace-smoke.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    profile = trace_experiment("fig10", out=out, steps=6)
+    params, required = CASES[name]
+    profile = trace_experiment(name, params=params, out=out)
     obj = json.loads(out.read_text())
     errors = validate_chrome_trace(obj)
     categories = {c for e in obj["traceEvents"] if (c := e.get("cat"))}
-    missing = REQUIRED_CATEGORIES - categories
+    missing = required - categories
     n_events = len(obj["traceEvents"])
-    print(f"wrote {out}: {n_events} events, categories {sorted(categories)}")
+    print(f"{name}: wrote {out}: {n_events} events, "
+          f"categories {sorted(categories)}")
     if errors:
         print(f"FAIL: {len(errors)} schema error(s); first: {errors[0]}")
-        return 1
+        return False
     if missing:
         print(f"FAIL: required categories missing from trace: {sorted(missing)}")
-        return 1
-    if profile.metrics.value("trainer.steps") <= 0:
+        return False
+    if name == "fig10" and profile.metrics.value("trainer.steps") <= 0:
         print("FAIL: no trainer steps recorded in metrics")
+        return False
+    return True
+
+
+def main(argv) -> int:
+    """Run both traced smokes and validate the exported JSON."""
+    out = Path(argv[0]) if argv else Path("results") / "trace-smoke.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    ok = check("fig10", out)
+    ok = check("table6", out.with_name(f"{out.stem}-table6.json")) and ok
+    if not ok:
         return 1
     print("trace smoke gate passed")
     return 0

@@ -263,18 +263,20 @@ def _cmd_verify_resume(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """``repro trace``: profiled reduced run -> Chrome trace-event JSON."""
+    """``repro trace``: profiled experiment run -> Chrome trace-event JSON."""
     import os
 
     from repro.obs import trace_experiment
 
-    target = args.target or "fig10"
+    params = _parse_sets(registry.get_spec(args.experiment), args.set)
     out = args.out
     if not out.endswith(".json"):
         out = os.path.join(out, "trace.json")
     if os.path.dirname(out):
         os.makedirs(os.path.dirname(out), exist_ok=True)
-    profile = trace_experiment(target, out=out, steps=args.trace_steps)
+    profile = trace_experiment(
+        args.experiment, params=params, seed=args.seed, out=out
+    )
     print(profile.summary())
     print(
         f"\nwrote {out} ({len(profile.tracer)} spans/instants) — open it "
@@ -562,24 +564,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify_resume)
 
     p_trace = sub.add_parser(
-        "trace", help="profiled reduced run -> Chrome trace JSON"
+        "trace", help="profiled experiment run -> Chrome trace JSON"
     )
+    p_trace.add_argument("experiment", choices=names)
     p_trace.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="experiment to profile (fig10 or fig13)",
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override an experiment parameter (repeatable)",
     )
+    p_trace.add_argument("--seed", type=int, default=0, help="base seed")
     p_trace.add_argument(
         "--out",
         default="results",
         help="trace-JSON path (a *.json path is a file, else a directory)",
-    )
-    p_trace.add_argument(
-        "--trace-steps",
-        type=int,
-        default=24,
-        help="fine-tuning steps for the reduced run",
     )
     p_trace.set_defaults(func=_cmd_trace)
 

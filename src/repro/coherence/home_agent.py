@@ -39,6 +39,7 @@ from repro.interconnect.packets import (
     MessageType,
     packet_wire_bytes,
 )
+from repro.obs.profile import active_profile
 
 __all__ = ["CoherenceMode", "TrafficStats", "HomeAgent"]
 
@@ -67,9 +68,12 @@ class TrafficStats:
     #: Data transfers that landed on the consumer's critical path
     #: (invalidation-mode on-demand fetches).
     on_demand_fetches: int = 0
-    #: Optional :class:`repro.obs.Metrics` mirror — every recorded message
-    #: also bumps ``coherence.msg.<NAME>`` / byte counters there.
-    metrics: object = field(default=None, repr=False, compare=False)
+    #: The active :mod:`repro.obs` metrics at build time; each recorded
+    #: message also bumps ``coherence.msg.<NAME>`` / byte counters there.
+    _metrics: object = field(
+        default_factory=lambda: active_profile().metrics,
+        init=False, repr=False, compare=False,
+    )
 
     def record(self, msg: MessageType, payload_bytes: int = 0) -> None:
         """Count one message and its wire bytes."""
@@ -79,8 +83,8 @@ class TrafficStats:
             self.data_bytes += wire
         else:
             self.control_bytes += wire
-        mx = self.metrics
-        if mx is not None and mx.enabled:
+        mx = self._metrics
+        if mx.enabled:
             mx.counter(f"coherence.msg.{msg.name}").inc()
             if payload_bytes:
                 mx.counter("coherence.data_bytes").inc(wire)
@@ -105,13 +109,12 @@ class HomeAgent:
         address_map: AddressMap,
         mode: CoherenceMode = CoherenceMode.UPDATE,
         snoop_filter: SnoopFilter | None = None,
-        metrics=None,
     ):
         self.address_map = address_map
         self.mode = mode
         self.cpu = PeerCache("cpu")
         self.device = PeerCache("giant-cache")
-        self.stats = TrafficStats(metrics=metrics)
+        self.stats = TrafficStats()
         if mode is CoherenceMode.INVALIDATION and snoop_filter is None:
             snoop_filter = SnoopFilter()
         self.snoop_filter = snoop_filter

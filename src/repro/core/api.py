@@ -22,6 +22,7 @@ from repro.dba.activation import (
     DEFAULT_DIRTY_BYTES,
     default_policy,
 )
+from repro.dba.registers import check_dirty_bytes
 from repro.interconnect.cxl import CXLController
 from repro.offload import OffloadTrainer, TrainerMode
 from repro.sim import SimEvent, Simulator
@@ -65,8 +66,7 @@ class TecoConfig:
     def __post_init__(self) -> None:
         if self.act_aft_steps < 0:
             raise ValueError("act_aft_steps must be non-negative")
-        if not 1 <= self.dirty_bytes <= 4:
-            raise ValueError("dirty_bytes must be in [1, 4]")
+        check_dirty_bytes(self.dirty_bytes)
         if self.gradient_buffer_bytes <= 0:
             raise ValueError("gradient_buffer_bytes must be positive")
 

@@ -25,10 +25,11 @@ from repro.dba.activation import (
 from repro.dba.aggregator import Aggregator
 from repro.dba.disaggregator import Disaggregator
 from repro.dba.hw import ASIC_RATIOS, FPGAImplementation, HardwareCost
-from repro.dba.registers import DBARegister
+from repro.dba.registers import DBARegister, check_dirty_bytes
 
 __all__ = [
     "DBARegister",
+    "check_dirty_bytes",
     "Aggregator",
     "Disaggregator",
     "ActivationPolicy",

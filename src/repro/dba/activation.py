@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dba.registers import DBARegister
+from repro.dba.registers import DBARegister, check_dirty_bytes
 
 __all__ = [
     "ActivationPolicy",
@@ -58,8 +58,7 @@ class ActivationPolicy:
     def __post_init__(self) -> None:
         if self.act_aft_steps < 0:
             raise ValueError("act_aft_steps must be non-negative")
-        if not 1 <= self.dirty_bytes <= 4:
-            raise ValueError("dirty_bytes must be in [1, 4]")
+        check_dirty_bytes(self.dirty_bytes)
 
     @property
     def active(self) -> bool:
@@ -107,7 +106,7 @@ class ActivationPolicy:
         """Restore a :meth:`state_dict` snapshot (including config, so a
         resumed run activates at exactly the checkpointed threshold)."""
         self.act_aft_steps = int(state["act_aft_steps"])
-        self.dirty_bytes = int(state["dirty_bytes"])
+        self.dirty_bytes = check_dirty_bytes(state["dirty_bytes"])
         self._active = bool(state["active"])
         at = state["activated_at"]
         self._activated_at = None if at is None else int(at)

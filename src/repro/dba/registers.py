@@ -12,9 +12,24 @@ module to activate disaggregation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
-__all__ = ["DBARegister"]
+__all__ = ["DBARegister", "check_dirty_bytes"]
+
+
+def check_dirty_bytes(dirty_bytes) -> int:
+    """``dirty_bytes`` as an ``int``; ``ValueError`` unless it is an
+    integer (not ``bool``) in 1..4 — the rule for every DBA setting."""
+    if (
+        isinstance(dirty_bytes, bool)
+        or not isinstance(dirty_bytes, numbers.Integral)
+        or not 1 <= dirty_bytes <= 4
+    ):
+        raise ValueError(
+            f"dirty_bytes must be an integer in 1..4, got {dirty_bytes!r}"
+        )
+    return int(dirty_bytes)
 
 
 @dataclass(frozen=True)

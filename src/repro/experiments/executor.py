@@ -34,6 +34,7 @@ from repro.experiments.registry import (
     content_hash,
     run_experiment,
 )
+from repro.obs import Profile
 
 __all__ = [
     "SweepCell",
@@ -250,17 +251,14 @@ def _run_cell(args) -> tuple[dict | None, str | None, bool, bool]:
             if cache_root is not None
             else None
         )
-        ctx = RunContext(seed=seed)
-        if profile_path is not None:
-            from repro.obs import Profile
-
-            ctx.profile = Profile.new(default_pid="sim")
+        profile = None if profile_path is None else Profile.new()
+        ctx = RunContext(seed=seed, profile=profile)
         result = run_experiment(
             name, params=dict(params), seed=seed, ctx=ctx, cache=cache
         )
-        if profile_path is not None and ctx.profile is not None:
+        if profile_path is not None:
             os.makedirs(os.path.dirname(profile_path), exist_ok=True)
-            ctx.profile.write_chrome(profile_path)
+            profile.write_chrome(profile_path)
         hit = bool(result.meta.get("cached"))
         return result.to_dict(), None, hit, not hit
     except Exception as exc:  # surfaced per-cell, never kills the sweep
@@ -385,7 +383,8 @@ def merge_chrome_traces(paths, out_path) -> str:
     remapped and re-emitted they would land *after* the synthesized
     entry and overwrite it, leaving every cell labelled identically in
     the viewer.  ``thread_name`` metadata is kept (remapped): track
-    names are per-pid, so they cannot collide across cells.
+    names are per-pid, so they cannot collide across cells.  Metadata
+    comes first, then every event by timestamp, as in each cell's trace.
     """
     merged: list[dict] = []
     pid_map: dict[tuple, int] = {}
@@ -415,6 +414,7 @@ def merge_chrome_traces(paths, out_path) -> str:
             event = dict(event)
             event["pid"] = pid_map[key]
             merged.append(event)
+    merged.sort(key=lambda e: (e.get("ph") != "M", e.get("ts", 0)))
     out_path = os.fspath(out_path)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:

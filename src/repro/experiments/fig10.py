@@ -77,7 +77,6 @@ def _compare(
     lr: float,
     checkpoint_dir=None,
     tag: str = "fig10",
-    profile=None,
 ) -> Fig10Result:
     def ckpt(run: str):
         return checkpoint_file(
@@ -95,7 +94,6 @@ def _compare(
         lr=lr,
         seed=seed + 1,
         checkpoint_path=ckpt("baseline"),
-        profile=profile,
     )
     teco = finetune(
         setup,
@@ -104,7 +102,6 @@ def _compare(
         seed=seed + 1,
         policy=ActivationPolicy(act_aft_steps=act_aft_steps, dirty_bytes=2),
         checkpoint_path=ckpt("teco"),
-        profile=profile,
     )
     return Fig10Result(
         baseline_curve=baseline.loss_curve,
@@ -119,15 +116,12 @@ def run_fig10(
     seed: int = 0,
     lr: float = FINETUNE_LR,
     checkpoint_dir=None,
-    profile=None,
 ) -> Fig10Result:
     """The GPT-2 panel: decoder-proxy fine-tuning loss curves.
 
     Pass ``checkpoint_dir`` to make the two fine-tuning runs
     interruptible: killed sweeps resume bit-exactly from their last
-    checkpoint on the next invocation.  ``profile`` (a
-    :class:`repro.obs.Profile`) records per-step phase spans and payload
-    metrics from both fine-tuning runs.
+    checkpoint on the next invocation.
     """
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
     return _compare(
@@ -137,7 +131,6 @@ def run_fig10(
         lr,
         checkpoint_dir=checkpoint_dir,
         tag="fig10-gpt2",
-        profile=profile,
     )
 
 
@@ -147,7 +140,6 @@ def run_fig10_albert(
     seed: int = 0,
     lr: float = FINETUNE_LR,
     checkpoint_dir=None,
-    profile=None,
 ) -> Fig10Result:
     """The Albert panel: shared-layer encoder fine-tuning loss curves."""
     setup = pretrained_classifier(seed=seed, finetune_batches=n_steps)
@@ -158,7 +150,6 @@ def run_fig10_albert(
         lr,
         checkpoint_dir=checkpoint_dir,
         tag="fig10-albert",
-        profile=profile,
     )
 
 
@@ -184,7 +175,6 @@ def _rows_runner(panel):
         lr: float = FINETUNE_LR,
         seed: int = 0,
         checkpoint_dir=None,
-        profile=None,
     ) -> list[dict]:
         result = panel(
             n_steps,
@@ -192,7 +182,6 @@ def _rows_runner(panel):
             seed=seed,
             lr=lr,
             checkpoint_dir=checkpoint_dir,
-            profile=profile,
         )
         return rows_from_result(result)
 

@@ -60,7 +60,6 @@ def run_fig13(
     paper_total_steps: int = 1775,
     seed: int = 0,
     checkpoint_dir=None,
-    profile=None,
 ) -> list[dict]:
     """One row per activation point: proxy perplexity + modelled speedup.
 
@@ -68,8 +67,6 @@ def run_fig13(
     proportionally, so speedups are comparable with Figure 13.  With
     ``checkpoint_dir`` each sweep point's fine-tuning run checkpoints to
     its own file and resumes bit-exactly if the sweep is interrupted.
-    ``profile`` (a :class:`repro.obs.Profile`) records phase spans and
-    payload metrics from every sweep point's fine-tuning run.
     """
     if any(not 0 <= s <= total_steps for s in sweep):
         raise ValueError("sweep points must lie within the run")
@@ -88,7 +85,6 @@ def run_fig13(
             seed=seed + 1,
             policy=ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
             checkpoint_path=ckpt,
-            profile=profile,
         )
         ppl = trainer.model.perplexity(setup.eval_batch)
         paper_act = int(act / total_steps * paper_total_steps)

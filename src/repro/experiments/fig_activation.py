@@ -41,7 +41,6 @@ def run_fig_activation(
     fractions: tuple[float, ...] = (0.0, 0.5, 1.0),
     prefetches: tuple[int, ...] = (0, 1, 2),
     dba: bool = False,
-    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per (offload fraction, prefetch) cell."""
     spec = get_model(model)
@@ -60,8 +59,6 @@ def run_fig_activation(
                 batch,
                 policy=policy,
                 dba=dba,
-                tracer=None if profile is None else profile.tracer,
-                metrics=None if profile is None else profile.metrics,
             ).simulate_step()
             if baseline is None:
                 baseline = result  # prefetches[0] is the reference

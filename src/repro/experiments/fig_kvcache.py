@@ -32,7 +32,6 @@ def run_fig_kvcache(
     prompt_tokens: int = 512,
     decode_tokens: int = 128,
     residencies: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0),
-    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per residency cell."""
     spec = get_model(model)
@@ -44,8 +43,6 @@ def run_fig_kvcache(
             residency,
             prompt_tokens=prompt_tokens,
             decode_tokens=decode_tokens,
-            tracer=None if profile is None else profile.tracer,
-            metrics=None if profile is None else profile.metrics,
         ).simulate_decode()
         if reference is None:
             reference = result  # highest residency = fastest cell

@@ -37,7 +37,6 @@ def run_fig_zero3(
     ranks: tuple[int, ...] = (1, 2, 4, 8),
     formats: tuple[str, ...] = ("fp32", "fp16"),
     prefetch_layers: int = 1,
-    profile=None,
 ) -> list[dict]:
     """Run the sweep; one row per (ranks, wire format) cell."""
     spec = get_model(model)
@@ -50,8 +49,6 @@ def run_fig_zero3(
                 ranks=r,
                 prefetch_layers=prefetch_layers,
                 wire_format=fmt,
-                tracer=None if profile is None else profile.tracer,
-                metrics=None if profile is None else profile.metrics,
             ).simulate_step()
             b = result.breakdown
             rows.append(

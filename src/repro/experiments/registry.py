@@ -5,9 +5,9 @@ the :func:`register` decorator, and its ``render_*(rows)`` function
 through :func:`renderer`.  A spec names the experiment, carries its
 parameter schema (the runner's keyword defaults) and tags; running it
 through :func:`run_experiment` fills the runner's :class:`RunContext`
-parameters (seed, :class:`repro.obs.Profile`, checkpoint dir) and wraps
-the returned rows in a canonical :class:`ExperimentResult` (rows +
-metadata + provenance hash).
+parameters (seed, checkpoint dir), runs it under the context's
+:class:`repro.obs.Profile` (if any) and wraps the returned rows in a
+canonical :class:`ExperimentResult` (rows + metadata + provenance hash).
 
 The registry is the single source of truth consumed by the CLI
 (``python -m repro run/sweep/list``), the parallel sweep executor
@@ -25,7 +25,7 @@ import json
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -93,30 +93,30 @@ def content_hash(value) -> str:
 
 @dataclass
 class RunContext:
-    """Per-run services handed to the experiment runners that take them.
+    """Per-run services of one :func:`run_experiment` call.
 
-    A runner parameter named after one of these fields is filled from
-    the context by :func:`run_experiment` and is not part of the spec's
-    schema.
+    A runner parameter named ``seed`` or ``checkpoint_dir`` is filled
+    from the context and is not part of the spec's schema.
 
     Parameters
     ----------
     seed
         The run's base seed; runners derive all RNG streams from it.
-    profile
-        A live :class:`repro.obs.Profile` (or ``None``): runners that
-        support observability attach it to their trainers.
     checkpoint_dir
         Directory for interruptible-run checkpoints (or ``None``).
+    profile
+        A live :class:`repro.obs.Profile` (or ``None``), activated
+        around the runner: every simulator, trainer and trace replay the
+        run builds records into it.
     """
 
     seed: int = 0
-    profile: Any = None
     checkpoint_dir: str | None = None
+    profile: Any = None
 
 
 #: Runner parameters :func:`run_experiment` fills from the context.
-_CONTEXT_FIELDS = frozenset(f.name for f in fields(RunContext))
+_CONTEXT_FIELDS = frozenset({"seed", "checkpoint_dir"})
 
 
 @dataclass
@@ -356,11 +356,12 @@ def run_experiment(
         Base seed recorded in the result and handed to the runner via
         the context.
     ctx
-        Optional pre-built :class:`RunContext` (for profile/checkpoint
-        dirs); its seed is set to ``seed`` so result provenance and the
-        context can never disagree.  Runner parameters named after a
-        context field are filled from it; a parameter whose default is a
-        tuple receives its value as a tuple.
+        Optional pre-built :class:`RunContext` (for a profile or a
+        checkpoint dir); its seed is set to ``seed`` so result
+        provenance and the context can never disagree.  Runner
+        parameters named ``seed``/``checkpoint_dir`` are filled from it;
+        its profile is active while the runner runs.  A parameter whose
+        default is a tuple receives its value as a tuple.
     cache
         A :class:`repro.experiments.cache.ResultCache` (or ``None`` to
         always compute).  On a hit the cached rows are returned without
@@ -383,7 +384,11 @@ def run_experiment(
     for key in _CONTEXT_FIELDS & signature.keys():
         kwargs[key] = getattr(run_ctx, key)
     t0 = time.perf_counter()
-    rows = spec.runner(**kwargs)
+    if run_ctx.profile is None:
+        rows = spec.runner(**kwargs)
+    else:
+        with run_ctx.profile.activate():
+            rows = spec.runner(**kwargs)
     seconds = time.perf_counter() - t0
     result = ExperimentResult(
         name=name,

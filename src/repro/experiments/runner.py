@@ -298,7 +298,6 @@ def finetune(
     seed: int = 99,
     policy=None,
     checkpoint_path: str | os.PathLike | None = None,
-    profile=None,
     grad_transform=None,
 ) -> OffloadTrainer:
     """Fine-tune a fresh copy of the setup's checkpoint under ``mode``.
@@ -311,10 +310,6 @@ def finetune(
     redoing finished work; they name each run's path with
     :func:`checkpoint_file`.
 
-    ``profile`` (a :class:`repro.obs.Profile`) attaches the observability
-    layer to the fine-tuning trainer: per-step phase spans and payload
-    metrics are recorded without changing the computation.
-
     ``grad_transform`` is forwarded to :class:`OffloadTrainer` — the
     in-fabric aggregation experiments pass a wire-format round-trip so
     accuracy reflects the gradient rounding of the chosen format.
@@ -325,8 +320,6 @@ def finetune(
         mode=mode,
         lr=lr,
         policy=policy,
-        tracer=None if profile is None else profile.tracer,
-        metrics=None if profile is None else profile.metrics,
         grad_transform=grad_transform,
     )
     batches = setup.train_batches

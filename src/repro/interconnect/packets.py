@@ -63,14 +63,16 @@ class CacheLinePayload:
     dirty_bytes: int = 4
 
     def __post_init__(self) -> None:
+        # Deferred: repro.dba imports this module for CACHE_LINE_BYTES.
+        from repro.dba.registers import check_dirty_bytes
+
         if self.address < 0:
             raise ValueError("address must be non-negative")
         if self.address % CACHE_LINE_BYTES:
             raise ValueError(
                 f"address {self.address:#x} not {CACHE_LINE_BYTES}-byte aligned"
             )
-        if not 1 <= self.dirty_bytes <= 4:
-            raise ValueError("dirty_bytes must be in [1, 4]")
+        check_dirty_bytes(self.dirty_bytes)
 
     @property
     def size_bytes(self) -> int:

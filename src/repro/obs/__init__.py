@@ -3,14 +3,10 @@
 The layer has two halves — the event half (:class:`Tracer`: named spans
 and instants keyed by simulated or wall time, exported as Chrome
 trace-event JSON loadable in Perfetto) and the quantitative half
-(:class:`Metrics`: counters, gauges, and sampled time series).  Both are
-opt-in: every instrumented component defaults to the null objects
-:data:`NULL_TRACER` / :data:`NULL_METRICS`, whose ``enabled`` flag keeps
-the un-profiled hot path down to a single attribute test.
-
-:class:`Profile` bundles a live tracer+metrics pair, and
-:func:`trace_experiment` runs a (reduced) paper experiment under one and
-writes the combined Chrome trace — the engine behind
+(:class:`Metrics`: counters, gauges, and sampled time series).  A
+:class:`Profile` bundles the two, and ``with profile.activate():`` is the
+one switch that observes everything built inside it (see
+:mod:`repro.obs.profile`); :func:`trace_experiment` is the engine behind
 ``python -m repro trace fig10 --out trace.json``.
 """
 
@@ -21,7 +17,12 @@ from repro.obs.metrics import (
     Metrics,
     NullMetrics,
 )
-from repro.obs.profile import Profile, trace_experiment
+from repro.obs.profile import (
+    NULL_PROFILE,
+    Profile,
+    active_profile,
+    trace_experiment,
+)
 from repro.obs.tracer import (
     NULL_TRACER,
     InstantRecord,
@@ -44,5 +45,7 @@ __all__ = [
     "NullMetrics",
     "NULL_METRICS",
     "Profile",
+    "NULL_PROFILE",
+    "active_profile",
     "trace_experiment",
 ]

@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.metrics import NULL_METRICS
+
 __all__ = [
     "SpanRecord",
     "InstantRecord",
@@ -195,7 +197,7 @@ class Tracer:
             tids.setdefault((rec.pid, rec.track), len(tids) + 1)
         return pids, tids
 
-    def chrome_events(self, metrics=None) -> list[dict[str, Any]]:
+    def chrome_events(self, metrics=NULL_METRICS) -> list[dict[str, Any]]:
         """The trace as a list of Chrome trace-event dicts.
 
         ``metrics`` (a :class:`~repro.obs.metrics.Metrics`) contributes
@@ -205,7 +207,7 @@ class Tracer:
         """
         pids, tids = self._ids()
         metrics_pid = None
-        if metrics is not None and metrics.all_series():
+        if metrics.all_series():
             metrics_pid = pids.setdefault("metrics", len(pids) + 1)
         events: list[dict[str, Any]] = []
         for rec in self.spans:
@@ -275,14 +277,14 @@ class Tracer:
             )
         return meta + events
 
-    def chrome_trace(self, metrics=None) -> dict[str, Any]:
+    def chrome_trace(self, metrics=NULL_METRICS) -> dict[str, Any]:
         """The full Chrome trace object (``{"traceEvents": [...]}``)."""
         return {
             "traceEvents": self.chrome_events(metrics=metrics),
             "displayTimeUnit": "ms",
         }
 
-    def write_chrome(self, path, metrics=None) -> None:
+    def write_chrome(self, path, metrics=NULL_METRICS) -> None:
         """Write the Chrome trace JSON to ``path``."""
         with open(path, "w") as fh:
             json.dump(self.chrome_trace(metrics=metrics), fh)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dba.registers import check_dirty_bytes
 from repro.interconnect.fabric import (
     CXLFabric,
     FabricParams,
@@ -168,8 +169,6 @@ class ClusterEngine:
         tenant_weights: tuple[float, ...] | None = None,
         fabric: FabricParams | None = None,
         dirty_bytes: int = 2,
-        tracer=None,
-        metrics=None,
         reduce_in_fabric: bool = False,
         grad_wire_format="fp32",
     ):
@@ -186,11 +185,10 @@ class ClusterEngine:
             raise ValueError("global_batch must divide evenly across GPUs")
         self.global_batch = global_batch
         self.hw = hw or HardwareParams.paper_default()
+        check_dirty_bytes(dirty_bytes)
         self.dirty_bytes = (
             dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
         )
-        self.tracer = tracer
-        self.metrics = metrics
         if fabric is None:
             if kind is SystemKind.ZERO_OFFLOAD:
                 port_bw = self.hw.pcie.effective_bandwidth
@@ -235,7 +233,7 @@ class ClusterEngine:
         reduce_scatter = self.cluster.ring_time(shard_bytes)
         all_gather = self.cluster.ring_time(param_shard)
 
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         fabric = CXLFabric(sim, params)
         ports = tuple(t % params.n_ports for t in range(params.n_tenants))
         links = [fabric.port(ports[t], tenant=t) for t in range(params.n_tenants)]

@@ -36,6 +36,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.coherence.home_agent import CoherenceMode
+from repro.dba.registers import check_dirty_bytes
 from repro.interconnect.packets import CACHE_LINE_BYTES, packet_wire_bytes
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
@@ -132,8 +133,6 @@ class ZeROOffloadEngine:
         batch: int,
         hw: HardwareParams | None = None,
         dpu: bool = False,
-        tracer=None,
-        metrics=None,
     ):
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -141,13 +140,11 @@ class ZeROOffloadEngine:
         self.batch = batch
         self.hw = hw or HardwareParams.paper_default()
         self.dpu = dpu
-        self.tracer = tracer
-        self.metrics = metrics
 
     def simulate_step(self) -> StepBreakdown:
         """Simulate one baseline training step."""
         spec, hw = self.spec, self.hw
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         link = SerialLink(sim, hw.pcie.effective_bandwidth, name="pcie")
         phases = _Phases.of(spec, self.batch, hw)
         marks: dict[str, float] = {}
@@ -250,26 +247,21 @@ class TECOEngine:
         dba: bool = False,
         dirty_bytes: int = 2,
         coherence: CoherenceMode = CoherenceMode.UPDATE,
-        tracer=None,
-        metrics=None,
     ):
         if batch <= 0:
             raise ValueError("batch must be positive")
-        if not 1 <= dirty_bytes <= 4:
-            raise ValueError("dirty_bytes must be in [1, 4]")
+        check_dirty_bytes(dirty_bytes)
         self.spec = spec
         self.batch = batch
         self.hw = hw or HardwareParams.paper_default()
         self.dba = dba
         self.dirty_bytes = dirty_bytes if dba else 4
         self.coherence = coherence
-        self.tracer = tracer
-        self.metrics = metrics
 
     def simulate_step(self) -> StepBreakdown:
         """Simulate one TECO training step."""
         spec, hw = self.spec, self.hw
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         # CXL is full duplex per direction over the same PHY; gradients and
         # parameters never stream simultaneously within a step, so one
         # serialized wire models the shared bandwidth faithfully.

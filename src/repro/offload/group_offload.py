@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dba.registers import check_dirty_bytes
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
 from repro.offload.engines import (
@@ -192,8 +193,6 @@ class ActivationOffloadEngine:
         memory: MemoryModel | None = None,
         dba: bool = False,
         dirty_bytes: int = 2,
-        tracer=None,
-        metrics=None,
     ):
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -207,15 +206,14 @@ class ActivationOffloadEngine:
                 f"policy covers {self.policy.n_layers} layers but "
                 f"{spec.name} has {spec.n_layers}"
             )
+        check_dirty_bytes(dirty_bytes)
         self.dba = dba
         self.dirty_bytes = dirty_bytes if dba else 4
-        self.tracer = tracer
-        self.metrics = metrics
 
     def simulate_step(self) -> ActivationStepResult:
         """Simulate one step under the group-offload policy."""
         spec, hw, policy = self.spec, self.hw, self.policy
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         # Full-duplex CXL: one wire per direction.
         up = SerialLink(sim, hw.cxl.effective_bandwidth, name="cxl-up")
         down = SerialLink(sim, hw.cxl.effective_bandwidth, name="cxl-down")

@@ -101,8 +101,6 @@ class KVCacheEngine:
         decode_tokens: int = 128,
         hbm_tokens: int | None = None,
         hw: HardwareParams | None = None,
-        tracer=None,
-        metrics=None,
     ):
         if prompt_tokens < 0:
             raise ValueError("prompt_tokens must be non-negative")
@@ -116,8 +114,6 @@ class KVCacheEngine:
         if self.hbm_tokens < 1:
             raise ValueError("hbm_tokens must be >= 1")
         self.hw = hw or HardwareParams.paper_default()
-        self.tracer = tracer
-        self.metrics = metrics
 
     @classmethod
     def from_residency(
@@ -151,7 +147,7 @@ class KVCacheEngine:
     def simulate_decode(self) -> DecodeResult:
         """Simulate ``decode_tokens`` sequential decode steps."""
         spec, hw = self.spec, self.hw
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         # Full-duplex CXL: fetches inbound, evictions outbound.
         down = SerialLink(sim, hw.cxl.effective_bandwidth, name="kv-fetch")
         up = SerialLink(sim, hw.cxl.effective_bandwidth, name="kv-evict")

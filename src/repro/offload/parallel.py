@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dba.registers import check_dirty_bytes
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
 from repro.offload.engines import (
@@ -225,16 +226,12 @@ class DataParallelEngine:
         cluster: ClusterParams | None = None,
         hw: HardwareParams | None = None,
         dirty_bytes: int = 2,
-        tracer=None,
-        metrics=None,
         reduce_in_fabric: bool = False,
         grad_wire_format="fp32",
     ):
         from repro.interconnect.aggregation import WireFormat
 
         self.kind = kind
-        self.tracer = tracer
-        self.metrics = metrics
         self.spec = spec
         self.cluster = cluster or ClusterParams()
         if global_batch < self.cluster.n_gpus:
@@ -243,6 +240,7 @@ class DataParallelEngine:
             raise ValueError("global_batch must divide evenly across GPUs")
         self.global_batch = global_batch
         self.hw = hw or HardwareParams.paper_default()
+        check_dirty_bytes(dirty_bytes)
         self.dirty_bytes = (
             dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
         )
@@ -266,7 +264,7 @@ class DataParallelEngine:
         reduce_scatter = self.cluster.ring_time(shard_bytes)
         all_gather = self.cluster.ring_time(spec.param_bytes / n)
 
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         if self.kind is SystemKind.ZERO_OFFLOAD:
             link_bw = hw.pcie.effective_bandwidth
         else:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dba import ActivationPolicy, Aggregator, DBARegister, Disaggregator
+from repro.obs.profile import active_profile
 from repro.offload.arena import FlatArena
 from repro.optim import FlatAdam, LossScaler, clip_flat_gradients, fp16_round_trip
 from repro.state.checkpoint import (
@@ -137,12 +138,8 @@ class OffloadTrainer:
         loss_scaler: LossScaler | None = None,
         accumulation_steps: int = 1,
         lr_schedule=None,
-        tracer=None,
-        metrics=None,
         grad_transform=None,
     ):
-        from repro.obs import NULL_METRICS, NULL_TRACER
-
         if accumulation_steps < 1:
             raise ValueError("accumulation_steps must be >= 1")
         self.model = model
@@ -177,12 +174,14 @@ class OffloadTrainer:
         self.lr_schedule = lr_schedule
         #: Optional gradient wire-format hook (see class docstring).
         self.grad_transform = grad_transform
-        #: Observability hooks (repro.obs); null objects by default, so
-        #: the un-profiled step pays one ``enabled`` test per phase.
-        #: Trainer phases are wall-clock spans under the ``host`` pid
-        #: (this is a functional NumPy loop, not a timing simulation).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: Observability hooks: the repro.obs profile active at build
+        #: time (null objects outside one), so the un-profiled step pays
+        #: one ``enabled`` test per phase.  Trainer phases are wall-clock
+        #: spans under the ``host`` pid (this is a functional NumPy loop,
+        #: not a timing simulation).
+        profile = active_profile()
+        self.tracer = profile.tracer
+        self.metrics = profile.metrics
 
     def _dba_active_now(self) -> bool:
         """Whether DBA applies to transfers right now.

@@ -102,8 +102,6 @@ class Zero3Engine:
         prefetch_layers: int = 1,
         wire_format: "WireFormat | str" = "fp16",
         policy="fair",
-        tracer=None,
-        metrics=None,
     ):
         if ranks < 1:
             raise ValueError("ranks must be >= 1")
@@ -120,8 +118,6 @@ class Zero3Engine:
         self.prefetch_layers = prefetch_layers
         self.wire_format = WireFormat.parse(wire_format)
         self.policy = policy
-        self.tracer = tracer
-        self.metrics = metrics
 
     @property
     def micro_batch(self) -> int:
@@ -149,7 +145,7 @@ class Zero3Engine:
         grad_layer = wire_bytes_for(spec.gradient_bytes / n_layers, fmt)
         writeback_shard = wire_bytes_for(spec.param_bytes / R, fmt)
 
-        sim = Simulator(tracer=self.tracer, metrics=self.metrics)
+        sim = Simulator()
         fabric = CXLFabric(
             sim,
             FabricParams(

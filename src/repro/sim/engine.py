@@ -24,6 +24,8 @@ import heapq
 from collections.abc import Callable, Generator
 from typing import Any
 
+from repro.obs.profile import active_profile
+
 __all__ = ["Simulator", "SimEvent", "Process", "Interrupt"]
 
 _INF = float("inf")
@@ -177,8 +179,9 @@ class Process(SimEvent):
 class Simulator:
     """The event loop.  Time is a float in seconds, starting at 0.
 
-    ``tracer`` / ``metrics`` attach the :mod:`repro.obs` observability
-    layer; they default to the shared null objects, so an un-profiled
+    ``tracer`` / ``metrics`` come from the :mod:`repro.obs` profile
+    active when the simulator is built (:func:`repro.obs.active_profile`);
+    outside a profile they are the shared null objects, so an un-profiled
     simulation pays nothing for the hooks (instrumented components test
     ``sim.tracer.enabled`` / ``sim.metrics.enabled`` before recording).
 
@@ -186,14 +189,13 @@ class Simulator:
     is unique and increments once per push, so ties fire in push order.
     """
 
-    def __init__(self, tracer=None, metrics=None) -> None:
-        from repro.obs import NULL_METRICS, NULL_TRACER
-
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        profile = active_profile()
+        self.tracer = profile.tracer
+        self.metrics = profile.metrics
 
     # -- scheduling ------------------------------------------------------
     def _push(self, delay: float, event: SimEvent) -> None:

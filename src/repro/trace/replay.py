@@ -17,15 +17,16 @@ of time arrays and replay in bounded memory.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dba.registers import check_dirty_bytes
 from repro.interconnect.cxl import CXLLinkModel
 from repro.interconnect.packets import CACHE_LINE_BYTES, packet_wire_bytes
 from repro.memsim.trace import WritebackTrace
+from repro.obs.profile import active_profile
 
 __all__ = [
     "ReplayResult",
@@ -63,24 +64,22 @@ def _check_replay_args(dirty_bytes, start_time) -> None:
     fractional or out-of-range ``dirty_bytes`` skews the wire bytes, a
     NaN ``start_time`` hides every exposed second).  Trace times are
     checked by :func:`_time_chunks`."""
-    integral = isinstance(dirty_bytes, numbers.Integral)
-    if not (integral and 1 <= dirty_bytes <= 4):
-        raise ValueError(
-            f"dirty_bytes must be an integer in 1..4, got {dirty_bytes!r}"
-        )
+    check_dirty_bytes(dirty_bytes)
     if not math.isfinite(start_time):
         raise ValueError(f"start_time must be finite, got {start_time!r}")
 
 
-def _observe_replay(result: ReplayResult, first_arrival, tracer, metrics) -> None:
-    """Record a replay's summary into the observability hooks.
+def _observe_replay(result: ReplayResult, first_arrival) -> None:
+    """Record a replay's summary into the active :mod:`repro.obs` profile.
 
     A multi-million-line trace cannot afford per-line events, so the
     replay contributes aggregates: one ``stream`` span covering the wire
     activity window, an ``exposed`` span for the tail beyond compute, a
     ``compute-end`` instant, and counters for lines/bytes.
     """
-    if tracer is not None and tracer.enabled:
+    profile = active_profile()
+    tracer, metrics = profile.tracer, profile.metrics
+    if tracer.enabled:
         tracer.add_span(
             first_arrival,
             result.finish_time,
@@ -101,7 +100,7 @@ def _observe_replay(result: ReplayResult, first_arrival, tracer, metrics) -> Non
                 "link",
                 track="replay-exposed",
             )
-    if metrics is not None and metrics.enabled:
+    if metrics.enabled:
         metrics.counter("replay.lines").inc(result.n_lines)
         metrics.counter("replay.wire_bytes").inc(result.wire_bytes)
         metrics.sample(
@@ -141,8 +140,6 @@ def replay_trace(
     link: CXLLinkModel | None = None,
     dirty_bytes: int = 4,
     start_time: float = 0.0,
-    tracer=None,
-    metrics=None,
 ) -> ReplayResult:
     """Replay ``trace`` over ``link``; returns exposure accounting.
 
@@ -162,9 +159,9 @@ def replay_trace(
         DBA setting: 4 = full lines, 2 = aggregated payloads.
     start_time
         Wire availability time (e.g. end of earlier traffic).
-    tracer, metrics
-        Optional :mod:`repro.obs` hooks; the replay records summary
-        spans/counters (never per-line events — traces can be huge).
+
+    Under an active :mod:`repro.obs` profile the replay records summary
+    spans/counters (never per-line events — traces can be huge).
     """
     _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
@@ -199,7 +196,7 @@ def replay_trace(
         wire_bytes=per_line_bytes * n,
         n_lines=n,
     )
-    _observe_replay(result, first_arrival, tracer, metrics)
+    _observe_replay(result, first_arrival)
     return result
 
 

@@ -16,7 +16,7 @@ from repro.interconnect.aggregation import (
 )
 from repro.interconnect.fabric import CXLFabric, FabricParams
 from repro.models import get_model
-from repro.obs import Metrics, Tracer
+from repro.obs import Metrics, Profile, Tracer
 from repro.offload.cluster import ClusterEngine
 from repro.offload.engines import SystemKind
 from repro.offload.parallel import ClusterParams, DataParallelEngine
@@ -233,7 +233,8 @@ class TestFabricReducer:
 
     def test_spans_and_metrics(self):
         tracer, metrics = Tracer(), Metrics()
-        sim = Simulator(tracer=tracer, metrics=metrics)
+        with Profile(tracer, metrics).activate():
+            sim = Simulator()
         fabric = self._fabric(sim)
         red = fabric.reducer(ranks=range(4))
         n = 16 * 2**20

@@ -334,3 +334,60 @@ class TestMergeDesignJustification:
         bad = Disaggregator(reg).merge_tensor(unsynced_device, payload)
         assert np.max(np.abs(good - cpu_master)) < 1e-6
         assert np.max(np.abs(bad - cpu_master)) > 0.1
+
+
+def _dirty_bytes_sites():
+    """Every constructor/call that takes a DBA ``dirty_bytes`` setting,
+    as ``name -> fn(dirty_bytes)``."""
+    from repro.core.api import TecoConfig
+    from repro.interconnect.packets import CacheLinePayload
+    from repro.memsim.trace import WritebackTrace
+    from repro.models import get_model
+    from repro.offload import SystemKind, TECOEngine
+    from repro.offload.cluster import ClusterEngine
+    from repro.offload.group_offload import ActivationOffloadEngine
+    from repro.offload.parallel import ClusterParams, DataParallelEngine
+    from repro.trace.replay import replay_trace
+
+    spec = get_model("bert-large-cased")
+    trace = WritebackTrace(np.linspace(0.0, 1e-6, 4), np.arange(4) * 64)
+    kind = SystemKind.TECO_REDUCTION
+    return {
+        "ActivationPolicy": lambda db: ActivationPolicy(dirty_bytes=db),
+        "ActivationPolicy.load_state_dict": lambda db: ActivationPolicy()
+        .load_state_dict({**ActivationPolicy().state_dict(), "dirty_bytes": db}),
+        "CacheLinePayload": lambda db: CacheLinePayload(0, dirty_bytes=db),
+        "TecoConfig": lambda db: TecoConfig(dirty_bytes=db),
+        "TECOEngine": lambda db: TECOEngine(spec, 4, dba=True, dirty_bytes=db),
+        "DataParallelEngine": lambda db: DataParallelEngine(
+            kind, spec, 4, ClusterParams(n_gpus=1), dirty_bytes=db
+        ),
+        "ClusterEngine": lambda db: ClusterEngine(
+            kind, spec, 4, ClusterParams(n_gpus=1), dirty_bytes=db
+        ),
+        "ActivationOffloadEngine": lambda db: ActivationOffloadEngine(
+            spec, 4, dba=True, dirty_bytes=db
+        ),
+        "replay_trace": lambda db: replay_trace(trace, dirty_bytes=db),
+    }
+
+
+class TestDirtyBytesCheck:
+    """One rule at every site: an integer (not ``bool``) in 1..4."""
+
+    @pytest.mark.parametrize("site", sorted(_dirty_bytes_sites()))
+    @pytest.mark.parametrize("bad", [0, 5, 2.5, True], ids=repr)
+    def test_every_site_rejects(self, site, bad):
+        with pytest.raises(ValueError, match="dirty_bytes"):
+            _dirty_bytes_sites()[site](bad)
+
+    @pytest.mark.parametrize("site", sorted(_dirty_bytes_sites()))
+    def test_every_site_accepts_integers(self, site):
+        for good in (1, 2, 3, 4, np.int64(2)):
+            _dirty_bytes_sites()[site](good)
+
+    def test_check_returns_a_plain_int(self):
+        from repro.dba import check_dirty_bytes
+
+        value = check_dirty_bytes(np.int64(3))
+        assert value == 3 and type(value) is int

@@ -42,6 +42,7 @@ from repro.experiments.registry import (
     content_hash,
     json_safe,
 )
+from repro.obs import NULL_PROFILE, Profile, active_profile
 
 
 # ---------------------------------------------------------------- registry
@@ -82,21 +83,23 @@ def scratch_registry(monkeypatch):
 def test_context_params_are_filled_from_the_run_context(scratch_registry):
     seen = {}
 
-    def runner(seed, profile=None, checkpoint_dir=None, batch=2):
+    def runner(seed, checkpoint_dir=None, batch=2):
         seen.update(
-            seed=seed, profile=profile, checkpoint_dir=checkpoint_dir
+            seed=seed, profile=active_profile(), checkpoint_dir=checkpoint_dir
         )
         return [{"batch": batch}]
 
+    assert registry._CONTEXT_FIELDS == {"seed", "checkpoint_dir"}
     registry.register("test-context-params", "test-only")(runner)
     spec = registry.get_spec("test-context-params")
     assert spec.params == {"batch": 2}
-    marker = object()
-    ctx = RunContext(profile=marker, checkpoint_dir="ckpts")
+    ctx = RunContext(profile=Profile.new(), checkpoint_dir="ckpts")
     result = registry.run_experiment(
         "test-context-params", {"batch": 3}, seed=7, ctx=ctx
     )
-    assert seen == {"seed": 7, "profile": marker, "checkpoint_dir": "ckpts"}
+    # the profile is not a runner parameter: it is active during the run
+    assert seen == {"seed": 7, "profile": ctx.profile, "checkpoint_dir": "ckpts"}
+    assert active_profile() is NULL_PROFILE
     assert result.rows == [{"batch": 3}]
     assert result.params == {"batch": 3}
 

@@ -14,7 +14,7 @@ from repro.interconnect import (
 )
 from repro.interconnect.fabric import MIN_CELL_BYTES
 from repro.models import get_model
-from repro.obs import Metrics, Tracer, validate_chrome_trace
+from repro.obs import Metrics, Profile, Tracer, validate_chrome_trace
 from repro.offload import (
     ClusterEngine,
     DataParallelEngine,
@@ -294,7 +294,8 @@ class TestCXLFabricTransfers:
         """Chrome traces carry switch/pool queueing spans tagged with the
         tenant, and metrics carry per-tenant byte counters."""
         tracer, metrics = Tracer(), Metrics()
-        sim = Simulator(tracer=tracer, metrics=metrics)
+        with Profile(tracer, metrics).activate():
+            sim = Simulator()
         p = _params(policy="shared", pool_bandwidth=Bandwidth(10 * GB))
         fabric = CXLFabric(sim, p)
         n_bytes = 32 * 2**20
@@ -448,10 +449,9 @@ class TestClusterEngine:
             ClusterParams(n_gpus=1),
             n_hosts=2,
             n_tenants=4,
-            tracer=tracer,
-            metrics=metrics,
         )
-        cl.simulate_step()
+        with Profile(tracer, metrics).activate():
+            cl.simulate_step()
         trace = tracer.chrome_trace(metrics=metrics)
         assert validate_chrome_trace(trace) == []
         counters = metrics.counters()
@@ -781,7 +781,8 @@ class TestStageBookingMatchesPerCellEvents:
         """Booked-ahead stages still emit queue spans and wire samples,
         stamped with the cell's arrival time at the stage."""
         tracer, metrics = Tracer(), Metrics()
-        sim = Simulator(tracer=tracer, metrics=metrics)
+        with Profile(tracer, metrics).activate():
+            sim = Simulator()
         fabric = CXLFabric(
             sim, _params(n_ports=1, policy="shared", pool_bandwidth=Bandwidth(GB))
         )

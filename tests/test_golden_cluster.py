@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.models import get_model
-from repro.obs import Tracer
+from repro.obs import Profile, Tracer
 from repro.offload.cluster import ClusterEngine
 from repro.offload.engines import SystemKind
 from repro.offload.parallel import ClusterParams
@@ -42,7 +42,7 @@ REL_TOL = 1e-9
 def run_2x2() -> tuple[object, Tracer]:
     """One 2x2 cluster step with the frozen configuration."""
     tracer = Tracer()
-    result = ClusterEngine(
+    engine = ClusterEngine(
         SystemKind.TECO_REDUCTION,
         get_model(MODEL),
         GLOBAL_BATCH,
@@ -52,8 +52,9 @@ def run_2x2() -> tuple[object, Tracer]:
         policy="fair",
         reduce_in_fabric=True,
         grad_wire_format=WIRE_FORMAT,
-        tracer=tracer,
-    ).simulate_step()
+    )
+    with Profile(tracer=tracer).activate():
+        result = engine.simulate_step()
     return result, tracer
 
 

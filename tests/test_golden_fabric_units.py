@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.interconnect import CXLFabric, FabricParams
-from repro.obs import Metrics, Tracer
+from repro.obs import Metrics, Profile, Tracer
 from repro.sim import Simulator
 from repro.utils.units import GB, KIB, MIB, NS, US, Bandwidth
 
@@ -76,7 +76,8 @@ def _hex(value):
 def snapshot() -> dict:
     """Run the frozen scenario; everything the fixture pins."""
     tracer, metrics = Tracer(), Metrics()
-    sim = Simulator(tracer=tracer, metrics=metrics)
+    with Profile(tracer, metrics).activate():
+        sim = Simulator()
     fabric = CXLFabric(sim, FabricParams(**PARAMS))
     red = fabric.reducer(ranks=[0, 1, 1], tenant=0)
     gat = fabric.gather_unit(ranks=[1, 2, 2], tenant=1)

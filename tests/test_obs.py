@@ -7,10 +7,12 @@ import pytest
 
 from repro.obs import (
     NULL_METRICS,
+    NULL_PROFILE,
     NULL_TRACER,
     Metrics,
     Profile,
     Tracer,
+    active_profile,
     validate_chrome_trace,
 )
 from repro.sim import SerialLink, Simulator, Store
@@ -211,7 +213,8 @@ class TestNullObjects:
 class TestInstrumentedSim:
     def test_link_spans_and_counters(self):
         tr, mx = Tracer(), Metrics()
-        sim = Simulator(tracer=tr, metrics=mx)
+        with Profile(tr, mx).activate():
+            sim = Simulator()
         link = SerialLink(sim, Bandwidth(1 * GB), name="wire")
 
         def proc(sim):
@@ -227,7 +230,8 @@ class TestInstrumentedSim:
         assert mx.value("wire.transfers") == 2
 
     def test_link_utilization_true_ratio_and_bounded(self):
-        sim = Simulator(metrics=(mx := Metrics()))
+        with Profile(metrics=(mx := Metrics())).activate():
+            sim = Simulator()
         link = SerialLink(sim, Bandwidth(1 * GB), name="wire")
 
         def proc(sim):
@@ -252,7 +256,8 @@ class TestInstrumentedSim:
 
     def test_store_depth_sampling_and_block_instants(self):
         tr, mx = Tracer(), Metrics()
-        sim = Simulator(tracer=tr, metrics=mx)
+        with Profile(tr, mx).activate():
+            sim = Simulator()
         store = Store(sim, capacity=2, name="q")
 
         def producer(sim):
@@ -281,9 +286,8 @@ class TestTrainerTracing:
         model = TinyTransformerLM(
             vocab=16, dim=16, n_heads=2, n_layers=1, max_seq=12, rng=RNG()
         )
-        return OffloadTrainer(
-            model, lr=1e-3, tracer=profile.tracer, metrics=profile.metrics
-        )
+        with profile.activate():
+            return OffloadTrainer(model, lr=1e-3)
 
     def _batches(self, n):
         rng = RNG(1)
@@ -329,11 +333,9 @@ class TestEngineTracing:
         from repro.offload import TECOEngine
 
         profile = Profile.new()
-        engine = TECOEngine(
-            get_model("gpt2"), 4, tracer=profile.tracer,
-            metrics=profile.metrics,
-        )
-        breakdown = engine.simulate_step()
+        engine = TECOEngine(get_model("gpt2"), 4)
+        with profile.activate():
+            breakdown = engine.simulate_step()
         spans = profile.tracer.spans_in("trainer")
         names = {s.name for s in spans}
         assert {"forward", "backward", "clip", "adam", "step"} <= names
@@ -353,10 +355,9 @@ class TestEngineTracing:
             get_model("gpt2"),
             8,
             cluster=ClusterParams(n_gpus=2),
-            tracer=profile.tracer,
-            metrics=profile.metrics,
         )
-        engine.simulate_step()
+        with profile.activate():
+            engine.simulate_step()
         assert profile.tracer.spans_in("trainer")
 
 
@@ -369,7 +370,8 @@ class TestReplayInstrumentation:
         trace = WritebackTrace(
             np.linspace(0.0, 1e-6, 50), np.arange(50) * 64
         )
-        result = replay_trace(trace, tracer=tr, metrics=mx)
+        with Profile(tr, mx).activate():
+            result = replay_trace(trace)
         (stream,) = [s for s in tr.spans_in("link") if s.name == "stream"]
         assert stream.end == pytest.approx(result.finish_time)
         assert stream.args["n_lines"] == 50
@@ -389,7 +391,8 @@ class TestReplayInstrumentation:
             [times[:0], times[:20], times[20:]],
         ):
             tr, mx = Tracer(), Metrics()
-            result = replay_trace(trace, tracer=tr, metrics=mx)
+            with Profile(tr, mx).activate():
+                result = replay_trace(trace)
             (stream,) = [s for s in tr.spans_in("link") if s.name == "stream"]
             traced.append(
                 (result, stream.begin, stream.end, mx.value("replay.lines"))
@@ -403,7 +406,8 @@ class TestReplayInstrumentation:
 
         trace = WritebackTrace(np.linspace(0.0, 1e-6, 50), np.arange(50) * 64)
         a = replay_trace(trace)
-        b = replay_trace(trace, tracer=Tracer(), metrics=Metrics())
+        with Profile.new().activate():
+            b = replay_trace(trace)
         assert a == b
 
 
@@ -416,7 +420,8 @@ class TestCoherenceInstrumentation:
         mx = Metrics()
         amap = AddressMap()
         region = amap.allocate("params", 4096, giant_cache=True)
-        agent = HomeAgent(amap, metrics=mx)
+        with Profile(metrics=mx).activate():
+            agent = HomeAgent(amap)
         line = region.base
         agent.seed_device_copy(line)
         agent.cpu_write(line)
@@ -428,13 +433,26 @@ class TestCoherenceInstrumentation:
         assert mx.value("coherence.control_bytes") == agent.stats.control_bytes
 
 
+def _replayed_streams(profile):
+    """Which trainer-payload CXL streams a traced run replayed (their
+    wire and pending-queue spans sit on ``<stream>-*`` tracks)."""
+    return {
+        stream
+        for stream in ("cxl-grads", "cxl-params")
+        for span in profile.tracer.spans
+        if span.track.startswith(stream + "-")
+    }
+
+
 class TestProfileAndTraceExperiment:
     @pytest.mark.slow
     def test_trace_experiment_fig10(self, tmp_path):
         from repro.obs import trace_experiment
 
         out = tmp_path / "trace.json"
-        profile = trace_experiment("fig10", out=out, steps=3)
+        profile = trace_experiment(
+            "fig10", params={"n_steps": 3, "act_aft_steps": 1}, out=out
+        )
         obj = json.loads(out.read_text())
         assert validate_chrome_trace(obj) == []
         cats = {e.get("cat") for e in obj["traceEvents"]}
@@ -442,11 +460,103 @@ class TestProfileAndTraceExperiment:
         assert {"link", "queue", "trainer"} <= cats
         assert profile.metrics.value("trainer.steps") > 0
         assert "trace summary" in profile.summary()
+        # the trainer recorded both payload series, so both are replayed
+        assert _replayed_streams(profile) == {"cxl-grads", "cxl-params"}
 
     def test_trace_experiment_rejects_unknown(self):
         from repro.obs import trace_experiment
 
         with pytest.raises(ValueError):
             trace_experiment("fig99")
-        with pytest.raises(ValueError):
-            trace_experiment("fig10", steps=1)
+
+    def test_trace_experiment_replays_only_recorded_payloads(self):
+        """table6 runs timing engines only: no trainer payload series,
+        so no CXL stream is made up for it."""
+        from repro.obs import trace_experiment
+
+        profile = trace_experiment("table6")
+        assert {"link", "trainer"} <= profile.tracer.categories()
+        assert profile.metrics.series("trainer.grad_payload_bytes") == []
+        assert _replayed_streams(profile) == set()
+
+
+class TestActiveProfile:
+    def test_null_outside_and_nested_activation(self):
+        outer, inner = Profile.new(), Profile.new()
+        assert active_profile() is NULL_PROFILE
+        with outer.activate():
+            assert active_profile() is outer
+            with inner.activate():
+                assert Simulator().tracer is inner.tracer
+            assert Simulator().metrics is outer.metrics
+        assert active_profile() is NULL_PROFILE
+        assert NULL_PROFILE.tracer is NULL_TRACER
+        assert NULL_PROFILE.metrics is NULL_METRICS
+
+    def test_components_bind_at_build_time(self):
+        """A simulator built under a profile keeps recording into it
+        after the block exits; one built outside records nothing."""
+        profile = Profile.new()
+        with profile.activate():
+            traced = Simulator()
+        untraced = Simulator()
+        for sim in (traced, untraced):
+            SerialLink(sim, Bandwidth(1 * GB), name="wire").transmit(64)
+            sim.run()
+        assert len(profile.tracer.spans_in("link")) == 1
+        assert untraced.tracer is NULL_TRACER
+
+
+#: Experiments that build no Simulator, trainer or trace replay (nothing
+#: to trace) are skipped, as are the ``*_full`` presets, whose cells run
+#: in child processes.
+_NOTHING_TO_TRACE = {"overheads", "lammps", "models"}
+
+#: Reduced parameters for the experiments that are slow at defaults.
+_REDUCED = {
+    "table5": {"n_steps": 6},
+    "fig_fabric": {"nodes": [1], "tenants": [1, 2], "policies": ["fair"]},
+    "fig_aggregation": {"ranks": [2], "policies": ["fair"], "n_steps": 4},
+    "fig_zero3": {"ranks": [2], "formats": ["fp16"]},
+}
+
+
+def _traceable_experiments():
+    from repro.experiments import registry
+
+    return [
+        s.name
+        for s in registry.all_specs()
+        if s.name not in _NOTHING_TO_TRACE and not s.name.endswith("_full")
+    ]
+
+
+class TestEveryExperimentTraceable:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", _traceable_experiments())
+    def test_profiled_run_records_spans_and_keeps_hash(self, name):
+        from repro.experiments.registry import RunContext, run_experiment
+
+        params = _REDUCED.get(name)
+        plain = run_experiment(name, params)
+        profile = Profile.new()
+        traced = run_experiment(name, params, ctx=RunContext(profile=profile))
+        assert len(profile.tracer.spans) >= 1
+        assert traced.result_hash == plain.result_hash
+
+    def test_profiled_sweep_writes_cell_and_merged_traces(self, tmp_path):
+        from repro.experiments.executor import run_sweep
+
+        report = run_sweep(
+            [("table6", {}), ("fig_fabric", _REDUCED["fig_fabric"])],
+            profile_dir=tmp_path,
+        )
+        assert report.failed == 0
+        cells = sorted(tmp_path.glob("cell-*.json"))
+        assert len(cells) == 2
+        for cell in cells:
+            assert json.loads(cell.read_text())["traceEvents"]
+        merged = json.loads((tmp_path / "sweep-trace.json").read_text())
+        assert validate_chrome_trace(merged) == []
+        cats = {e.get("cat") for e in merged["traceEvents"]}
+        assert {"link", "trainer"} <= cats

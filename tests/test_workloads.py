@@ -19,7 +19,7 @@ from repro.interconnect.aggregation import wire_bytes_for
 from repro.interconnect.fabric import CXLFabric, FabricParams
 from repro.interconnect.gather import FabricGather
 from repro.models import get_model
-from repro.obs import Metrics, Tracer
+from repro.obs import Profile, Tracer
 from repro.offload.group_offload import (
     ActivationOffloadEngine,
     GroupOffloadPolicy,
@@ -134,9 +134,9 @@ class TestActivationOffloadEngine:
         policy = GroupOffloadPolicy(
             n_layers=SPEC.n_layers, group_size=2, prefetch_groups=0
         )
-        ActivationOffloadEngine(
-            SPEC, 4, policy=policy, tracer=tracer
-        ).simulate_step()
+        engine = ActivationOffloadEngine(SPEC, 4, policy=policy)
+        with Profile(tracer=tracer).activate():
+            engine.simulate_step()
         names = {s.name for s in tracer.spans}
         assert "act-fetch-stall" in names
         assert "forward" in names  # phase marks still emitted
@@ -261,9 +261,11 @@ class TestKVCacheEngine:
 
     def test_tracer_records_decode_span(self):
         tracer = Tracer()
-        KVCacheEngine.from_residency(
-            SPEC, 0.5, prompt_tokens=64, decode_tokens=8, tracer=tracer
-        ).simulate_decode()
+        engine = KVCacheEngine.from_residency(
+            SPEC, 0.5, prompt_tokens=64, decode_tokens=8
+        )
+        with Profile(tracer=tracer).activate():
+            engine.simulate_decode()
         names = {s.name for s in tracer.spans}
         assert "decode" in names
         assert "kv-fetch-stall" in names
@@ -272,7 +274,8 @@ class TestKVCacheEngine:
 # --- FabricGather ---------------------------------------------------------
 class TestFabricGather:
     def _fabric(self, n_ports=4):
-        sim = Simulator(metrics=Metrics())
+        with Profile().activate():
+            sim = Simulator()
         fabric = CXLFabric(
             sim, FabricParams(n_ports=n_ports, port_latency=0.0)
         )
