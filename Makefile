@@ -62,17 +62,17 @@ service-smoke:
 	PYTHONPATH=src python benchmarks/service_smoke.py
 
 report:
-	python -m repro report --out results
+	PYTHONPATH=src python -m repro report --out results
 
 examples:
-	python examples/quickstart.py
-	python examples/protocol_trace.py
-	python examples/speedup_sweep.py
-	python examples/breakdown_report.py
-	python examples/bert_finetune.py
-	python examples/lammps_melt.py
-	python examples/tune_activation.py
-	python examples/memory_planning.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/protocol_trace.py
+	PYTHONPATH=src python examples/speedup_sweep.py
+	PYTHONPATH=src python examples/breakdown_report.py
+	PYTHONPATH=src python examples/bert_finetune.py
+	PYTHONPATH=src python examples/lammps_melt.py
+	PYTHONPATH=src python examples/tune_activation.py
+	PYTHONPATH=src python examples/memory_planning.py
 
 clean:
 	rm -rf results .pytest_cache .benchmarks

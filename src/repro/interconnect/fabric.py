@@ -35,7 +35,9 @@ per-tenant byte and wait accounting through :class:`FabricStats` and
 from __future__ import annotations
 
 import enum
+import heapq
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 from repro.interconnect.cxl import CXLLinkModel
@@ -80,9 +82,10 @@ def _check_index(what: str, value, n: int, noun: str) -> int:
     """``value`` as an index below ``n``; ``ValueError`` if it is not one.
 
     Integer types of any kind (numpy's included) pass; a float is
-    rejected rather than truncated to some other port or tenant.
+    rejected rather than truncated to some other port or tenant, and a
+    ``bool`` rather than read as port or tenant 0 or 1.
     """
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} {value!r} is not an integer index")
     if not 0 <= value < n:
         raise ValueError(f"{what} {value} out of range (fabric has {n} {noun})")
@@ -94,18 +97,6 @@ def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> list[float]:
     if n_bytes <= MIN_CELL_BYTES or cells_per_transfer == 1:
         return [n_bytes]
     return [n_bytes / cells_per_transfer] * cells_per_transfer
-
-
-def _exit_time(
-    link: SerialLink, now: float, n_bytes: float, extra_delay: float = 0.0
-) -> float:
-    """Book ``link`` for a cell arriving at ``now``; return when it leaves.
-
-    ``now + (done_at - now)`` is the exact float at which
-    :meth:`~repro.sim.SerialLink.transmit` called at ``now`` would fire
-    its delivery event.
-    """
-    return now + (link.occupy(now, n_bytes, extra_delay) - now)
 
 
 def _stage(
@@ -122,28 +113,52 @@ def _stage(
 ) -> float:
     """Send one cell arriving at ``now`` through a fabric stage.
 
-    Returns the cell's exit time.  If the stage wire is busy at ``now``
-    the wait is charged to ``wait_stats[tenant]`` and (when tracing)
-    emitted as a ``span_name`` span in category ``fabric`` — the one
-    place queueing is accounted, for :class:`FabricPort` transfers and
-    the in-fabric reduce and gather stages alike.
+    Returns the cell's exit time, ``now + (done_at - now)``: the exact
+    float at which :meth:`~repro.sim.SerialLink.transmit` called at
+    ``now`` would fire its delivery event.  If the stage wire is busy at
+    ``now`` the wait goes through :func:`_charge_wait`.  This is the
+    per-cell stage of the in-fabric reduce and gather units and of
+    :class:`FabricPort` cells once a unit is attached.
     """
     wait = link.free_at - now
     if wait > 0.0:
-        wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
-        tracer = fabric.sim.tracer
-        if tracer.enabled:
-            tracer.add_span(
-                now,
-                now + wait,
-                span_name,
-                "fabric",
-                track=track,
-                tenant=tenant,
-                port=port,
-                bytes=cell,
-            )
-    return _exit_time(link, now, cell)
+        _charge_wait(
+            fabric, wait_stats, now, wait, span_name, track, tenant, port, cell
+        )
+    return now + (link.occupy(now, cell) - now)
+
+
+def _charge_wait(
+    fabric: "CXLFabric",
+    wait_stats: dict[int, float],
+    t: float,
+    wait: float,
+    span_name: str,
+    track: str,
+    tenant: int,
+    port: int,
+    cell: float,
+) -> None:
+    """Account a cell that arrived at ``t`` and queued a positive ``wait``.
+
+    The wait is added to ``wait_stats[tenant]`` and, when tracing,
+    emitted as a ``span_name`` span in category ``fabric``: the one
+    place queueing is accounted, for per-cell stages and merged drains
+    alike.
+    """
+    wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
+    tracer = fabric.sim.tracer
+    if tracer.enabled:
+        tracer.add_span(
+            t,
+            t + wait,
+            span_name,
+            "fabric",
+            track=track,
+            tenant=tenant,
+            port=port,
+            bytes=cell,
+        )
 
 
 def _tail(sim: Simulator, exits, done: SimEvent, value: float) -> None:
@@ -164,6 +179,26 @@ def _tail(sim: Simulator, exits, done: SimEvent, value: float) -> None:
             sim.at(t).callbacks.append(hop)
 
     hop()
+
+
+def _book_by_link(owners, arrivals, sizes) -> tuple[list[float], list[float]]:
+    """Book each cell into its train's pool link, each link in cell order.
+
+    Returns the exits and waits, indexed like ``owners``.
+    """
+    by_link: dict[SerialLink, list[int]] = {}
+    for k, train in enumerate(owners):
+        by_link.setdefault(train.pool, []).append(k)
+    exits = [0.0] * len(owners)
+    waits = [0.0] * len(owners)
+    for link, ks in by_link.items():
+        link_exits, link_waits = link.book(
+            [arrivals[k] for k in ks], [sizes[k] for k in ks]
+        )
+        for k, t, wait in zip(ks, link_exits, link_waits):
+            exits[k] = t
+            waits[k] = wait
+    return exits, waits
 
 
 class PartitionPolicy(enum.Enum):
@@ -241,7 +276,11 @@ class FabricParams:
     def __post_init__(self) -> None:
         for count in ("n_ports", "n_tenants", "cells_per_transfer"):
             value = getattr(self, count)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
                 raise ValueError(f"{count} must be an integer >= 1, got {value!r}")
         for lat in ("port_latency", "switch_latency", "pool_latency"):
             _check_amount(lat, getattr(self, lat))
@@ -273,8 +312,7 @@ class FabricParams:
 
     def tenant_share(self, tenant: int) -> float:
         """Fraction of pool bandwidth guaranteed to ``tenant``."""
-        if not 0 <= tenant < self.n_tenants:
-            raise ValueError(f"tenant {tenant} out of range")
+        tenant = _check_index("tenant", tenant, self.n_tenants, "tenants")
         if self.policy is PartitionPolicy.SHARED:
             return 1.0
         if self.policy is PartitionPolicy.FAIR_SHARE:
@@ -423,12 +461,12 @@ class FabricPort:
         leaves the pool stage).  ``extra_delay`` is charged once, ahead
         of the first cell (DMA setup / aggregation front-end).
 
-        A stage whose only feed is the stage before it is booked when
-        that stage books the cell; any other stage is booked by an event
-        at the cell's exit from the stage before (see :class:`CXLFabric`).
-        Only the last cell keeps an event per stage exit, which is all
-        ``done`` needs to fire at its all-event place in ``(time, seq)``
-        order.
+        The whole port train is booked now.  Its switch and pool stages
+        are booked by the fabric's arrival merge (see :class:`CXLFabric`)
+        from one event at the last cell's port exit, or, once a reducer
+        or gather unit is attached, by an event at each cell's port exit.
+        Either way ``done`` fires at its all-event place in
+        ``(time, seq)`` order.
         """
         _check_amount("n_bytes", n_bytes)
         _check_amount("extra_delay", extra_delay)
@@ -442,22 +480,18 @@ class FabricPort:
             mx.counter(f"{fabric.name}.port{self.port_index}.bytes").inc(n_bytes)
 
         cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
-        done = sim.event()
         now = sim.now
-        wire = self._wire
+        exits, _ = self._wire.book([now] * len(cells), cells, extra_delay)
+        done = sim.event()
+        if fabric._merge_arrivals:
+            fabric._register(self, exits, cells[0], done, n_bytes)
+            return done
         last = len(cells) - 1
-        for i, cell in enumerate(cells):
-            t_port = _exit_time(wire, now, cell, extra_delay if i == 0 else 0.0)
+        for i, (t_port, cell) in enumerate(zip(exits, cells)):
             tail = done if i == last else None
-            if fabric._switch_books_with_port:
-                t_switch = self._switch(t_port, cell)
-                t_pool = self._pool(t_switch, cell)
-                if tail is not None:
-                    _tail(sim, (t_port, t_switch, t_pool), done, n_bytes)
-            else:
-                sim.at(t_port).callbacks.append(
-                    lambda _ev, c=cell, d=tail: self._leave_port(c, d, n_bytes)
-                )
+            sim.at(t_port).callbacks.append(
+                lambda _ev, c=cell, d=tail: self._leave_port(c, d, n_bytes)
+            )
         return done
 
     # -- stage hand-offs: ``done`` rides the last cell only (else None) ----
@@ -514,6 +548,26 @@ class FabricPort:
         )
 
 
+class _Train:
+    """One :class:`FabricPort` transfer's cells between port and switch."""
+
+    __slots__ = (
+        "tenant", "port_index", "pool", "times", "cell", "next", "last_exits"
+    )
+
+    def __init__(self, port: FabricPort, times: list[float], cell: float):
+        self.tenant = port.tenant
+        self.port_index = port.port_index
+        self.pool = port._pool_link
+        #: Each cell's port exit = switch arrival, non-decreasing.
+        self.times = times
+        self.cell = cell
+        #: Index of the first cell not yet booked into the switch.
+        self.next = 0
+        #: The last cell's ``(switch exit, pool exit)`` once booked.
+        self.last_exits: tuple[float, ...] = ()
+
+
 class CXLFabric:
     """The discrete-event fabric: port wires, switch stage, pool stage.
 
@@ -524,14 +578,27 @@ class CXLFabric:
         link = fabric.port(port_index=3, tenant=6)
         yield link.transmit(chunk_bytes)
 
-    **Booking rule.**  A :class:`~repro.sim.SerialLink` delivers in call
-    order, so a stage fed by one upstream link alone sees its cells in
-    that link's call order, each at its exit time.  Such a stage is
-    booked for a cell the moment the upstream books it, with no event at
-    the upstream exit.  The pool is fed by the switch alone unless a
-    reducer is attached; the switch by one port link alone when
-    ``n_ports == 1`` and no reducer or gather unit is attached.  Event
-    counts thus scale with transfers, not cells, wherever this holds.
+    **Booking rule.**  A :class:`FabricPort` transfer books its whole
+    port train when it is sent and registers each cell's switch arrival
+    (its port exit) with the fabric, keyed ``(port exit, registration
+    order, cell index)`` — the ``(time, seq)`` order in which one event
+    per port exit would fire.  It pushes one event, at its last cell's
+    port exit.  That event drains every registered arrival due by then,
+    in key order: it books the switch, books each pool link for that
+    link's cells in switch order (a :class:`~repro.sim.SerialLink`
+    delivers in call order, so the pool, fed by the switch alone, is
+    booked at the hand-off), charges queueing waits in that same order,
+    and starts the transfer's ``switch exit -> pool exit -> done``
+    event chain.  A cell registered later exits its port no earlier than
+    the drain's time and, on a tie, sorts after every cell drained.
+    Event counts thus scale with transfers, not cells.  Switch and pool
+    state and the wait stats settle at each drain, so a read after
+    ``sim.run(until=t)`` may lag cells still between port and switch.
+
+    A reducer or gather unit sends its own cells into the switch (and a
+    reducer into the pool) from per-cell events, so once one is attached
+    the fabric books those stages by an event at each cell's exit from
+    the stage before.
     """
 
     def __init__(
@@ -579,8 +646,12 @@ class CXLFabric:
         self.stats = FabricStats()
         # Until a reducer or gather unit attaches, the switch is fed by
         # the port links alone and the pool by the switch alone.
-        self._switch_books_with_port = p.n_ports == 1
+        self._merge_arrivals = True
         self._pool_books_with_switch = True
+        #: Port trains with cells not yet booked into the switch, keyed
+        #: ``(next cell's port exit, registration order, train)``.
+        self._arrivals: list[tuple[float, int, _Train]] = []
+        self._registered = 0
 
     def _attach_unit(self, name: str, *, feeds_pool: bool) -> None:
         """Register an in-fabric reducer or gather unit ``name``.
@@ -595,9 +666,93 @@ class CXLFabric:
             raise ValueError(
                 f"{name} must attach to {self.name} before it carries traffic"
             )
-        self._switch_books_with_port = False
+        self._merge_arrivals = False
         if feeds_pool:
             self._pool_books_with_switch = False
+
+    def _register(
+        self,
+        port: FabricPort,
+        exits: list[float],
+        cell: float,
+        done: SimEvent,
+        n_bytes: float,
+    ) -> None:
+        """Queue a booked port train's switch arrivals (``exits``).
+
+        One event, at the last cell's port exit, drains the arrivals due
+        by then and starts ``done``'s chain through switch and pool.
+        """
+        train = _Train(port, exits, cell)
+        self._registered += 1
+        heapq.heappush(self._arrivals, (exits[0], self._registered, train))
+
+        def settle(_ev: SimEvent) -> None:
+            self._drain(self.sim.now)
+            _tail(self.sim, train.last_exits, done, n_bytes)
+
+        self.sim.at(exits[-1]).callbacks.append(settle)
+
+    def _drain(self, now: float) -> None:
+        """Book switch and pool for every pending arrival at or before ``now``.
+
+        Cells are booked in ``(port exit, registration, cell index)``
+        order, the ``(time, seq)`` order one event per port exit would
+        fire in; each pool link sees its cells in switch order, and waits
+        are charged in that order too.  Any train registered later exits
+        its port no earlier than ``now`` and, on a tie, sorts after
+        everything drained here.
+        """
+        heap = self._arrivals
+        runs = []
+        while heap and heap[0][0] <= now:
+            _, order, train = heapq.heappop(heap)
+            times = train.times
+            lo = train.next
+            train.next = hi = bisect_right(times, now, lo)
+            runs.append((order, train, lo, hi))
+            if hi < len(times):
+                heapq.heappush(heap, (times[hi], order, train))
+        if not runs:
+            return
+        runs.sort()  # by registration order, which is unique
+        times, trains = [], []
+        for _, train, lo, hi in runs:
+            times += train.times[lo:hi]
+            trains += [train] * (hi - lo)
+        # Stable on time alone: ties keep (registration, cell) order.
+        merged = sorted(range(len(times)), key=times.__getitem__)
+        arrivals = [times[i] for i in merged]
+        owners = [trains[i] for i in merged]
+        sizes = [train.cell for train in owners]
+        stats = self.stats
+        t_switch, switch_waits = self.switch_link.book(arrivals, sizes)
+        t_pool, pool_waits = _book_by_link(owners, t_switch, sizes)
+        switch_track = self.switch_link.name
+        for k, train in enumerate(owners):
+            wait = switch_waits[k]
+            if wait > 0.0:
+                _charge_wait(
+                    self, stats.tenant_switch_wait, arrivals[k], wait,
+                    "switch-queue", switch_track,
+                    train.tenant, train.port_index, train.cell,
+                )
+            wait = pool_waits[k]
+            if wait > 0.0:
+                _charge_wait(
+                    self, stats.tenant_pool_wait, t_switch[k], wait,
+                    "pool-queue", train.pool.name,
+                    train.tenant, train.port_index, train.cell,
+                )
+        # A train's last cell is its last in merged order.
+        finished = {train for _, train, _, hi in runs if hi == len(train.times)}
+        for k in reversed(range(len(owners))):
+            train = owners[k]
+            if train in finished:
+                train.last_exits = (t_switch[k], t_pool[k])
+                finished.discard(train)
+                if not finished:
+                    break
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""

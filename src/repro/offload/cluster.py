@@ -136,10 +136,6 @@ class ClusterEngine:
         Pool partitioning mode (or its string value).
     tenant_weights
         QoS weights for ``WEIGHTED`` partitioning.
-    fabric
-        Full :class:`FabricParams` override; when given, ``n_hosts`` /
-        ``n_tenants`` / ``policy`` / ``tenant_weights`` must agree with
-        it (they are ignored in favour of the explicit params).
     reduce_in_fabric
         When true, every tenant's gradient direction runs through its
         own :class:`~repro.interconnect.aggregation.FabricReducer` —
@@ -167,7 +163,6 @@ class ClusterEngine:
         n_tenants: int = 1,
         policy: PartitionPolicy | str = PartitionPolicy.FAIR_SHARE,
         tenant_weights: tuple[float, ...] | None = None,
-        fabric: FabricParams | None = None,
         dirty_bytes: int = 2,
         reduce_in_fabric: bool = False,
         grad_wire_format="fp32",
@@ -189,20 +184,18 @@ class ClusterEngine:
         self.dirty_bytes = (
             dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
         )
-        if fabric is None:
-            if kind is SystemKind.ZERO_OFFLOAD:
-                port_bw = self.hw.pcie.effective_bandwidth
-            else:
-                port_bw = self.hw.cxl.effective_bandwidth
-            fabric = FabricParams(
-                n_ports=n_hosts,
-                n_tenants=n_tenants,
-                port_bandwidth=port_bw,
-                port_latency=0.0,
-                policy=policy,
-                tenant_weights=tenant_weights,
-            )
-        self.fabric_params = fabric
+        if kind is SystemKind.ZERO_OFFLOAD:
+            port_bw = self.hw.pcie.effective_bandwidth
+        else:
+            port_bw = self.hw.cxl.effective_bandwidth
+        self.fabric_params = FabricParams(
+            n_ports=n_hosts,
+            n_tenants=n_tenants,
+            port_bandwidth=port_bw,
+            port_latency=0.0,
+            policy=policy,
+            tenant_weights=tenant_weights,
+        )
 
     @property
     def n_hosts(self) -> int:

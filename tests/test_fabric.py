@@ -763,19 +763,78 @@ class TestStageBookingMatchesPerCellEvents:
         assert booked == oracle
 
     def test_event_count_scales_with_transfers_not_cells(self):
-        """One port, nothing attached: a 32-cell transfer costs the four
-        events of its last cell, not 3 x 32 + 1."""
-        counts = {}
-        for name, make_port in (
-            ("booked", lambda fabric, p, t: fabric.port(p, tenant=t)),
-            ("oracle", PerCellPort),
-        ):
-            sim = Simulator()
-            fabric = CXLFabric(sim, _params(n_ports=1, n_tenants=1))
-            make_port(fabric, 0, 0).transmit(1 << 20)
+        """Nothing attached, any port count: a 32-cell transfer costs the
+        four events of its last cell, not 3 x 32 + 1."""
+        for n_ports in (1, 2, 4):
+            counts = {}
+            for name, make_port in (
+                ("booked", lambda fabric, p, t: fabric.port(p, tenant=t)),
+                ("oracle", PerCellPort),
+            ):
+                sim = Simulator()
+                fabric = CXLFabric(sim, _params(n_ports=n_ports, n_tenants=1))
+                make_port(fabric, n_ports - 1, 0).transmit(1 << 20)
+                sim.run()
+                counts[name] = sim._seq
+            assert counts == {"booked": 4, "oracle": 3 * 32 + 1}, n_ports
+
+    def test_cross_port_ties_book_in_registration_order(self):
+        """Two ports send equal transfers at the same instant, so every
+        switch arrival is a tie between identical floats.  The merge books
+        the tie in registration order, as the per-cell events fire, and
+        waits, spans and deliveries match the oracle."""
+        params = _params(
+            n_ports=2,
+            n_tenants=2,
+            switch_bandwidth=Bandwidth(20 * GB),
+            pool_bandwidth=Bandwidth(10 * GB),
+            policy="shared",
+            cells_per_transfer=4,
+        )
+
+        def run(make_port):
+            tracer = Tracer()
+            with Profile(tracer).activate():
+                sim = Simulator()
+            fabric = CXLFabric(sim, params)
+            ends = []
+            for t in (1, 0):  # tenant 1 on port 1 registers first
+                ev = make_port(fabric, t, t).transmit(64 * 1024)
+                ev.callbacks.append(lambda _ev, t=t: ends.append((t, sim.now)))
             sim.run()
-            counts[name] = sim._seq
-        assert counts == {"booked": 4, "oracle": 3 * 32 + 1}
+            queued = sorted(
+                (s.begin, s.end, s.name, s.args["tenant"], s.args["port"])
+                for s in tracer.spans
+                if s.cat == "fabric"
+            )
+            return fabric.stats.snapshot(), ends, queued
+
+        booked = run(lambda fabric, p, t: fabric.port(p, tenant=t))
+        assert booked == run(PerCellPort)
+        stats, ends, queued = booked
+        # Each tie is won by the transfer registered first (tenant 1):
+        # only tenant 0's cells queue at the switch, half a port cell
+        # time each, behind tenant 1's cell.
+        switch = [q for q in queued if q[2] == "switch-queue"]
+        assert [q[3] for q in switch] == [0] * 4
+        half_cell = 16 * 1024 / (20 * GB)
+        assert all(e - b == pytest.approx(half_cell) for b, e, *_ in switch)
+        assert stats["tenant_switch_wait"].keys() == {"0"}
+        assert [t for t, _ in ends] == [1, 0]
+
+    def test_stage_stats_settle_at_each_drain(self):
+        """Switch and pool are booked when a transfer's last cell leaves
+        its port, so a read mid-train lags the cells already across."""
+        sim = Simulator()
+        fabric = CXLFabric(sim, _params(n_ports=2, n_tenants=1))
+        fabric.port(1, tenant=0).transmit(1 << 20)
+        port = fabric.port_links[1]
+        sim.run(until=port.free_at / 2)
+        assert port.transfers == 32
+        assert fabric.switch_link.transfers == 0
+        sim.run()
+        assert fabric.switch_link.transfers == 32
+        assert fabric.pool_link_for(0).transfers == 32
 
     def test_tracer_and_metrics_hooks_still_fire(self):
         """Booked-ahead stages still emit queue spans and wire samples,
@@ -973,6 +1032,25 @@ class TestLateAttachmentAndBadInput:
         assert port.name == "fabric-p1-t1"
         assert red.ranks == [0, 1]
         assert red.name == "fabric-reduce-t1"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FabricParams(n_ports=True),
+            lambda: FabricParams(n_tenants=True),
+            lambda: FabricParams(cells_per_transfer=True),
+            lambda: CXLFabric(Simulator(), _params()).port(True),
+            lambda: CXLFabric(Simulator(), _params()).port(0, tenant=False),
+            lambda: CXLFabric(Simulator(), _params()).reducer(ranks=[0, True]),
+            lambda: FabricParams(n_tenants=2).tenant_share(0.5),
+            lambda: FabricParams(n_tenants=2).tenant_share(True),
+            lambda: FabricParams(n_tenants=2).tenant_share(2),
+        ],
+    )
+    def test_bool_and_fractional_indices_rejected(self, make):
+        # bools used to pass as 0/1 and tenant_share(0.5) returned 0.5.
+        with pytest.raises(ValueError):
+            make()
 
     @pytest.mark.parametrize(
         "kw",

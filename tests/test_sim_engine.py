@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Metrics, Profile, Tracer
 from repro.sim import Process, Resource, SerialLink, Simulator, Store
 from repro.utils.units import Bandwidth
 
@@ -428,6 +429,128 @@ class TestSerialLink:
     def test_bad_latency_rejected(self, latency):
         with pytest.raises(ValueError, match="finite and non-negative"):
             SerialLink(Simulator(), Bandwidth(100.0), latency=latency)
+
+
+_CELL = st.one_of(
+    st.sampled_from([0, 0.0, 1, 64, 4096, 1e6]),
+    st.floats(min_value=0.0, max_value=1e7),
+)
+
+
+@st.composite
+def booking_runs(draw):
+    """A link, its backlog, and one run of cells with arrival times."""
+    bandwidth = draw(st.sampled_from([1e9, 2.0**30, 3.3e9, 94.3e8 / 7]))
+    latency = draw(st.sampled_from([0.0, 1.1e-7, 2.5e-7]))
+    backlog = draw(st.lists(_CELL, max_size=3))
+    k = draw(st.integers(1, 32))
+    start = draw(st.sampled_from([0.0, 1e-9, 3.3e-6, 0.125]))
+    gaps = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.0, 0.0, 1e-10, 3e-7, 1e-3]),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    times, t = [], start
+    for gap in gaps:
+        t += gap
+        times.append(t)
+    sizes = draw(st.lists(_CELL, min_size=k, max_size=k))
+    extra = draw(st.sampled_from([0.0, 1e-9, 7e-7]))
+    return bandwidth, latency, backlog, times, sizes, extra
+
+
+def _link_state(link):
+    return (
+        link.free_at,
+        link.busy_time,
+        link.bytes_sent,
+        type(link.bytes_sent),
+        link.transfers,
+    )
+
+
+class TestSerialLinkBook:
+    """``book`` is one ``occupy`` per cell, float for float."""
+
+    @staticmethod
+    def _links(bandwidth, latency, backlog):
+        links = []
+        for _ in range(2):
+            link = SerialLink(Simulator(), Bandwidth(bandwidth), latency=latency)
+            for n in backlog:
+                link.occupy(0.0, n)
+            links.append(link)
+        return links
+
+    @given(run=booking_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_occupy(self, run):
+        bandwidth, latency, backlog, times, sizes, extra = run
+        booked, oracle = self._links(bandwidth, latency, backlog)
+        exits, waits = booked.book(times, sizes, extra)
+        ref_exits, ref_waits = [], []
+        for i, (t, n) in enumerate(zip(times, sizes)):
+            ref_waits.append(oracle.free_at - t)
+            done_at = oracle.occupy(t, n, extra if i == 0 else 0.0)
+            ref_exits.append(t + (done_at - t))
+        assert [x.hex() for x in exits] == [x.hex() for x in ref_exits]
+        assert [x.hex() for x in waits] == [x.hex() for x in ref_waits]
+        assert _link_state(booked) == _link_state(oracle)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "sizes, extra_first",
+        [
+            ([100, float("nan"), 100], 0.0),
+            ([100, 100, float("inf")], 0.0),
+            ([-1.0], 0.0),
+            ([100, -1e-9], 0.0),
+            ([100], float("nan")),
+            ([100], -1e-9),
+            ([100, 100], 0.0),  # one size short of the three times
+        ],
+    )
+    def test_bad_input_rejected_before_any_state_change(
+        self, traced, sizes, extra_first
+    ):
+        if traced:
+            with Profile(Tracer(), Metrics()).activate():
+                sim = Simulator()
+        else:
+            sim = Simulator()
+        link = SerialLink(sim, Bandwidth(100.0), latency=0.5)
+        link.occupy(0.0, 100)
+        before = _link_state(link)
+        times = [0.0] * (3 if len(sizes) == 2 else len(sizes))
+        with pytest.raises(ValueError):
+            link.book(times, sizes, extra_first)
+        assert _link_state(link) == before
+
+    def test_traced_run_emits_the_per_cell_spans_and_samples(self):
+        times, sizes = [0.0, 0.0, 2e-9, 1e-6], [4096, 0, 1e3, 64.0]
+        runs = []
+        for book in (True, False):
+            tracer, metrics = Tracer(), Metrics()
+            with Profile(tracer, metrics).activate():
+                sim = Simulator()
+            link = SerialLink(sim, Bandwidth(3e9), latency=1e-7, name="w")
+            if book:
+                link.book(times, sizes, 5e-9)
+            else:
+                for i, (t, n) in enumerate(zip(times, sizes)):
+                    link.occupy(t, n, 5e-9 if i == 0 else 0.0)
+            runs.append(
+                (
+                    [(s.name, s.begin, s.end, s.args) for s in tracer.spans],
+                    metrics.series("w.utilization"),
+                    metrics.counter("w.bytes").value,
+                    metrics.counter("w.transfers").value,
+                )
+            )
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 4
 
 
 class TestAbsoluteTimeAndValidation:
