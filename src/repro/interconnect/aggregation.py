@@ -22,7 +22,10 @@ attached to a :class:`~repro.interconnect.fabric.CXLFabric`.  It shares
 the rank uplink and per-cell barrier with the fabric's other in-switch
 unit; once every rank's cell is in, it charges the reduce ALU (a
 :class:`~repro.sim.SerialLink` processing the summed inputs) and ships
-**one** reduced cell through the pool stage.
+**one** reduced cell through the pool stage.  Its cells ride the
+fabric's arrival merge: the drain that completes a barrier books the
+ALU, the reduced cell joins the pool merge keyed by its ALU exit, and a
+call pushes five events however many cells and ranks it has.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.interconnect.fabric import (
+    _INF,
     CXLFabric,
     _check_amount,
+    _Collect,
     _RankUnit,
-    _stage,
+    _tail,
 )
 from repro.sim import SerialLink, SimEvent
 from repro.utils.units import NS, Bandwidth
@@ -329,7 +334,6 @@ class FabricReducer(_RankUnit):
     """
 
     kind = "reduce"
-    feeds_pool = True
 
     def __init__(
         self,
@@ -341,9 +345,7 @@ class FabricReducer(_RankUnit):
         reduce_latency: float = DEFAULT_REDUCE_LATENCY,
         name: str | None = None,
     ):
-        # Bad ALU parameters must fail before the unit attaches.
         alu_bandwidth = Bandwidth(reduce_bandwidth)
-        _check_amount("reduce_latency", reduce_latency)
         super().__init__(fabric, ranks, tenant=tenant, name=name)
         #: The reduce ALU: a serialized engine whose occupancy per cell
         #: is the *summed* input bytes of all ranks.
@@ -362,43 +364,51 @@ class FabricReducer(_RankUnit):
         Returns the delivery event: it fires when the last reduced cell
         leaves the pool stage.  ``extra_delay`` is charged once per rank
         ahead of its first cell (DMA setup / encode front-end).
+
+        The call pushes the events of its last cell only: its last rank
+        cell's port exit, its barrier, its ALU exit and its pool exit.
         """
         _check_amount("n_bytes_per_rank", n_bytes_per_rank)
         _check_amount("extra_delay", extra_delay)
-        return self._collect(n_bytes_per_rank, extra_delay, per_cell=1)
+        col, trains = self._collect(n_bytes_per_rank, extra_delay)
+        fabric = self.fabric
+        sim = fabric.sim
+        done = sim.event()
 
-    def _release(self, cell: float, delivered) -> None:
-        sim = self.fabric.sim
-        now = sim.now
-        # The ALU sweeps the summed inputs of this cell.
-        summed = cell * self.n_ranks
-        ev = self.alu.transmit(summed)
-        if sim.tracer.enabled:
-            sim.tracer.add_span(
-                now,
-                now + self.alu.bandwidth.time_for(summed),
+        def settle(_ev: SimEvent) -> None:
+            fabric._drain(sim.now, col.call, col.reg)
+            sim.at(col.bar[-1]).callbacks.append(barrier)
+
+        def barrier(_ev: SimEvent) -> None:
+            sim.at(col.key[0]).callbacks.append(alu_exit)
+
+        def alu_exit(_ev: SimEvent) -> None:
+            fabric._drain(sim.now, col.bar[-1], _INF)
+            fabric._flush_pool(col.key)
+            _tail(sim, col.last_exits[1:], done, n_bytes_per_rank)
+
+        sim.at(max(train.times[-1] for train in trains)).callbacks.append(
+            settle
+        )
+        return done
+
+    def _forward(
+        self, col: _Collect, i: int, t_bar: float, t_port: float, push: int
+    ) -> None:
+        """Book the ALU over the summed inputs and queue the reduced cell."""
+        summed = col.cell * self.n_ranks
+        alu = self.alu
+        t_alu = t_bar + (alu.occupy(t_bar, summed) - t_bar)
+        tracer = self.fabric.sim.tracer
+        if tracer.enabled:
+            tracer.add_span(
+                t_bar,
+                t_bar + alu.bandwidth.time_for(summed),
                 "fabric-reduce",
                 "fabric",
                 track=self.name,
                 tenant=self.tenant,
-                bytes=cell,
+                bytes=col.cell,
                 ranks=self.n_ranks,
             )
-        ev.callbacks.append(lambda _ev: self._enter_pool(cell, delivered))
-
-    def _enter_pool(self, cell: float, delivered) -> None:
-        fabric = self.fabric
-        self._account_out(cell)
-        pool = fabric.pool_link_for(self.tenant)
-        t_pool = _stage(
-            fabric,
-            pool,
-            fabric.sim.now,
-            cell,
-            tenant=self.tenant,
-            port=-1,  # reduced cells no longer belong to one port
-            wait_stats=fabric.stats.tenant_pool_wait,
-            span_name="pool-queue",
-            track=pool.name,
-        )
-        fabric.sim.at(t_pool).callbacks.append(delivered)
+        self.fabric._queue_reduced(col, i, t_alu, t_bar, t_port, push)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import heapq
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 
 from repro.interconnect.cxl import CXLLinkModel
@@ -73,7 +73,9 @@ _INF = float("inf")
 
 
 def _check_amount(name: str, value: float) -> None:
-    """Reject a byte count or delay that is negative, NaN or infinite."""
+    """Reject a byte count or delay that is a bool, negative, NaN or infinite."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value < _INF:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
@@ -99,35 +101,6 @@ def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> list[float]:
     return [n_bytes / cells_per_transfer] * cells_per_transfer
 
 
-def _stage(
-    fabric: "CXLFabric",
-    link: SerialLink,
-    now: float,
-    cell: float,
-    *,
-    tenant: int,
-    port: int,
-    wait_stats: dict[int, float],
-    span_name: str,
-    track: str,
-) -> float:
-    """Send one cell arriving at ``now`` through a fabric stage.
-
-    Returns the cell's exit time, ``now + (done_at - now)``: the exact
-    float at which :meth:`~repro.sim.SerialLink.transmit` called at
-    ``now`` would fire its delivery event.  If the stage wire is busy at
-    ``now`` the wait goes through :func:`_charge_wait`.  This is the
-    per-cell stage of the in-fabric reduce and gather units and of
-    :class:`FabricPort` cells once a unit is attached.
-    """
-    wait = link.free_at - now
-    if wait > 0.0:
-        _charge_wait(
-            fabric, wait_stats, now, wait, span_name, track, tenant, port, cell
-        )
-    return now + (link.occupy(now, cell) - now)
-
-
 def _charge_wait(
     fabric: "CXLFabric",
     wait_stats: dict[int, float],
@@ -143,8 +116,7 @@ def _charge_wait(
 
     The wait is added to ``wait_stats[tenant]`` and, when tracing,
     emitted as a ``span_name`` span in category ``fabric``: the one
-    place queueing is accounted, for per-cell stages and merged drains
-    alike.
+    place queueing is accounted, for drains and gather downlinks alike.
     """
     wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
     tracer = fabric.sim.tracer
@@ -179,26 +151,6 @@ def _tail(sim: Simulator, exits, done: SimEvent, value: float) -> None:
             sim.at(t).callbacks.append(hop)
 
     hop()
-
-
-def _book_by_link(owners, arrivals, sizes) -> tuple[list[float], list[float]]:
-    """Book each cell into its train's pool link, each link in cell order.
-
-    Returns the exits and waits, indexed like ``owners``.
-    """
-    by_link: dict[SerialLink, list[int]] = {}
-    for k, train in enumerate(owners):
-        by_link.setdefault(train.pool, []).append(k)
-    exits = [0.0] * len(owners)
-    waits = [0.0] * len(owners)
-    for link, ks in by_link.items():
-        link_exits, link_waits = link.book(
-            [arrivals[k] for k in ks], [sizes[k] for k in ks]
-        )
-        for k, t, wait in zip(ks, link_exits, link_waits):
-            exits[k] = t
-            waits[k] = wait
-    return exits, waits
 
 
 class PartitionPolicy(enum.Enum):
@@ -282,6 +234,12 @@ class FabricParams:
                 or value < 1
             ):
                 raise ValueError(f"{count} must be an integer >= 1, got {value!r}")
+        for bw in ("port_bandwidth", "switch_bandwidth", "pool_bandwidth"):
+            value = getattr(self, bw)
+            if value is None and bw != "port_bandwidth":
+                continue  # sized from the ports (``resolved_*``)
+            if not isinstance(value, Bandwidth):
+                raise ValueError(f"{bw} must be a Bandwidth, got {value!r}")
         for lat in ("port_latency", "switch_latency", "pool_latency"):
             _check_amount(lat, getattr(self, lat))
         object.__setattr__(self, "policy", PartitionPolicy.parse(self.policy))
@@ -461,12 +419,10 @@ class FabricPort:
         leaves the pool stage).  ``extra_delay`` is charged once, ahead
         of the first cell (DMA setup / aggregation front-end).
 
-        The whole port train is booked now.  Its switch and pool stages
-        are booked by the fabric's arrival merge (see :class:`CXLFabric`)
-        from one event at the last cell's port exit, or, once a reducer
-        or gather unit is attached, by an event at each cell's port exit.
-        Either way ``done`` fires at its all-event place in
-        ``(time, seq)`` order.
+        The whole port train is booked now.  The fabric's arrival merge
+        (see :class:`CXLFabric`) books its switch and pool stages from
+        one event at the last cell's port exit, and ``done`` fires at
+        its all-event place in ``(time, seq)`` order.
         """
         _check_amount("n_bytes", n_bytes)
         _check_amount("extra_delay", extra_delay)
@@ -482,89 +438,93 @@ class FabricPort:
         cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
         now = sim.now
         exits, _ = self._wire.book([now] * len(cells), cells, extra_delay)
+        train = _Train(
+            self.tenant, self.port_index, cells[0], exits, now, self._pool_link
+        )
+        fabric._register((train,))
         done = sim.event()
-        if fabric._merge_arrivals:
-            fabric._register(self, exits, cells[0], done, n_bytes)
-            return done
-        last = len(cells) - 1
-        for i, (t_port, cell) in enumerate(zip(exits, cells)):
-            tail = done if i == last else None
-            sim.at(t_port).callbacks.append(
-                lambda _ev, c=cell, d=tail: self._leave_port(c, d, n_bytes)
-            )
+
+        def settle(_ev: SimEvent) -> None:
+            fabric._drain(sim.now, now, train.reg)
+            _tail(sim, train.last_exits, done, n_bytes)
+
+        sim.at(exits[-1]).callbacks.append(settle)
         return done
-
-    # -- stage hand-offs: ``done`` rides the last cell only (else None) ----
-    def _leave_port(
-        self, cell: float, done: SimEvent | None, n_bytes: float
-    ) -> None:
-        fabric = self.fabric
-        sim = fabric.sim
-        t_switch = self._switch(sim.now, cell)
-        if fabric._pool_books_with_switch:
-            t_pool = self._pool(t_switch, cell)
-            if done is not None:
-                _tail(sim, (t_switch, t_pool), done, n_bytes)
-        else:
-            sim.at(t_switch).callbacks.append(
-                lambda _ev: self._leave_switch(cell, done, n_bytes)
-            )
-
-    def _leave_switch(
-        self, cell: float, done: SimEvent | None, n_bytes: float
-    ) -> None:
-        sim = self.fabric.sim
-        t_pool = self._pool(sim.now, cell)
-        if done is not None:
-            _tail(sim, (t_pool,), done, n_bytes)
-
-    def _switch(self, now: float, cell: float) -> float:
-        fabric = self.fabric
-        return _stage(
-            fabric,
-            fabric.switch_link,
-            now,
-            cell,
-            tenant=self.tenant,
-            port=self.port_index,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=fabric.switch_link.name,
-        )
-
-    def _pool(self, now: float, cell: float) -> float:
-        fabric = self.fabric
-        pool = self._pool_link
-        return _stage(
-            fabric,
-            pool,
-            now,
-            cell,
-            tenant=self.tenant,
-            port=self.port_index,
-            wait_stats=fabric.stats.tenant_pool_wait,
-            span_name="pool-queue",
-            track=pool.name,
-        )
 
 
 class _Train:
-    """One :class:`FabricPort` transfer's cells between port and switch."""
+    """One stream of equal cells through one port wire.
+
+    ``times`` are the cells' port exits (= switch arrivals), in cell
+    order and non-decreasing, booked by a call at sim time ``call``.  A
+    :class:`FabricPort` transfer is one train that goes on to its
+    tenant's ``pool`` link.  A unit call is one train per rank, all under
+    the call's registration and :class:`_Collect`; cell ``i`` at rank
+    position ``pos`` was the call's ``i * stride + pos``-th port cell.
+    """
 
     __slots__ = (
-        "tenant", "port_index", "pool", "times", "cell", "next", "last_exits"
+        "tenant", "port_index", "cell", "times", "call", "pool", "collect",
+        "pos", "stride", "reg", "next", "last_exits",
     )
 
-    def __init__(self, port: FabricPort, times: list[float], cell: float):
-        self.tenant = port.tenant
-        self.port_index = port.port_index
-        self.pool = port._pool_link
-        #: Each cell's port exit = switch arrival, non-decreasing.
-        self.times = times
+    def __init__(
+        self,
+        tenant: int,
+        port_index: int,
+        cell: float,
+        times: list[float],
+        call: float,
+        pool: SerialLink | None = None,
+        collect: "_Collect | None" = None,
+        pos: int = 0,
+        stride: int = 1,
+    ):
+        self.tenant = tenant
+        self.port_index = port_index
         self.cell = cell
+        self.times = times
+        self.call = call
+        self.pool = pool
+        self.collect = collect
+        self.pos = pos
+        self.stride = stride
+        self.reg = 0
         #: Index of the first cell not yet booked into the switch.
         self.next = 0
         #: The last cell's ``(switch exit, pool exit)`` once booked.
+        self.last_exits: tuple[float, ...] = ()
+
+
+class _Collect:
+    """One unit call's per-cell rank barriers.
+
+    ``arrived[i]`` counts the ranks whose cell ``i`` the switch has
+    booked, ``first[i]`` is the earliest of their switch exits and
+    ``bar[i]`` the barrier once all are in.  A reducer's reduced cells
+    enter its tenant's ``pool`` link from no port (``port_index`` -1);
+    its last cell's pool-arrival ``key`` and ``(ALU exit, pool exit)``
+    are kept for the call's events.
+    """
+
+    __slots__ = (
+        "unit", "tenant", "port_index", "pool", "cell", "call", "reg",
+        "arrived", "first", "bar", "last", "key", "last_exits",
+    )
+
+    def __init__(self, unit: "_RankUnit", cell: float, n_cells: int):
+        self.unit = unit
+        self.tenant = unit.tenant
+        self.cell = cell
+        self.port_index = -1
+        self.pool = unit.fabric.pool_link_for(unit.tenant)
+        self.call = unit.fabric.sim.now
+        self.reg = 0
+        self.arrived = [0] * n_cells
+        self.first = [0.0] * n_cells
+        self.bar = [0.0] * n_cells
+        self.last = n_cells - 1
+        self.key: tuple = ()
         self.last_exits: tuple[float, ...] = ()
 
 
@@ -578,27 +538,67 @@ class CXLFabric:
         link = fabric.port(port_index=3, tenant=6)
         yield link.transmit(chunk_bytes)
 
-    **Booking rule.**  A :class:`FabricPort` transfer books its whole
-    port train when it is sent and registers each cell's switch arrival
-    (its port exit) with the fabric, keyed ``(port exit, registration
-    order, cell index)`` — the ``(time, seq)`` order in which one event
-    per port exit would fire.  It pushes one event, at its last cell's
-    port exit.  That event drains every registered arrival due by then,
-    in key order: it books the switch, books each pool link for that
-    link's cells in switch order (a :class:`~repro.sim.SerialLink`
-    delivers in call order, so the pool, fed by the switch alone, is
-    booked at the hand-off), charges queueing waits in that same order,
-    and starts the transfer's ``switch exit -> pool exit -> done``
-    event chain.  A cell registered later exits its port no earlier than
-    the drain's time and, on a tie, sorts after every cell drained.
-    Event counts thus scale with transfers, not cells.  Switch and pool
-    state and the wait stats settle at each drain, so a read after
-    ``sim.run(until=t)`` may lag cells still between port and switch.
+    **Booking rule.**  Every stage is booked in the order an all-event
+    pipeline -- one event per cell per stage, each stage booked when
+    that event fires -- would book it, but only events whose effects are
+    visible outside the fabric are pushed.  An event's place in that
+    pipeline is its ``(time, seq)``; ``seq`` grows with push order, so
+    it is the place of the event that pushed it, back to the call that
+    pushed the cell onto its port.
 
-    A reducer or gather unit sends its own cells into the switch (and a
-    reducer into the pool) from per-cell events, so once one is attached
-    the fabric books those stages by an event at each cell's exit from
-    the stage before.
+    *Switch.*  A :class:`FabricPort` transfer, or each rank of a reducer
+    or gather call, books its port train when called and registers it.
+    A cell's switch arrival is its port exit, keyed ``(port exit,
+    registration, push number)``: the cell index, or ``i * R + rank
+    position`` for a unit call, which pushes its cells cell-major.  A
+    *drain* books the switch for every registered cell due by ``now``,
+    in key order.  Drains run from the events standing for a port exit
+    (a transfer's last cell, a reducer call's and each gather cell's
+    last rank cell), from a gather barrier and from a reducer's last ALU
+    exit.  A cell registered later exits its port no earlier than its
+    call, so never before a drain's time, and on a tie its later
+    registration sorts it after everything drained: the switch sees one
+    order however the drains fall, and its exits are non-decreasing in
+    that order.  While a gather barrier is due at ``now``, a drain takes
+    the cells exiting their port at ``now`` only from calls made before
+    its own event's place, because the barrier's egress waits add into
+    ``tenant_switch_wait`` between those cells' switch waits.
+
+    *Barrier and ALU.*  A unit cell's barrier is the switch exit of its
+    last rank cell in switch order, so barriers complete in switch
+    order, fabric-wide.  The drain that books that rank cell charges
+    ``tenant_<kind>_wait`` (last minus first switch exit) and books a
+    reducer's private ALU at the barrier, the floats ``alu.transmit``
+    gives there.
+
+    *Pool.*  The pool has two feeds: switch exits of port cells and ALU
+    exits of reduced cells.  A port cell's pool arrival is keyed
+    ``(switch exit, port exit, call)`` and a reduced cell's ``(ALU exit,
+    barrier, port exit of its last rank cell, registration, push
+    number)``: the ``(time, seq)`` chains of the per-cell events that
+    booked the pool.  Where the third entries tie, that order rests on
+    events outside the fabric, and the port cell goes first.  Reduced
+    cells wait in a heap.  A drain books each port cell at once, after
+    every waiting reduced cell keyed before it, and a reducer's last ALU
+    exit books the waiting cells up to its own.  This is safe because a
+    reduced cell not yet waiting has its last rank cell after, in switch
+    order, every port cell already drained, so its ALU exit is no
+    earlier than their switch exits; and a waiting one is booked only
+    when a port cell keyed after it is drained or the clock reaches it.
+
+    Each surviving event is pushed at the same point, relative to all
+    other pushes, as its per-cell counterpart and fires at the same
+    float, so ``done`` and every other event keep their ``(time, seq)``
+    order: 4 pushes per :class:`FabricPort` transfer, 5 per reducer call
+    and ``2 * cells + 2`` per gather call.  Stage exits are ``t +
+    (done_at - t)`` from the arrival ``t``, as ``transmit`` gives.  A
+    zero-byte cell's exit can round one ulp below that of the cell
+    ahead of it on the same wire; the booked stages keep it in FIFO
+    order where the per-cell events let it overtake (a test in
+    ``tests/test_fabric.py`` pins the case), and the monotone orders
+    above assume cells of at least one byte.  Stage state and wait stats
+    settle at each drain, so a read after ``sim.run(until=t)`` may lag
+    cells still between port and switch.
     """
 
     def __init__(
@@ -644,115 +644,217 @@ class CXLFabric:
                 for t in range(p.n_tenants)
             ]
         self.stats = FabricStats()
-        # Until a reducer or gather unit attaches, the switch is fed by
-        # the port links alone and the pool by the switch alone.
-        self._merge_arrivals = True
-        self._pool_books_with_switch = True
-        #: Port trains with cells not yet booked into the switch, keyed
-        #: ``(next cell's port exit, registration order, train)``.
-        self._arrivals: list[tuple[float, int, _Train]] = []
+        #: Trains with cells not yet booked into the switch, keyed
+        #: ``(next cell's port exit, registration, rank position, train)``.
+        self._arrivals: list[tuple[float, int, int, _Train]] = []
         self._registered = 0
+        #: Reduced cells not yet booked into the pool, keyed as in the
+        #: class docstring, then ``(collect, cell index)``.
+        self._pool_pending: list[tuple] = []
+        #: Gather barrier events pushed and not yet fired, by time.
+        self._barriers_due: dict[float, int] = {}
 
-    def _attach_unit(self, name: str, *, feeds_pool: bool) -> None:
-        """Register an in-fabric reducer or gather unit ``name``.
-
-        The unit sends its own cells into the switch (and, for a reducer,
-        into the pool), so those stages go back to booking at event time.
-        Cells of transfers already in flight may have been booked ahead,
-        and the unit's cells could not queue behind them in order: it
-        must attach before the fabric carries any traffic.
-        """
-        if any(link.transfers for link in self.port_links):
-            raise ValueError(
-                f"{name} must attach to {self.name} before it carries traffic"
-            )
-        self._merge_arrivals = False
-        if feeds_pool:
-            self._pool_books_with_switch = False
-
-    def _register(
-        self,
-        port: FabricPort,
-        exits: list[float],
-        cell: float,
-        done: SimEvent,
-        n_bytes: float,
-    ) -> None:
-        """Queue a booked port train's switch arrivals (``exits``).
-
-        One event, at the last cell's port exit, drains the arrivals due
-        by then and starts ``done``'s chain through switch and pool.
-        """
-        train = _Train(port, exits, cell)
+    def _register(self, trains) -> int:
+        """Queue one call's booked port trains; returns its registration."""
         self._registered += 1
-        heapq.heappush(self._arrivals, (exits[0], self._registered, train))
+        reg = self._registered
+        for train in trains:
+            train.reg = reg
+            heapq.heappush(self._arrivals, (train.times[0], reg, train.pos, train))
+        return reg
 
-        def settle(_ev: SimEvent) -> None:
-            self._drain(self.sim.now)
-            _tail(self.sim, train.last_exits, done, n_bytes)
+    def _drain(self, now: float, call_limit: float, reg_limit: float) -> None:
+        """Book the switch for every registered cell due by ``now``.
 
-        self.sim.at(exits[-1]).callbacks.append(settle)
-
-    def _drain(self, now: float) -> None:
-        """Book switch and pool for every pending arrival at or before ``now``.
-
-        Cells are booked in ``(port exit, registration, cell index)``
-        order, the ``(time, seq)`` order one event per port exit would
-        fire in; each pool link sees its cells in switch order, and waits
-        are charged in that order too.  Any train registered later exits
-        its port no earlier than ``now`` and, on a tie, sorts after
-        everything drained here.
+        In key order, as :class:`CXLFabric` describes: switch waits, then
+        barrier releases, then port cells into the pool.  While a gather
+        barrier is due at ``now``, a cell exiting its port exactly at
+        ``now`` is due only if its call's ``(call time, registration)``
+        is at most ``(call_limit, reg_limit)``, the calls made before the
+        draining event's place; nothing else at ``now`` sees what a drain
+        books.
         """
         heap = self._arrivals
         runs = []
+        bounded = now in self._barriers_due
         while heap and heap[0][0] <= now:
-            _, order, train = heapq.heappop(heap)
+            t, reg, pos, train = heap[0]
+            call = train.call
+            late = bounded and (
+                call > call_limit or (call == call_limit and reg > reg_limit)
+            )
+            if late and t == now:
+                break
+            heapq.heappop(heap)
             times = train.times
             lo = train.next
-            train.next = hi = bisect_right(times, now, lo)
-            runs.append((order, train, lo, hi))
+            train.next = hi = (bisect_left if late else bisect_right)(times, now, lo)
+            runs.append((reg, pos, train, lo, hi))
             if hi < len(times):
-                heapq.heappush(heap, (times[hi], order, train))
+                heapq.heappush(heap, (times[hi], reg, pos, train))
         if not runs:
             return
-        runs.sort()  # by registration order, which is unique
+        runs.sort()  # by (registration, rank position), which is unique
         times, trains = [], []
-        for _, train, lo, hi in runs:
+        tied = units = False
+        prev = 0
+        for reg, _, train, lo, hi in runs:
             times += train.times[lo:hi]
             trains += [train] * (hi - lo)
-        # Stable on time alone: ties keep (registration, cell) order.
-        merged = sorted(range(len(times)), key=times.__getitem__)
-        arrivals = [times[i] for i in merged]
-        owners = [trains[i] for i in merged]
-        sizes = [train.cell for train in owners]
-        stats = self.stats
-        t_switch, switch_waits = self.switch_link.book(arrivals, sizes)
-        t_pool, pool_waits = _book_by_link(owners, t_switch, sizes)
-        switch_track = self.switch_link.name
-        for k, train in enumerate(owners):
-            wait = switch_waits[k]
+            tied = tied or reg == prev
+            units = units or train.collect is not None
+            prev = reg
+        merged = range(len(times))
+        if tied:
+            # Several ranks of one call: order by push number first.
+            span = max(train.stride * len(train.times) for _, _, train, _, _ in runs)
+            push = []
+            for reg, pos, train, lo, hi in runs:
+                base = reg * span + pos
+                step = train.stride
+                push += range(base + lo * step, base + hi * step, step)
+            merged = sorted(merged, key=push.__getitem__)
+        # Stable on time alone: ties keep (registration, push number) order.
+        merged = sorted(merged, key=times.__getitem__)
+        arrivals = [times[k] for k in merged]
+        trains = [trains[k] for k in merged]
+        sizes = [train.cell for train in trains]
+        t_switch, waits = self.switch_link.book(arrivals, sizes)
+        wait_stats = self.stats.tenant_switch_wait
+        track = self.switch_link.name
+        for t, wait, train in zip(arrivals, waits, trains):
             if wait > 0.0:
                 _charge_wait(
-                    self, stats.tenant_switch_wait, arrivals[k], wait,
-                    "switch-queue", switch_track,
+                    self, wait_stats, t, wait, "switch-queue", track,
                     train.tenant, train.port_index, train.cell,
                 )
-            wait = pool_waits[k]
+        if units:
+            index = []
+            for _, _, _, lo, hi in runs:
+                index += range(lo, hi)
+            index = [index[k] for k in merged]
+            pooled = []
+            for k, train in enumerate(trains):
+                col = train.collect
+                if col is None:
+                    pooled.append(k)
+                    continue
+                i = index[k]
+                arrived = col.arrived[i] = col.arrived[i] + 1
+                if arrived == 1:
+                    col.first[i] = t_switch[k]
+                if arrived == train.stride:  # every rank's cell ``i`` is in
+                    col.unit._release(
+                        col, i, t_switch[k], arrivals[k], i * train.stride + train.pos
+                    )
+            if not pooled:
+                return
+            t_switch = [t_switch[k] for k in pooled]
+            arrivals = [arrivals[k] for k in pooled]
+            trains = [trains[k] for k in pooled]
+            sizes = [sizes[k] for k in pooled]
+        finished = {
+            train
+            for _, _, train, _, hi in runs
+            if hi == len(train.times) and train.collect is None
+        }
+        pending = self._pool_pending
+        if pending and pending[0][0] <= t_switch[-1]:
+            # Reduced cells keyed before a port cell enter the pool first.
+            times, owners = [], []
+            for t, t_port, train in zip(t_switch, arrivals, trains):
+                # On a tie of the three entries the port cell goes first.
+                key = (t, t_port, train.call)
+                while pending and pending[0][:3] < key:
+                    self._pop_pending(times, owners, finished)
+                times.append(t)
+                owners.append(train)
+            t_switch, trains = times, owners
+            sizes = [owner.cell for owner in owners]
+        self._book_pool(t_switch, trains, sizes, finished)
+
+    def _queue_reduced(
+        self, col: _Collect, i: int, t_alu: float, t_bar: float, t_port: float,
+        push: int,
+    ) -> None:
+        """Queue reduced cell ``i`` of ``col`` for the pool at ``t_alu``.
+
+        Its barrier was ``t_bar``, released by the rank cell with port
+        exit ``t_port`` and push number ``push``.
+        """
+        entry = (t_alu, t_bar, t_port, col.reg, push, col, i)
+        heapq.heappush(self._pool_pending, entry)
+        if i == col.last:
+            col.key = entry[:5]
+
+    def _at_barrier(self, t_bar: float, release) -> None:
+        """Call ``release()`` from a gather barrier event at ``t_bar``.
+
+        Drains bound themselves while such an event is due (see
+        :meth:`_drain`).
+        """
+        due = self._barriers_due
+        due[t_bar] = due.get(t_bar, 0) + 1
+
+        def fire(_ev: SimEvent) -> None:
+            release()
+            due[t_bar] -= 1
+            if not due[t_bar]:
+                del due[t_bar]
+
+        self.sim.at(t_bar).callbacks.append(fire)
+
+    def _pop_pending(self, times: list, owners: list, finished: set) -> None:
+        """Move the first waiting reduced cell onto the pool lists."""
+        t_alu, _, _, _, _, col, i = heapq.heappop(self._pool_pending)
+        col.unit._account_out(col.cell)
+        times.append(t_alu)
+        owners.append(col)
+        if i == col.last:
+            finished.add(col)
+
+    def _book_pool(self, times, owners, sizes, finished: set) -> None:
+        """Book pool arrivals in key order, one cell of ``owners[k]`` each.
+
+        An owner is a port cell's :class:`_Train` or a reduced cell's
+        :class:`_Collect`; each link sees its cells in list order, and
+        waits are charged in that order.  Each ``finished`` owner's last
+        cell, its last in the list, sets its ``last_exits``.
+        """
+        by_link: dict[SerialLink, list[int]] = {}
+        for k, owner in enumerate(owners):
+            by_link.setdefault(owner.pool, []).append(k)
+        exits = [0.0] * len(owners)
+        waits = [0.0] * len(owners)
+        for link, ks in by_link.items():
+            link_exits, link_waits = link.book(
+                [times[k] for k in ks], [sizes[k] for k in ks]
+            )
+            for k, t, wait in zip(ks, link_exits, link_waits):
+                exits[k] = t
+                waits[k] = wait
+        wait_stats = self.stats.tenant_pool_wait
+        for t, wait, owner in zip(times, waits, owners):
             if wait > 0.0:
                 _charge_wait(
-                    self, stats.tenant_pool_wait, t_switch[k], wait,
-                    "pool-queue", train.pool.name,
-                    train.tenant, train.port_index, train.cell,
+                    self, wait_stats, t, wait, "pool-queue", owner.pool.name,
+                    owner.tenant, owner.port_index, owner.cell,
                 )
-        # A train's last cell is its last in merged order.
-        finished = {train for _, train, _, hi in runs if hi == len(train.times)}
         for k in reversed(range(len(owners))):
-            train = owners[k]
-            if train in finished:
-                train.last_exits = (t_switch[k], t_pool[k])
-                finished.discard(train)
-                if not finished:
-                    break
+            if not finished:
+                break
+            if owners[k] in finished:
+                owners[k].last_exits = (times[k], exits[k])
+                finished.discard(owners[k])
+
+    def _flush_pool(self, key: tuple) -> None:
+        """Book every waiting reduced cell keyed at or before ``key``."""
+        pending = self._pool_pending
+        times, owners, finished = [], [], set()
+        while pending and pending[0][:5] <= key:
+            self._pop_pending(times, owners, finished)
+        if times:
+            self._book_pool(times, owners, [o.cell for o in owners], finished)
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""
@@ -813,16 +915,16 @@ class _RankUnit:
     of every rank has arrived, charging early arrivals' wait to
     ``FabricStats.tenant_<kind>_wait`` and a ``<kind>-wait`` span.
 
-    A subclass sets :attr:`kind` (which names its stats fields, metrics
-    and spans) and :attr:`feeds_pool`, and supplies its public method and
-    :meth:`_release` — what happens to a cell once every rank's is in.
+    A call books every rank's port train at once and registers them with
+    the fabric's arrival merge (see :class:`CXLFabric`), whose drains
+    book the switch and release each barrier in switch order.  A
+    subclass sets :attr:`kind` (which names its stats fields, metrics and
+    spans) and supplies its public method, which pushes the call's
+    events, and may override :meth:`_forward`.
     """
 
     #: ``"reduce"`` or ``"gather"``.
     kind: str
-    #: Whether released cells enter the pool stage (see
-    #: :meth:`CXLFabric._attach_unit`).
-    feeds_pool: bool
 
     def __init__(
         self,
@@ -846,7 +948,6 @@ class _RankUnit:
         #: Bytes sent on past the barrier: reduced cells into the pool,
         #: or peer cells multicast back down the ports.
         self.bytes_out = 0.0
-        fabric._attach_unit(self.name, feeds_pool=self.feeds_pool)
 
     @property
     def n_ranks(self) -> int:
@@ -859,14 +960,14 @@ class _RankUnit:
         per_tenant[self.tenant] = per_tenant.get(self.tenant, 0.0) + n
 
     def _collect(
-        self, n_bytes: float, extra_delay: float, per_cell: int
-    ) -> SimEvent:
+        self, n_bytes: float, extra_delay: float
+    ) -> tuple[_Collect, list[_Train]]:
         """Uplink one ``n_bytes`` stream from every rank.
 
-        Returns the event that fires once each cell has made
-        ``per_cell`` calls to the ``delivered`` callback handed to
-        :meth:`_release`.  ``extra_delay`` is charged once per rank
-        ahead of its first cell.
+        Books each port wire for its ranks' cells, cell-major as one
+        port transmit per (cell, rank) would, with ``extra_delay`` ahead
+        of each rank's first cell, and registers one train per rank.
+        Returns the call's barrier state and its trains.
         """
         fabric = self.fabric
         sim = fabric.sim
@@ -882,75 +983,62 @@ class _RankUnit:
                 in_bytes
             )
 
-        cell_sizes = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
-        done = sim.event()
-        remaining = len(cell_sizes) * per_cell
-
-        def delivered(_ev: SimEvent) -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining == 0:
-                done.succeed(n_bytes)
-
-        for i, cell in enumerate(cell_sizes):
-            state = {"arrived": 0, "first": None}
-            for port in self.ranks:
-                port_ev = fabric.port_links[port].transmit(
-                    cell, extra_delay=extra_delay if i == 0 else 0.0
-                )
-                port_ev.callbacks.append(
-                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
-                        c, p, s, delivered
-                    )
-                )
-        return done
-
-    # -- stage hand-offs (event callbacks at stage-exit times) -------------
-    def _enter_switch(self, cell: float, port: int, state, delivered) -> None:
-        fabric = self.fabric
-        sim = fabric.sim
-        t_switch = _stage(
-            fabric,
-            fabric.switch_link,
-            sim.now,
-            cell,
-            tenant=self.tenant,
-            port=port,
-            wait_stats=fabric.stats.tenant_switch_wait,
-            span_name="switch-queue",
-            track=fabric.switch_link.name,
-        )
-        sim.at(t_switch).callbacks.append(
-            lambda _ev: self._arrive(cell, state, delivered)
-        )
-
-    def _arrive(self, cell: float, state, delivered) -> None:
-        sim = self.fabric.sim
+        cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
+        n_cells = len(cells)
+        cell = cells[0]
+        col = _Collect(self, cell, n_cells)
         now = sim.now
-        if state["first"] is None:
-            state["first"] = now
-        state["arrived"] += 1
-        if state["arrived"] < self.n_ranks:
-            return
-        # Last rank's cell is in: early arrivals waited for it.
-        wait = now - state["first"]
+        n_ranks = self.n_ranks
+        on_port: dict[int, list[int]] = {}
+        for pos, port in enumerate(self.ranks):
+            on_port.setdefault(port, []).append(pos)
+        trains: list[_Train] = [None] * n_ranks  # type: ignore[list-item]
+        for port, positions in on_port.items():
+            # A second rank's first cell starts behind the first rank's,
+            # so ``extra_delay`` on the wire's first cell is the same.
+            m = len(positions)
+            exits, _ = fabric.port_links[port].book(
+                [now] * (n_cells * m), [cell] * (n_cells * m), extra_delay
+            )
+            for q, pos in enumerate(positions):
+                trains[pos] = _Train(
+                    self.tenant, port, cell, exits[q::m], now,
+                    collect=col, pos=pos, stride=n_ranks,
+                )
+        col.reg = fabric._register(trains)
+        return col, trains
+
+    def _release(
+        self, col: _Collect, i: int, t_bar: float, t_port: float, push: int
+    ) -> None:
+        """Cell ``i``'s barrier completed at ``t_bar``.
+
+        Called by the drain that booked its last rank cell into the
+        switch (port exit ``t_port``, push number ``push``).
+        """
+        first = col.first[i]
+        wait = t_bar - first
         if wait > 0.0:
             self._add(f"tenant_{self.kind}_wait", wait)
-            if sim.tracer.enabled:
-                sim.tracer.add_span(
-                    state["first"],
-                    now,
+            tracer = self.fabric.sim.tracer
+            if tracer.enabled:
+                tracer.add_span(
+                    first,
+                    t_bar,
                     f"{self.kind}-wait",
                     "fabric",
                     track=self.name,
                     tenant=self.tenant,
-                    bytes=cell,
+                    bytes=col.cell,
                 )
-        self._release(cell, delivered)
+        col.bar[i] = t_bar
+        self._forward(col, i, t_bar, t_port, push)
 
-    def _release(self, cell: float, delivered) -> None:
-        """Forward one barrier-complete ``cell``; calls ``delivered`` per delivery."""
-        raise NotImplementedError
+    def _forward(
+        self, col: _Collect, i: int, t_bar: float, t_port: float, push: int
+    ) -> None:
+        """Send released cell ``i`` on at drain time (arguments as
+        :meth:`_release`); a gather waits for its barrier event instead."""
 
     def _account_out(self, n_bytes: float) -> None:
         """Charge ``n_bytes`` leaving the unit to its out-byte accounting."""

@@ -17,11 +17,23 @@ per-rank downlink traffic per gather is ``shard_bytes * (R - 1)`` — the
 all-gather volume — while per-rank *uplink* traffic is only the ``1/R``
 shard.  A single-rank "gather" is a no-op that completes immediately:
 the rank already holds every shard.
+
+The uplink cells ride the fabric's arrival merge.  The downlinks share
+the port wires with uplinks booked at call time, so they are booked at
+barrier time, in event order: a gather call pushes two events per cell
+(its last rank cell's port exit, then its barrier) and one delivery for
+the whole call.
 """
 
 from __future__ import annotations
 
-from repro.interconnect.fabric import _check_amount, _RankUnit, _stage
+from repro.interconnect.fabric import (
+    _INF,
+    _charge_wait,
+    _check_amount,
+    _RankUnit,
+    _tail,
+)
 from repro.sim import SimEvent
 
 __all__ = ["FabricGather"]
@@ -44,7 +56,6 @@ class FabricGather(_RankUnit):
     """
 
     kind = "gather"
-    feeds_pool = False
 
     def gather(self, shard_bytes: float, extra_delay: float = 0.0) -> SimEvent:
         """All-gather one ``shard_bytes`` shard from every rank.
@@ -57,36 +68,57 @@ class FabricGather(_RankUnit):
         """
         _check_amount("shard_bytes", shard_bytes)
         _check_amount("extra_delay", extra_delay)
+        sim = self.fabric.sim
+        done = sim.event()
         if self.n_ranks == 1 or shard_bytes == 0.0:
-            done = self.fabric.sim.event()
             done.succeed(shard_bytes)
             return done
-        # One downlink delivery per (cell, rank).
-        return self._collect(shard_bytes, extra_delay, per_cell=self.n_ranks)
-
-    def _release(self, cell: float, delivered) -> None:
-        """Ship each rank's missing ``R - 1`` peer cells down its port."""
+        col, trains = self._collect(shard_bytes, extra_delay)
         fabric = self.fabric
-        sim = fabric.sim
+
+        def uplinked(i: int) -> None:
+            # Cell ``i``'s last rank cell left its port: time its barrier.
+            t_port = sim.now
+            fabric._drain(t_port, col.call, col.reg)
+            fabric._at_barrier(col.bar[i], lambda: barrier(i, t_port))
+
+        def barrier(i: int, t_port: float) -> None:
+            last = self._multicast(col.cell, t_port)
+            if i == col.last:
+                # The last downlink of the last cell is the last delivery.
+                _tail(sim, (last,), done, shard_bytes)
+
+        for i, t in enumerate(map(max, zip(*(train.times for train in trains)))):
+            sim.at(t).callbacks.append(lambda _ev, i=i: uplinked(i))
+        return done
+
+    def _multicast(self, cell: float, t_port: float) -> float:
+        """Ship each rank's missing ``R - 1`` peer cells down its port.
+
+        Runs at the barrier of a cell whose last rank cell left its port
+        at ``t_port``; returns the last downlink's exit.
+        """
+        fabric = self.fabric
+        now = fabric.sim.now
+        # Port cells whose per-cell events precede the barrier's queue at
+        # the switch first, so their waits precede the egress waits.
+        fabric._drain(now, t_port, _INF)
         R = self.n_ranks
         self._account_out(cell * (R - 1) * R)
+        down = cell * (R - 1)
+        last = now
         for port in self.ranks:
-            down = cell * (R - 1)
             fabric.stats._account_bytes(port, self.tenant, down)
-            # Egress head-of-line blocking on a busy port downlink is
-            # charged as switch-side queueing (the cells are parked in
-            # the switch until the port wire frees up).
-            t_down = _stage(
-                fabric,
-                fabric.port_links[port],
-                sim.now,
-                down,
-                tenant=self.tenant,
-                port=port,
-                wait_stats=fabric.stats.tenant_switch_wait,
-                span_name="gather-egress-queue",
-                track=fabric.port_links[port].name,
-            )
-            # Each rank's downlink delivery counts once toward `done`,
-            # regardless of how the peer cells pack onto the wire.
-            sim.at(t_down).callbacks.append(delivered)
+            wire = fabric.port_links[port]
+            wait = wire.free_at - now
+            if wait > 0.0:
+                # Egress head-of-line blocking on a busy port downlink is
+                # charged as switch-side queueing (the cells are parked
+                # in the switch until the port wire frees up).
+                _charge_wait(
+                    fabric, fabric.stats.tenant_switch_wait, now, wait,
+                    "gather-egress-queue", wire.name, self.tenant, port, down,
+                )
+            # The float ``transmit`` at ``now`` would fire its delivery at.
+            last = max(last, now + (wire.occupy(now, down) - now))
+        return last

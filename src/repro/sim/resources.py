@@ -166,9 +166,12 @@ class SerialLink:
         latency: float = 0.0,
         name: str = "link",
     ):
-        if not 0.0 <= latency < _INF:
+        if not isinstance(bandwidth, Bandwidth):
+            raise ValueError(f"bandwidth must be a Bandwidth, got {bandwidth!r}")
+        # A bool is an int, but ``latency=True`` is a typo, not 1 s.
+        if isinstance(latency, bool) or not 0.0 <= latency < _INF:
             raise ValueError(
-                f"latency must be finite and non-negative, got {latency}"
+                f"latency must be finite and non-negative, got {latency!r}"
             )
         self.sim = sim
         self.bandwidth = bandwidth

@@ -12,6 +12,10 @@ from repro.interconnect import (
     FabricParams,
     PartitionPolicy,
 )
+from repro.interconnect.aggregation import (
+    DEFAULT_REDUCE_BANDWIDTH,
+    DEFAULT_REDUCE_LATENCY,
+)
 from repro.interconnect.fabric import MIN_CELL_BYTES
 from repro.models import get_model
 from repro.obs import Metrics, Profile, Tracer, validate_chrome_trace
@@ -21,7 +25,7 @@ from repro.offload import (
     SystemKind,
 )
 from repro.offload.parallel import ClusterParams
-from repro.sim import SimEvent, Simulator
+from repro.sim import SerialLink, SimEvent, Simulator
 from repro.utils.units import GB, NS, Bandwidth
 
 
@@ -104,6 +108,24 @@ class TestFabricParams:
         # Each used to be accepted and fail late: a NaN event time at
         # the first transmit, NaN pool bandwidth, or a TypeError in range.
         with pytest.raises(ValueError):
+            FabricParams(**kw)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(port_bandwidth=5e9),
+            dict(switch_bandwidth=5e9),
+            dict(pool_bandwidth=5e9),
+            dict(port_latency=True),
+            dict(switch_latency=False),
+            dict(pool_latency=True),
+        ],
+    )
+    def test_rejects_plain_float_bandwidth_and_bool_latency(self, kw):
+        # Each used to be accepted: a float bandwidth then failed with an
+        # AttributeError at fabric build or first transmit, and
+        # ``port_latency=True`` ran as a 1 s latency.
+        with pytest.raises(ValueError, match="Bandwidth|number"):
             FabricParams(**kw)
 
     def test_numpy_integer_counts_accepted(self):
@@ -594,6 +616,10 @@ class PerCellPort:
         sim = fabric.sim
         self.bytes_sent += n_bytes
         fabric.stats._account_bytes(self.port_index, self.tenant, n_bytes)
+        mx = sim.metrics
+        if mx.enabled:
+            mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(n_bytes)
+            mx.counter(f"{fabric.name}.port{self.port_index}.bytes").inc(n_bytes)
         cells = fabric.params.cells_per_transfer
         if n_bytes <= MIN_CELL_BYTES or cells == 1:
             cell_sizes = [n_bytes]
@@ -646,6 +672,202 @@ class PerCellPort:
         ev.callbacks.append(pool_done)
 
 
+class _PerCellUnit:
+    """A rank unit as first written: one event per rank cell per stage.
+
+    Each rank's cell is an event at its port exit that books the switch,
+    and an event at its switch exit that counts it into the per-cell
+    barrier; the last arrival releases the cell.  ``done`` fires when a
+    countdown over every delivery reaches zero.
+    """
+
+    kind: str
+
+    def __init__(self, fabric, ranks, tenant=0):
+        self.fabric = fabric
+        self.ranks = list(ranks)
+        self.tenant = tenant
+        self.name = f"{fabric.name}-{self.kind}-t{tenant}"
+        self.bytes_in = 0.0
+        self.bytes_out = 0.0
+
+    @property
+    def n_ranks(self):
+        return len(self.ranks)
+
+    def _add(self, field_name, n):
+        per_tenant = getattr(self.fabric.stats, field_name)
+        per_tenant[self.tenant] = per_tenant.get(self.tenant, 0.0) + n
+
+    def _account_out(self, n_bytes):
+        self.bytes_out += n_bytes
+        self._add(f"tenant_{self.kind}_out_bytes", n_bytes)
+        mx = self.fabric.sim.metrics
+        if mx.enabled:
+            mx.counter(f"{self.fabric.name}.{self.kind}.out_bytes").inc(n_bytes)
+
+    def _collect(self, n_bytes, extra_delay, per_cell):
+        fabric = self.fabric
+        sim = fabric.sim
+        in_bytes = n_bytes * self.n_ranks
+        self.bytes_in += in_bytes
+        self._add(f"tenant_{self.kind}_in_bytes", in_bytes)
+        for port in self.ranks:
+            fabric.stats._account_bytes(port, self.tenant, n_bytes)
+        mx = sim.metrics
+        if mx.enabled:
+            mx.counter(f"{fabric.name}.{self.kind}.in_bytes").inc(in_bytes)
+            mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(in_bytes)
+        cells = fabric.params.cells_per_transfer
+        if n_bytes <= MIN_CELL_BYTES or cells == 1:
+            cell_sizes = [n_bytes]
+        else:
+            cell_sizes = [n_bytes / cells] * cells
+        done = sim.event()
+        remaining = len(cell_sizes) * per_cell
+
+        def delivered(_ev):
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0:
+                done.succeed(n_bytes)
+
+        for i, cell in enumerate(cell_sizes):
+            state = {"arrived": 0, "first": None}
+            for port in self.ranks:
+                port_ev = fabric.port_links[port].transmit(
+                    cell, extra_delay=extra_delay if i == 0 else 0.0
+                )
+                port_ev.callbacks.append(
+                    lambda _ev, c=cell, p=port, s=state: self._enter_switch(
+                        c, p, s, delivered
+                    )
+                )
+        return done
+
+    def _enter_switch(self, cell, port, state, delivered):
+        fabric = self.fabric
+        ev = _per_cell_stage_transmit(
+            fabric,
+            fabric.switch_link,
+            cell,
+            tenant=self.tenant,
+            port=port,
+            wait_stats=fabric.stats.tenant_switch_wait,
+            span_name="switch-queue",
+            track=fabric.switch_link.name,
+        )
+        ev.callbacks.append(lambda _ev: self._arrive(cell, state, delivered))
+
+    def _arrive(self, cell, state, delivered):
+        sim = self.fabric.sim
+        if state["first"] is None:
+            state["first"] = sim.now
+        state["arrived"] += 1
+        if state["arrived"] < self.n_ranks:
+            return
+        wait = sim.now - state["first"]
+        if wait > 0.0:
+            self._add(f"tenant_{self.kind}_wait", wait)
+            if sim.tracer.enabled:
+                sim.tracer.add_span(
+                    state["first"],
+                    sim.now,
+                    f"{self.kind}-wait",
+                    "fabric",
+                    track=self.name,
+                    tenant=self.tenant,
+                    bytes=cell,
+                )
+        self._release(cell, delivered)
+
+
+class PerCellReducer(_PerCellUnit):
+    """Differential oracle for :class:`FabricReducer`: the ALU is booked
+    by the barrier event, the pool by an event at the ALU exit."""
+
+    kind = "reduce"
+
+    def __init__(self, fabric, ranks, tenant=0):
+        super().__init__(fabric, ranks, tenant)
+        self.alu = SerialLink(
+            fabric.sim,
+            Bandwidth(DEFAULT_REDUCE_BANDWIDTH),
+            latency=DEFAULT_REDUCE_LATENCY,
+            name=f"{self.name}-alu",
+        )
+
+    def reduce(self, n_bytes_per_rank, extra_delay=0.0):
+        return self._collect(n_bytes_per_rank, extra_delay, per_cell=1)
+
+    def _release(self, cell, delivered):
+        sim = self.fabric.sim
+        summed = cell * self.n_ranks
+        ev = self.alu.transmit(summed)
+        if sim.tracer.enabled:
+            sim.tracer.add_span(
+                sim.now,
+                sim.now + self.alu.bandwidth.time_for(summed),
+                "fabric-reduce",
+                "fabric",
+                track=self.name,
+                tenant=self.tenant,
+                bytes=cell,
+                ranks=self.n_ranks,
+            )
+        ev.callbacks.append(lambda _ev: self._enter_pool(cell, delivered))
+
+    def _enter_pool(self, cell, delivered):
+        fabric = self.fabric
+        self._account_out(cell)
+        pool = fabric.pool_link_for(self.tenant)
+        ev = _per_cell_stage_transmit(
+            fabric,
+            pool,
+            cell,
+            tenant=self.tenant,
+            port=-1,
+            wait_stats=fabric.stats.tenant_pool_wait,
+            span_name="pool-queue",
+            track=pool.name,
+        )
+        ev.callbacks.append(delivered)
+
+
+class PerCellGather(_PerCellUnit):
+    """Differential oracle for :class:`FabricGather`: every rank's
+    downlink delivery is an event counted toward ``done``."""
+
+    kind = "gather"
+
+    def gather(self, shard_bytes, extra_delay=0.0):
+        if self.n_ranks == 1 or shard_bytes == 0.0:
+            done = self.fabric.sim.event()
+            done.succeed(shard_bytes)
+            return done
+        return self._collect(shard_bytes, extra_delay, per_cell=self.n_ranks)
+
+    def _release(self, cell, delivered):
+        fabric = self.fabric
+        R = self.n_ranks
+        self._account_out(cell * (R - 1) * R)
+        for port in self.ranks:
+            down = cell * (R - 1)
+            fabric.stats._account_bytes(port, self.tenant, down)
+            wire = fabric.port_links[port]
+            ev = _per_cell_stage_transmit(
+                fabric,
+                wire,
+                down,
+                tenant=self.tenant,
+                port=port,
+                wait_stats=fabric.stats.tenant_switch_wait,
+                span_name="gather-egress-queue",
+                track=wire.name,
+            )
+            ev.callbacks.append(delivered)
+
+
 _SIZES = st.one_of(
     st.sampled_from(
         [1.0, 64.0, MIN_CELL_BYTES - 1.0, MIN_CELL_BYTES, MIN_CELL_BYTES + 1.0]
@@ -667,7 +889,7 @@ _OPS = st.lists(
 
 @st.composite
 def fabric_scenarios(draw):
-    """Fabric shape, attached unit and per-tenant transfer programs."""
+    """Fabric shape, per-tenant transfer programs and attached units."""
     n_ports = draw(st.integers(1, 4))
     n_tenants = draw(st.integers(1, 8))
     policy = draw(st.sampled_from(list(PartitionPolicy)))
@@ -690,33 +912,34 @@ def fabric_scenarios(draw):
         tenant_weights=weights,
         cells_per_transfer=draw(st.integers(1, 32)),
     )
-    if draw(st.booleans()):  # symmetric tenants, all starting at t=0
+    symmetric = draw(st.booleans())
+    if symmetric:  # symmetric tenants and units, all starting at t=0
         ops = draw(_OPS)
         ops[0] = (0.0, *ops[0][1:])
         programs = [ops] * n_tenants
     else:
         programs = [draw(_OPS) for _ in range(n_tenants)]
-    unit = draw(st.sampled_from([None, "reducer", "gather"]))
-    unit_ops = draw(_OPS) if unit else []
-    ranks = draw(
-        st.lists(st.integers(0, n_ports - 1), min_size=1, max_size=3)
+    kinds = draw(
+        st.sampled_from([(), ("reducer",), ("gather",), ("reducer", "gather")])
     )
-    return params, programs, unit, ranks, unit_ops
+    units = []
+    for k, kind in enumerate(kinds):
+        # Ranks may share ports; with both units, tenants differ if they can.
+        ranks = draw(
+            st.lists(st.integers(0, n_ports - 1), min_size=1, max_size=4)
+        )
+        unit_ops = programs[0] if symmetric else draw(_OPS)
+        units.append((kind, k % n_tenants, ranks, unit_ops))
+    return params, programs, units
 
 
-def _run_scenario(scenario, make_port):
-    """Run one scenario; returns everything that must match bit for bit."""
-    params, programs, unit_kind, ranks, unit_ops = scenario
+def _run_scenario(scenario, oracle=False):
+    """Run one scenario on the fabric's own classes, or on the per-cell
+    oracles; returns everything that must match bit for bit."""
+    params, programs, units = scenario
     sim = Simulator()
     fabric = CXLFabric(sim, params)
     deliveries = []
-    unit = None
-    if unit_kind == "reducer":
-        unit = fabric.reducer(ranks=ranks, tenant=0)
-        send_unit = unit.reduce
-    elif unit_kind == "gather":
-        unit = fabric.gather_unit(ranks=ranks, tenant=0)
-        send_unit = unit.gather
 
     def program(sim, key, send, ops):
         for k, (gap, n_bytes, extra, wait) in enumerate(ops):
@@ -730,37 +953,52 @@ def _run_scenario(scenario, make_port):
                 yield ev
 
     for t, ops in enumerate(programs):
-        port = make_port(fabric, t % params.n_ports, t)
+        if oracle:
+            port = PerCellPort(fabric, t % params.n_ports, t)
+        else:
+            port = fabric.port(t % params.n_ports, tenant=t)
         sim.process(program(sim, t, port.transmit, ops))
-    if unit is not None:
-        sim.process(program(sim, "unit", send_unit, unit_ops))
+    made = []
+    for kind, tenant, ranks, ops in units:
+        if kind == "reducer":
+            unit = (
+                PerCellReducer(fabric, ranks, tenant)
+                if oracle
+                else fabric.reducer(ranks=ranks, tenant=tenant)
+            )
+            send = unit.reduce
+        else:
+            unit = (
+                PerCellGather(fabric, ranks, tenant)
+                if oracle
+                else fabric.gather_unit(ranks=ranks, tenant=tenant)
+            )
+            send = unit.gather
+        made.append(unit)
+        sim.process(program(sim, kind, send, ops))
     sim.run()
     links = [*fabric.port_links, fabric.switch_link, *fabric.pool_links]
-    if unit_kind == "reducer":
-        links.append(unit.alu)
+    links += [unit.alu for unit in made if hasattr(unit, "alu")]
     return {
         "stats": fabric.stats.snapshot(),
         "links": [
             (l.name, l.free_at, l.busy_time, l.bytes_sent, l.transfers)
             for l in links
         ],
+        "units": [(unit.bytes_in, unit.bytes_out) for unit in made],
         "deliveries": deliveries,
         "now": sim.now,
     }
 
 
 class TestStageBookingMatchesPerCellEvents:
-    """Booking a stage when its single upstream books the cell gives
-    bit-identical results to one event per cell per stage."""
+    """The arrival merge gives bit-identical results to one event per
+    cell per stage, for port transfers and the reduce and gather units."""
 
     @given(scenario=fabric_scenarios())
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_per_cell_oracle(self, scenario):
-        booked = _run_scenario(
-            scenario, lambda fabric, p, t: fabric.port(p, tenant=t)
-        )
-        oracle = _run_scenario(scenario, PerCellPort)
-        assert booked == oracle
+        assert _run_scenario(scenario) == _run_scenario(scenario, oracle=True)
 
     def test_event_count_scales_with_transfers_not_cells(self):
         """Nothing attached, any port count: a 32-cell transfer costs the
@@ -777,6 +1015,67 @@ class TestStageBookingMatchesPerCellEvents:
                 sim.run()
                 counts[name] = sim._seq
             assert counts == {"booked": 4, "oracle": 3 * 32 + 1}, n_ports
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_unit_event_counts_scale_with_calls_not_rank_cells(self, oracle):
+        """An 8-rank, 32-cell reduce pushes the five events of its last
+        cell (port exit, barrier, ALU exit, pool exit, done), not
+        (2R + 2) x 32 + 1.  A gather pushes two per cell (last rank cell's
+        port exit, barrier) and one delivery chain, not 3R per cell; a
+        one-rank gather only its ``done``."""
+        counts = {}
+        for kind in ("reduce", "gather"):
+            sim = Simulator()
+            fabric = CXLFabric(sim, _params(n_ports=8, n_tenants=2))
+            if kind == "reduce":
+                make = PerCellReducer if oracle else lambda f, r, t: f.reducer(r, t)
+                make(fabric, range(8), 0).reduce(1 << 20)
+            else:
+                make = PerCellGather if oracle else lambda f, r, t: f.gather_unit(r, t)
+                make(fabric, [3], 1).gather(1 << 20)
+                make(fabric, range(8), 0).gather(1 << 20)
+            sim.run()
+            counts[kind] = sim._seq
+        R, cells = 8, 32
+        if oracle:
+            assert counts == {
+                "reduce": (2 * R + 2) * cells + 1,
+                "gather": 1 + 3 * R * cells + 1,
+            }
+        else:
+            assert counts == {"reduce": 5, "gather": 1 + 2 * cells + 2}
+
+    def test_unit_ties_break_by_push_order_not_rank(self):
+        """Ranks [0, 1, 1] with equal cells: port 0's cell 1 and port 1's
+        cell 0 of rank 2 both leave their ports at exactly 2 d.  A unit
+        pushes its port cells cell-major, so the per-cell pipeline books
+        cell 0 of rank 2 first; keying the tie by (rank, cell) would put
+        port 0's cell 1 ahead of it and delay cell 0's barrier."""
+        d = 2.0**12 / 2.0**30
+        params = _params(
+            n_ports=2,
+            n_tenants=1,
+            port_bandwidth=Bandwidth(2.0**30),
+            switch_bandwidth=Bandwidth(2.0**30),
+            pool_bandwidth=Bandwidth(2.0**30),
+            cells_per_transfer=4,
+        )
+        for kind in ("reducer", "gather"):
+            ops = [(0.0, 2.0**14, 0.0, True)]
+            scenario = (params, [[]], [(kind, 0, [0, 1, 1], ops)])
+            booked = _run_scenario(scenario)
+            assert booked == _run_scenario(scenario, oracle=True), kind
+        sim = Simulator()
+        fabric = CXLFabric(sim, params)
+        red = fabric.reducer(ranks=[0, 1, 1])
+        red.reduce(2.0**14)
+        exits = [fabric.port_links[p].free_at for p in (0, 1)]
+        assert exits == [4 * d, 8 * d]
+        sim.run()
+        # At 2 d the switch takes rank 2's cell 0 before rank 0's cell 1,
+        # so cell 0's barrier is the third switch exit (4 d, not 5 d), and
+        # the four barriers wait 2, 3, 4 and 4 d.
+        assert fabric.stats.reduce_wait == 13 * d
 
     def test_cross_port_ties_book_in_registration_order(self):
         """Two ports send equal transfers at the same instant, so every
@@ -942,6 +1241,67 @@ class TestStageBookingMatchesPerCellEvents:
         assert booked[1] == booked[0] and booked_wait > 0.0
 
 
+class _Recorder(dict):
+    """A stats dict that logs every update, to compare accumulation order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        self.log.append((key, value))
+        super().__setitem__(key, value)
+
+
+def test_switch_and_egress_waits_accumulate_in_event_order():
+    """A gather's egress waits and port cells' switch waits both add into
+    ``tenant_switch_wait``, so their order must follow the per-cell
+    events even at an exact tie.  With cell time d: the gather's cell
+    barrier is at 3 d (its event pushed at d); transfer y, called at 0,
+    leaves its port at 3 d and fires its drain first; transfer x, called
+    at 2 d, also leaves its port at 3 d but after the barrier, so its
+    switch wait must be added after the egress wait."""
+    s = 4096.0
+    d = s / 2.0**30
+    params = _params(
+        n_ports=4,
+        n_tenants=1,
+        port_bandwidth=Bandwidth(2.0**30),
+        switch_bandwidth=Bandwidth(2.0**30),
+        cells_per_transfer=1,
+    )
+
+    def run(oracle):
+        sim = Simulator()
+        fabric = CXLFabric(sim, params)
+        fabric.stats.tenant_switch_wait = _Recorder()
+
+        def port(p):
+            return PerCellPort(fabric, p, 0) if oracle else fabric.port(p, 0)
+
+        def main(sim):
+            if oracle:
+                PerCellGather(fabric, [0, 1], 0).gather(s)
+            else:
+                fabric.gather_unit([0, 1]).gather(s)
+            port(2).transmit(3 * s)  # y: its last port exit is 3 d
+            port(0).transmit(4 * s)  # keeps port 0 busy: an egress wait
+            yield sim.timeout(2 * d)
+            port(3).transmit(s)  # x: port exit 3 d, after the barrier's push
+
+        sim.process(main(sim))
+        sim.run()
+        return fabric.stats.tenant_switch_wait.log
+
+    booked = run(oracle=False)
+    assert booked == run(oracle=True)
+    waits = [b - a for (_, a), (_, b) in zip([(0, 0.0)] + booked, booked)]
+    # Rank 1's cell behind rank 0's (d), the egress behind the port-0
+    # transfer (2 d), x behind y at the switch (3 d), then the port-0
+    # transfer behind x (2 d).
+    assert waits == [d, 2 * d, 3 * d, 2 * d]
+
+
 class TestConservation:
     """Bytes in = bytes out per fabric stage, per tenant and per port."""
 
@@ -952,10 +1312,9 @@ class TestConservation:
     @given(scenario=fabric_scenarios())
     @settings(max_examples=60, deadline=None)
     def test_stage_bytes_and_transfers_balance(self, scenario):
-        params, programs, _, ranks, unit_ops = scenario
+        params, programs, units = scenario
         sim = Simulator()
         fabric = CXLFabric(sim, params)
-        red = fabric.reducer(ranks=ranks, tenant=0) if unit_ops else None
         ports = [
             fabric.port(t % params.n_ports, tenant=t)
             for t in range(params.n_tenants)
@@ -963,47 +1322,73 @@ class TestConservation:
         for port, ops in zip(ports, programs):
             for _, n_bytes, extra, _ in ops:
                 port.transmit(n_bytes, extra_delay=extra)
-        for _, n_bytes, extra, _ in unit_ops:
-            red.reduce(n_bytes, extra_delay=extra)
+        red = gat = None
+        for kind, tenant, ranks, ops in units:
+            if kind == "reducer":
+                red = unit = fabric.reducer(ranks=ranks, tenant=tenant)
+                send = unit.reduce
+            else:
+                gat = unit = fabric.gather_unit(ranks=ranks, tenant=tenant)
+                send = unit.gather
+            for _, n_bytes, extra, _ in ops:
+                send(n_bytes, extra_delay=extra)
         sim.run()
 
         stats = fabric.stats
         approx = lambda x: pytest.approx(x, rel=1e-12)  # noqa: E731
-        plain = sum(p.bytes_sent for p in ports)
-        port_sum = sum(link.bytes_sent for link in fabric.port_links)
-        pool_sum = sum(link.bytes_sent for link in fabric.pool_links)
-        assert port_sum == approx(stats.total_bytes)
-        assert fabric.switch_link.bytes_sent == approx(port_sum)
-        assert stats.reduce_in_bytes == approx(
-            len(ranks) * sum(op[1] for op in unit_ops)
-        )
-        assert fabric.switch_link.bytes_sent == approx(plain + stats.reduce_in_bytes)
-        assert pool_sum == approx(plain + stats.reduce_out_bytes)
-        if red is None:
-            assert pool_sum == approx(stats.total_bytes)
-        for p, link in enumerate(fabric.port_links):
-            assert link.bytes_sent == approx(stats.port_bytes.get(p, 0.0))
-        for t in range(params.n_tenants):
-            sent = sum(p.bytes_sent for p in ports if p.tenant == t)
-            if red is not None and t == 0:
-                sent += stats.reduce_in_bytes
-            assert sent == approx(stats.tenant_bytes.get(t, 0.0))
-            if params.policy is not PartitionPolicy.SHARED:
-                pool_in = ports[t].bytes_sent
-                if red is not None and t == 0:
-                    pool_in += stats.reduce_out_bytes
-                assert fabric.pool_link_for(t).bytes_sent == approx(pool_in)
-
         per = params.cells_per_transfer
+        plain = sum(p.bytes_sent for p in ports)
         plain_cells = sum(
             self._cells(op[1], per) for ops in programs for op in ops
         )
-        unit_cells = sum(self._cells(op[1], per) for op in unit_ops)
+        # Per unit: (uplink bytes, uplink cells, cells past the barrier).
+        unit_in = {"reducer": (0.0, 0, 0), "gather": (0.0, 0, 0)}
+        for kind, _, ranks, ops in units:
+            R = len(ranks)
+            moving = [
+                op[1] for op in ops if kind == "reducer" or (R > 1 and op[1] > 0)
+            ]
+            cells = sum(self._cells(n, per) for n in moving)
+            unit_in[kind] = (R * sum(moving), R * cells, cells)
+        red_in, red_up, red_cells = unit_in["reducer"]
+        gat_in, gat_up, gat_cells = unit_in["gather"]
+        gather_ranks = len(gat.ranks) if gat else 0
+
+        assert stats.reduce_in_bytes == approx(red_in)
+        assert stats.gather_in_bytes == approx(gat_in)
+        # Switch: every port cell and every unit's uplink cells.
+        assert fabric.switch_link.bytes_sent == approx(plain + red_in + gat_in)
+        # Pool: port cells and one reduced cell per reduce cell.
+        pool_sum = sum(link.bytes_sent for link in fabric.pool_links)
+        assert pool_sum == approx(plain + stats.reduce_out_bytes)
+        assert stats.reduce_out_bytes == approx(red_in / len(red.ranks) if red else 0.0)
+        # Ports: each wire's bytes are its accounted bytes, downlinks too.
+        for p, link in enumerate(fabric.port_links):
+            assert link.bytes_sent == approx(stats.port_bytes.get(p, 0.0))
+        port_sum = sum(link.bytes_sent for link in fabric.port_links)
+        assert port_sum == approx(stats.total_bytes)
+        assert port_sum == approx(plain + red_in + gat_in + stats.gather_out_bytes)
+        assert stats.gather_out_bytes == approx(gat_in * (gather_ranks - 1))
+        for t in range(params.n_tenants):
+            sent = sum(p.bytes_sent for p in ports if p.tenant == t)
+            pool_in = sent
+            if red is not None and red.tenant == t:
+                sent += stats.reduce_in_bytes
+                pool_in += stats.reduce_out_bytes
+            if gat is not None and gat.tenant == t:
+                sent += stats.gather_in_bytes + stats.gather_out_bytes
+            assert sent == approx(stats.tenant_bytes.get(t, 0.0))
+            if params.policy is not PartitionPolicy.SHARED:
+                assert fabric.pool_link_for(t).bytes_sent == approx(pool_in)
+
         port_cells = sum(link.transfers for link in fabric.port_links)
         pool_cells = sum(link.transfers for link in fabric.pool_links)
-        assert port_cells == plain_cells + len(ranks) * unit_cells
-        assert fabric.switch_link.transfers == port_cells
-        assert pool_cells == plain_cells + unit_cells
+        # A gather cell goes down once per rank.
+        assert port_cells == plain_cells + red_up + gat_up + gat_up
+        assert fabric.switch_link.transfers == plain_cells + red_up + gat_up
+        assert pool_cells == plain_cells + red_cells
+        if red is not None:
+            assert red.alu.transfers == red_cells
 
 
 class TestLateAttachmentAndBadInput:
@@ -1058,25 +1443,84 @@ class TestLateAttachmentAndBadInput:
             dict(reduce_latency=float("nan")),
             dict(reduce_bandwidth=float("nan")),
             dict(reduce_bandwidth=float("inf")),
+            dict(reduce_latency=True),
         ],
     )
     def test_bad_reduce_alu_rejected_before_attaching(self, kw):
-        fabric = CXLFabric(Simulator(), _params())
-        with pytest.raises(ValueError, match="finite"):
-            fabric.reducer(ranks=[0, 1], **kw)
-        assert fabric._pool_books_with_switch
+        # The rejected reducer leaves no trace: the fabric carries the
+        # same traffic, with the same events and stats, as one without.
+        def run(bad):
+            sim = Simulator()
+            fabric = CXLFabric(sim, _params())
+            if bad:
+                with pytest.raises(ValueError):
+                    fabric.reducer(ranks=[0, 1], **kw)
+            done = fabric.port(0, tenant=0).transmit(1 << 20)
+            sim.run()
+            return done.value, sim._seq, fabric.stats.snapshot()
 
-    @pytest.mark.parametrize("unit", ["reducer", "gather_unit"])
-    def test_unit_must_attach_before_traffic(self, unit):
-        sim = Simulator()
-        fabric = CXLFabric(sim, _params())
-        getattr(fabric, unit)(ranks=[0, 1])  # before traffic: fine
-        fabric.port(0, tenant=0).transmit(1 << 20)
-        with pytest.raises(ValueError, match="before it carries traffic"):
-            getattr(fabric, unit)(ranks=[0, 1])
-        sim.run()
-        with pytest.raises(ValueError, match="before it carries traffic"):
-            getattr(fabric, unit)(ranks=[0, 1])
+        assert run(bad=True) == run(bad=False)
+
+    @pytest.mark.parametrize("kind", ["reducer", "gather_unit"])
+    def test_unit_attached_mid_traffic_matches_oracle(self, kind):
+        """A unit may attach while port transfers are in flight, their
+        switch and pool stages already booked ahead."""
+        params = _params(
+            n_ports=2,
+            n_tenants=2,
+            switch_bandwidth=Bandwidth(4 * GB),
+            pool_bandwidth=Bandwidth(4 * GB),
+            policy="shared",
+        )
+
+        def run(oracle):
+            sim = Simulator()
+            fabric = CXLFabric(sim, params)
+            log = []
+
+            def main(sim):
+                for t in (0, 1):
+                    port = (
+                        PerCellPort(fabric, t, t) if oracle else fabric.port(t, t)
+                    )
+                    ev = port.transmit(1 << 20)
+                    ev.callbacks.append(lambda _ev, t=t: log.append((t, sim.now)))
+                yield sim.timeout(50 * NS)
+                make = {
+                    (False, "reducer"): lambda: fabric.reducer([0, 1], tenant=1),
+                    (False, "gather_unit"): lambda: fabric.gather_unit([0, 1], tenant=1),
+                    (True, "reducer"): lambda: PerCellReducer(fabric, [0, 1], 1),
+                    (True, "gather_unit"): lambda: PerCellGather(fabric, [0, 1], 1),
+                }[oracle, kind]
+                unit = make()
+                send = unit.reduce if kind == "reducer" else unit.gather
+                yield send(256 * 1024)
+                log.append(("unit", sim.now))
+
+            sim.process(main(sim))
+            sim.run()
+            return log, fabric.stats.snapshot(), [
+                (l.free_at, l.busy_time, l.transfers)
+                for l in (*fabric.port_links, fabric.switch_link, *fabric.pool_links)
+            ]
+
+        booked = run(oracle=False)
+        assert booked == run(oracle=True)
+        assert booked[1]["switch_wait"] > 0.0
+
+    @pytest.mark.parametrize("entry", ["port", "reducer", "gather_unit"])
+    def test_bool_bytes_and_delay_rejected(self, entry):
+        # ``transmit(True)`` used to send one byte.
+        fabric = CXLFabric(Simulator(), _params())
+        if entry == "port":
+            send = fabric.port(0).transmit
+        else:
+            unit = getattr(fabric, entry)(ranks=[0, 1])
+            send = unit.reduce if entry == "reducer" else unit.gather
+        with pytest.raises(ValueError, match="number"):
+            send(True)
+        with pytest.raises(ValueError, match="number"):
+            send(4096.0, extra_delay=False)
 
     @pytest.mark.parametrize(
         "n_bytes, extra_delay",

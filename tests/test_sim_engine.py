@@ -425,6 +425,19 @@ class TestSerialLink:
         assert links[0].free_at == links[1].free_at
         assert links[0].busy_time == links[1].busy_time
 
+    @pytest.mark.parametrize("latency", [True, False])
+    def test_bool_latency_rejected(self, latency):
+        # ``latency=True`` used to run as a 1 s latency.
+        with pytest.raises(ValueError, match="latency"):
+            SerialLink(Simulator(), Bandwidth(100.0), latency=latency)
+
+    @pytest.mark.parametrize("bandwidth", [5e9, 100, None])
+    def test_non_bandwidth_rejected(self, bandwidth):
+        # A plain number used to fail later, with an AttributeError at
+        # the first transmit.
+        with pytest.raises(ValueError, match="Bandwidth"):
+            SerialLink(Simulator(), bandwidth)
+
     @pytest.mark.parametrize("latency", [float("nan"), float("inf"), -1e-9])
     def test_bad_latency_rejected(self, latency):
         with pytest.raises(ValueError, match="finite and non-negative"):
