@@ -71,7 +71,6 @@ examples:
 	PYTHONPATH=src python examples/breakdown_report.py
 	PYTHONPATH=src python examples/bert_finetune.py
 	PYTHONPATH=src python examples/lammps_melt.py
-	PYTHONPATH=src python examples/tune_activation.py
 	PYTHONPATH=src python examples/memory_planning.py
 
 clean:

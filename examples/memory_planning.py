@@ -1,16 +1,14 @@
 #!/usr/bin/env python
 """Memory planning: will a (model, batch) configuration fit — and where?
 
-Uses the GPU memory model (deriving the paper's T5 OOM observation), the
-activation-checkpointing option, and the ZeRO-Infinity NVMe-tier planner
-(showing why the paper's host never needs the NVMe tier, Section VIII-A).
+Uses the GPU memory model (deriving the paper's T5 OOM observation) and
+the activation-checkpointing option that rescues it.
 
 Run:  python examples/memory_planning.py
 """
 
 from repro.models import evaluation_models, get_model
 from repro.offload import MemoryModel
-from repro.offload.nvme import NVMeTierModel
 from repro.utils.tables import format_table
 from repro.utils.units import GIB
 
@@ -53,34 +51,9 @@ def checkpointing_rescue() -> None:
     )
 
 
-def nvme_plan() -> None:
-    tiers = NVMeTierModel()
-    rows = []
-    for name in ("bert-large-cased", "t5-large", "gpt2-11b"):
-        spec = get_model(name)
-        rows.append(
-            (
-                name,
-                f"{tiers.cpu_state_bytes(spec) / GIB:.0f} GiB",
-                tiers.tier_of(spec).value,
-                f"{tiers.swap_overhead(spec) * 1e3:.0f} ms",
-            )
-        )
-    print()
-    print(format_table(
-        ["model", "CPU-side state", "tier", "swap/step"],
-        rows,
-        title=(
-            "ZeRO-Infinity tier plan on the paper's 372 GB host "
-            "(all DRAM -> ZeRO-Infinity regresses to ZeRO-Offload)"
-        ),
-    ))
-
-
 def main() -> None:
     gpu_fit_table()
     checkpointing_rescue()
-    nvme_plan()
 
 
 if __name__ == "__main__":

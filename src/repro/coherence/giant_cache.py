@@ -95,13 +95,6 @@ class AddressMap:
             self.regions[n].contains(address) for n in self._cached_names
         )
 
-    def region_of(self, address: int) -> GiantCacheRegion | None:
-        """The region containing ``address``, or None."""
-        for region in self.regions.values():
-            if region.contains(address):
-                return region
-        return None
-
     @property
     def giant_cache_bytes(self) -> int:
         """Total giant-cache footprint — the BAR size to configure."""

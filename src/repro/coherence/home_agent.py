@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from repro.coherence.giant_cache import AddressMap
 from repro.coherence.mesi import MESIState, PeerCache
 from repro.coherence.snoop_filter import SnoopFilter
+from repro.dba.registers import check_dirty_bytes
 from repro.interconnect.packets import (
     CACHE_LINE_BYTES,
     MessageType,
@@ -102,7 +103,16 @@ class TrafficStats:
 
 
 class HomeAgent:
-    """Coherence mediator between the CPU cache and the giant cache."""
+    """Coherence mediator between the CPU cache and the giant cache.
+
+    In update mode it is the test oracle for the TECO engines' byte
+    accounting: one step's gradient lines (``device_write`` +
+    ``device_writeback``) and parameter lines (``cpu_write`` +
+    ``cpu_writeback(line, d)``) record exactly
+    ``offload.engines._cxl_wire_volume`` in ``stats.data_bytes``.  The
+    engines leave out the per-line ``READ_OWN`` and ``GO_FLUSH`` control
+    packets that it records in ``stats.control_bytes``.
+    """
 
     def __init__(
         self,
@@ -182,6 +192,7 @@ class HomeAgent:
 
     def cpu_writeback(self, line: int, dirty_bytes: int = 4) -> list[MessageType]:
         """The Modified line leaves the CPU LLC (flush or eviction)."""
+        check_dirty_bytes(dirty_bytes)
         giant = self._check_line(line)
         cs = self.cpu.state(line)
         if cs is not M:
@@ -285,6 +296,7 @@ class HomeAgent:
     def device_writeback(self, line: int, dirty_bytes: int = 4) -> list[MessageType]:
         """Gradient line written back to the giant-cache region: in update
         mode it streams to CPU memory immediately (Figure 6 step 3)."""
+        check_dirty_bytes(dirty_bytes)
         giant = self._check_line(line)
         gs = self.device.state(line)
         if gs is not M:

@@ -73,9 +73,5 @@ class PeerCache:
         """Number of non-invalid lines."""
         return len(self._states)
 
-    def drop_all(self) -> None:
-        """Invalidate every tracked line."""
-        self._states.clear()
-
     def __repr__(self) -> str:
         return f"PeerCache({self.name!r}, resident={self.resident})"

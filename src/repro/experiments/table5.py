@@ -33,8 +33,6 @@ from repro.experiments.runner import (
 )
 from repro.models import TinyProxyConfig, get_model, make_tiny_proxy
 from repro.offload import OffloadTrainer, TrainerMode
-from repro.tensor import functional as F
-from repro.tensor.tensor import no_grad
 from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 
@@ -129,13 +127,6 @@ def _albert_qa_row(n_steps: int, seed: int) -> dict:
         "teco_reduction_em": teco["em"],
         "higher_is_better": True,
     }
-
-
-def _seq2seq_token_accuracy(model, src, tgt) -> float:
-    with no_grad():
-        logits = model(src, tgt[:, :-1])
-    pred = np.argmax(logits.data, axis=-1)
-    return float(np.mean(pred == tgt[:, 1:])) * 100
 
 
 #: Reserved special tokens of the summarization proxy.

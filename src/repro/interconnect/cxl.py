@@ -15,6 +15,8 @@ delivered.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -79,6 +81,12 @@ class CXLLinkModel:
 class CXLController:
     """Discrete-event CXL root port: pending queue + serial drain.
 
+    Fed a write-back trace one line at its timestamp and then fenced, it
+    fires exactly one link latency after
+    :func:`~repro.trace.replay.replay_trace`'s ``finish_time``, with the
+    same wire bytes and line count: it is the test oracle that pins the
+    closed-form replay.
+
     Parameters
     ----------
     sim
@@ -111,10 +119,19 @@ class CXLController:
         link=None,
         name: str = "cxl",
     ):
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if per_line_delay < 0:
-            raise ValueError("per_line_delay must be non-negative")
+        if (
+            isinstance(queue_depth, bool)
+            or not isinstance(queue_depth, numbers.Integral)
+            or queue_depth < 1
+        ):
+            raise ValueError(
+                f"queue_depth must be an integer >= 1, got {queue_depth!r}"
+            )
+        if not (math.isfinite(per_line_delay) and per_line_delay >= 0):
+            raise ValueError(
+                "per_line_delay must be finite and non-negative, "
+                f"got {per_line_delay!r}"
+            )
         self.sim = sim
         self.model = model or CXLLinkModel.paper_default()
         self.per_line_delay = per_line_delay

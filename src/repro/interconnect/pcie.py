@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.utils.units import GB, US, Bandwidth
+from repro.utils.units import US, Bandwidth
 
 __all__ = ["PCIeGen", "PCIeLinkModel"]
 
@@ -108,8 +108,3 @@ class PCIeLinkModel:
     def paper_default(cls) -> "PCIeLinkModel":
         """PCIe 3.0 x16 at ~16 GB/s, the paper's evaluation link."""
         return cls(gen=PCIeGen.GEN3, lanes=16)
-
-
-def _paper_bandwidth_sanity() -> float:
-    """PCIe 3.0 x16 raw bandwidth in GB/s (~15.75; paper rounds to 16)."""
-    return PCIeLinkModel.paper_default().raw_bandwidth.bytes_per_second / GB

@@ -60,6 +60,8 @@ def _line_wire_bytes(dirty_bytes: int) -> int:
 
 
 def _cxl_wire_volume(tensor_bytes: float, dirty_bytes: int) -> float:
+    """Update-mode data bytes of streaming a tensor line by line (its test
+    oracle is :class:`~repro.coherence.home_agent.HomeAgent`)."""
     n_lines = -(-int(tensor_bytes) // CACHE_LINE_BYTES)
     return n_lines * _line_wire_bytes(dirty_bytes)
 

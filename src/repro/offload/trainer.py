@@ -395,10 +395,6 @@ class OffloadTrainer:
         """Copy of the CPU master parameters (for value-change profiling)."""
         return self.arena.snapshot()
 
-    def device_snapshot(self) -> np.ndarray:
-        """Copy of the accelerator-resident parameters."""
-        return self.gpu_params.copy()
-
     def divergence(self) -> float:
         """Max |master - device| — zero until DBA activates, then the
         live measure of DBA's approximation."""

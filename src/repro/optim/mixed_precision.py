@@ -89,10 +89,6 @@ class LossScaler:
         self._good_steps = int(state["good_steps"])
         self.overflows = int(state["overflows"])
 
-    def scale_loss(self, loss: float) -> float:
-        """Multiply a loss value by the current scale."""
-        return loss * self.scale
-
     def unscale(self, grads: np.ndarray) -> np.ndarray:
         """Divide gradients by the current scale (in place)."""
         grads /= np.float32(self.scale)

@@ -58,17 +58,9 @@ class GCNIILayer(Module):
         self.alpha = alpha
         self.beta = float(np.log(lam / layer_index + 1.0))
 
-    def forward(self, h: Tensor, h0: Tensor, a_hat) -> Tensor:
-        """One propagation step (dense or sparse adjacency)."""
-        import scipy.sparse as sp
-
-        if sp.issparse(a_hat):
-            from repro.tensor.sparse import spmm
-
-            prop = spmm(a_hat, h)
-        else:
-            prop = a_hat @ h
-        mixed = prop * (1.0 - self.alpha) + h0 * self.alpha
+    def forward(self, h: Tensor, h0: Tensor, a_hat: Tensor) -> Tensor:
+        """One propagation step over the dense normalized adjacency."""
+        mixed = (a_hat @ h) * (1.0 - self.alpha) + h0 * self.alpha
         transformed = self.weight(mixed)
         return F.relu(mixed * (1.0 - self.beta) + transformed * self.beta)
 
@@ -102,14 +94,9 @@ class GCNII(Module):
         )
         self.proj_out = Linear(hidden, out_dim, rng)
 
-    def forward(self, features: np.ndarray, a_hat) -> Tensor:
+    def forward(self, features: np.ndarray, a_hat: np.ndarray) -> Tensor:
         """Node logits from features and normalized adjacency."""
-        import scipy.sparse as sp
-
-        if sp.issparse(a_hat):
-            a = a_hat.tocsr()
-        else:
-            a = Tensor(np.asarray(a_hat, dtype=np.float32))
+        a = Tensor(np.asarray(a_hat, dtype=np.float32))
         h0 = F.relu(self.proj_in(Tensor(np.asarray(features, dtype=np.float32))))
         h = h0
         for layer in self.layers:

@@ -99,18 +99,6 @@ class Tensor:
         """A one-filled tensor."""
         return cls(np.ones(shape, dtype=np.float32), requires_grad)
 
-    @classmethod
-    def randn(
-        cls,
-        *shape: int,
-        rng: np.random.Generator,
-        scale: float = 1.0,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        """A tensor of scaled standard-normal samples."""
-        data = rng.standard_normal(shape).astype(np.float32) * np.float32(scale)
-        return cls(data, requires_grad)
-
     # -- basic properties ------------------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:

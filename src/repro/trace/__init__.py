@@ -17,7 +17,6 @@ emulator to get the transfer time not overlapped with compute
 from repro.trace.generator import (
     adam_writeback_chunks,
     adam_writeback_trace,
-    gradient_writeback_trace,
     simulate_sweep_writebacks,
 )
 from repro.trace.replay import (
@@ -29,7 +28,6 @@ from repro.trace.replay import (
 __all__ = [
     "adam_writeback_chunks",
     "adam_writeback_trace",
-    "gradient_writeback_trace",
     "simulate_sweep_writebacks",
     "ReplayResult",
     "replay_trace",

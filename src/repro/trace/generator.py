@@ -14,8 +14,8 @@ Two generators are provided:
   :func:`adam_writeback_chunks` streams the same times in bounded
   blocks, so billions of parameters replay without building the trace.
 * :func:`simulate_sweep_writebacks` — drives the real
-  :class:`~repro.memsim.hierarchy.CacheHierarchy` access by access;
-  used to validate the analytic model on small arenas (see tests).
+  :class:`~repro.memsim.hierarchy.CacheHierarchy` access by access; it is
+  the test oracle of the closed form on small arenas.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 from repro.interconnect.packets import CACHE_LINE_BYTES
 from repro.memsim.hierarchy import CacheHierarchy
 from repro.memsim.trace import WritebackTrace
-from repro.utils.units import Bandwidth
 
 __all__ = [
     "adam_writeback_chunks",
@@ -160,9 +159,12 @@ def simulate_sweep_writebacks(
     linearly across the sweep.  The per-iteration flush empties the
     hierarchy at ``sweep_duration``.
 
-    This is the reference the closed-form :func:`adam_writeback_trace` is
-    checked against on small arenas; no experiment calls it, so it stays
-    a plain loop over :meth:`~repro.memsim.hierarchy.CacheHierarchy.access`.
+    Its job is to be the test oracle of :func:`adam_writeback_chunks`:
+    on one LRU level, its times sorted by address equal the closed form's
+    plus one line time, clipped to ``sweep_duration`` (the store that
+    evicts a line is stamped when it completes, one line after the
+    closed form's eviction point).  An oracle stays a plain loop over
+    :meth:`~repro.memsim.hierarchy.CacheHierarchy.access`.
     """
     if param_bytes <= 0 or sweep_duration <= 0:
         raise ValueError("param_bytes and sweep_duration must be positive")
@@ -190,44 +192,3 @@ def simulate_sweep_writebacks(
             addrs.append(wb)
     return WritebackTrace(np.array(times), np.array(addrs, dtype=np.uint64))
 
-
-def gradient_writeback_trace(
-    grad_bytes: int,
-    backward_duration: float,
-    n_layers: int,
-    base_address: int = 0,
-) -> WritebackTrace:
-    """Write-back trace of the backward pass (the Accel-Sim-side artifact).
-
-    Backward visits layers in reverse; each layer's gradient lines are
-    produced uniformly within that layer's compute window and written back
-    to the giant-cache region as the GPU L2 evicts them.  This is the
-    GPU-to-CPU counterpart of :func:`adam_writeback_trace`, replayable
-    through the same CXL emulator.
-    """
-    if grad_bytes <= 0 or backward_duration <= 0:
-        raise ValueError("grad_bytes and backward_duration must be positive")
-    if n_layers <= 0:
-        raise ValueError("n_layers must be positive")
-    if base_address % CACHE_LINE_BYTES:
-        raise ValueError("base_address must be line aligned")
-    n_lines = -(-grad_bytes // CACHE_LINE_BYTES)
-    line_idx = np.arange(n_lines, dtype=np.float64)
-    layer_of_line = np.minimum(
-        (line_idx * n_layers / n_lines).astype(np.int64), n_layers - 1
-    )
-    layer_time = backward_duration / n_layers
-    within = (line_idx * n_layers / n_lines) - layer_of_line
-    times = (layer_of_line + within) * layer_time + layer_time / n_layers
-    times = np.minimum(times, backward_duration)
-    addresses = (
-        base_address + line_idx.astype(np.uint64) * CACHE_LINE_BYTES
-    )
-    return WritebackTrace(times, addresses)
-
-
-def writeback_rate(trace: WritebackTrace) -> Bandwidth:
-    """Average write-back bandwidth implied by a trace."""
-    if len(trace) == 0 or trace.duration == 0:
-        raise ValueError("trace must span a positive duration")
-    return Bandwidth(len(trace) * CACHE_LINE_BYTES / trace.duration)

@@ -14,7 +14,8 @@ from repro.coherence import (
     SnoopFilter,
 )
 from repro.coherence.giant_cache import required_giant_cache_bytes
-from repro.interconnect.packets import MessageType
+from repro.interconnect.packets import MessageType, packet_wire_bytes
+from repro.offload.engines import _cxl_wire_volume
 
 M, E, S, I = (
     MESIState.MODIFIED,
@@ -144,6 +145,19 @@ class TestUpdateProtocolParameters:
         )
         assert dba.stats.data_bytes == pytest.approx(r2.n_lines * 36)
 
+    @pytest.mark.parametrize("dirty_bytes", [0, 7, 2.5, True])
+    def test_bad_dirty_bytes_rejected(self, dirty_bytes):
+        agent, _, region = make_agent()
+        line = region.base
+        agent.seed_device_copy(line)
+        agent.cpu_write(line)
+        agent.device_write(line + 64)
+        with pytest.raises(ValueError, match="dirty_bytes"):
+            agent.cpu_writeback(line, dirty_bytes)
+        with pytest.raises(ValueError, match="dirty_bytes"):
+            agent.device_writeback(line + 64, dirty_bytes)
+        assert agent.stats.data_bytes == 0
+
     def test_non_giant_line_generates_no_traffic(self):
         agent, amap, _ = make_agent()
         scratch = amap.regions["scratch"].base
@@ -218,6 +232,33 @@ class TestInvalidationProtocol:
     def test_update_mode_needs_no_snoop_filter(self):
         agent, _, _ = make_agent(mode=CoherenceMode.UPDATE)
         assert agent.snoop_filter is None
+
+
+class TestEngineByteOracle:
+    """The home agent is the oracle for the TECO engines' closed-form
+    wire volume: one update-mode step pushes every gradient line in full
+    and every parameter line at the DBA setting."""
+
+    @pytest.mark.parametrize("dirty_bytes", [1, 2, 3, 4])
+    def test_data_bytes_match_engine_wire_volume(self, dirty_bytes):
+        grad_bytes, param_bytes = 64 * 37 + 5, 64 * 50 + 13
+        amap = AddressMap()
+        grads = amap.allocate("grads", grad_bytes, giant_cache=True)
+        params = amap.allocate("params", param_bytes, giant_cache=True)
+        agent = HomeAgent(amap, mode=CoherenceMode.UPDATE)
+        for line in grads.lines():
+            agent.device_write(line)
+            agent.device_writeback(line)
+        for line in params.lines():
+            agent.seed_device_copy(line)
+            agent.cpu_write(line)
+            agent.cpu_writeback(line, dirty_bytes)
+        assert agent.stats.data_bytes == _cxl_wire_volume(
+            grad_bytes, 4
+        ) + _cxl_wire_volume(param_bytes, dirty_bytes)
+        # The engines leave out the READ_OWN + GO_FLUSH control packets.
+        n_lines = grads.n_lines + params.n_lines
+        assert agent.stats.control_bytes == 2 * packet_wire_bytes(0) * n_lines
 
 
 class TestGradientFlow:

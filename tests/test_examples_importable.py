@@ -24,7 +24,6 @@ def test_expected_examples_present():
         "lammps_melt",
         "speedup_sweep",
         "breakdown_report",
-        "tune_activation",
     } <= names
 
 

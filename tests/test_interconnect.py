@@ -202,6 +202,23 @@ class TestCXLController:
         ctrl = CXLController(sim, **kw)
         return sim, ctrl
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"per_line_delay": float("nan")},
+            {"per_line_delay": float("inf")},
+            {"per_line_delay": -1e-9},
+            {"queue_depth": 2.5},
+            {"queue_depth": True},
+            {"queue_depth": 0},
+        ],
+        ids=["delay-nan", "delay-inf", "delay-negative", "depth-float",
+             "depth-bool", "depth-zero"],
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CXLController(Simulator(), **kwargs)
+
     def test_lines_stream_serially(self):
         sim, ctrl = self._mk()
 
@@ -400,43 +417,3 @@ class TestCXLController:
             totals[db] = ctrl.payload_bytes_delivered
         assert totals[2] * 2 == totals[4]
 
-
-class TestRetryModel:
-    def test_spec_ber_negligible(self):
-        """At the PCIe-specified max BER the retry derating is far below
-        0.1% — the justification for omitting it from timing models."""
-        from repro.interconnect.retry import RetryModel
-
-        model = RetryModel()
-        assert model.negligible_at_spec()
-        assert model.bandwidth_derating(1e-12) < 1e-6
-
-    def test_derating_monotone_in_ber(self):
-        from repro.interconnect.retry import RetryModel
-
-        m = RetryModel()
-        ds = [m.bandwidth_derating(b) for b in (1e-15, 1e-12, 1e-9, 1e-6)]
-        assert ds == sorted(ds)
-
-    def test_high_ber_saturates_below_one(self):
-        from repro.interconnect.retry import RetryModel
-
-        d = RetryModel().bandwidth_derating(1e-3)
-        assert 0.5 < d < 1.0
-
-    def test_effective_efficiency_composes(self):
-        from repro.interconnect.cxl import CXL_EFFICIENCY
-        from repro.interconnect.retry import RetryModel
-
-        eff = RetryModel().effective_efficiency(1e-12, base=CXL_EFFICIENCY)
-        assert eff == pytest.approx(CXL_EFFICIENCY, rel=1e-5)
-
-    def test_validation(self):
-        from repro.interconnect.retry import RetryModel
-
-        with pytest.raises(ValueError):
-            RetryModel(replay_window_flits=0)
-        with pytest.raises(ValueError):
-            RetryModel().flit_error_probability(2.0)
-        with pytest.raises(ValueError):
-            RetryModel().effective_efficiency(1e-12, base=0)

@@ -1,54 +1,9 @@
-"""Tests for the NVMe tier model and activation checkpointing."""
+"""Tests for activation checkpointing in the memory model."""
 
 import pytest
 
-from repro.models import MODEL_REGISTRY, evaluation_models, get_model
+from repro.models import get_model
 from repro.offload import MemoryModel
-from repro.offload.engines import ZeROOffloadEngine
-from repro.offload.nvme import NVMeTierModel, Tier
-from repro.utils.units import GIB
-
-
-class TestNVMeTiering:
-    def test_all_paper_workloads_fit_in_dram(self):
-        """The Section VIII-A argument: every Table III model's CPU-side
-        state fits the 372 GB host, so ZeRO-Infinity regresses to
-        ZeRO-Offload and the paper's baseline choice is justified."""
-        model = NVMeTierModel()
-        for spec in MODEL_REGISTRY.values():
-            assert model.tier_of(spec) is Tier.DRAM, spec.name
-            assert model.swap_overhead(spec) == 0.0
-
-    def test_regression_claim_step_identical(self):
-        """With DRAM sufficient, the ZeRO-Infinity step equals the
-        ZeRO-Offload step exactly."""
-        model = NVMeTierModel()
-        spec = get_model("bert-large-cased")
-        infinity = model.simulate_step(spec, 4)
-        offload = ZeROOffloadEngine(spec, 4).simulate_step()
-        assert infinity.total == offload.total
-        assert infinity.optimizer == offload.optimizer
-
-    def test_small_host_forces_nvme_and_slows_down(self):
-        """A 100B-scale state on a small host spills and pays swap time."""
-        small_host = NVMeTierModel(dram_capacity_bytes=64 * GIB)
-        spec = get_model("gpt2-11b")  # 44 GB params -> 176 GB state
-        assert small_host.tier_of(spec) is Tier.NVME
-        infinity = small_host.simulate_step(spec, 4)
-        offload = ZeROOffloadEngine(spec, 4).simulate_step()
-        assert infinity.total > offload.total
-        assert infinity.optimizer > offload.optimizer
-
-    def test_state_arithmetic(self):
-        model = NVMeTierModel()
-        bert = get_model("bert-large-cased")
-        assert model.cpu_state_bytes(bert) == pytest.approx(
-            4 * bert.param_bytes
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NVMeTierModel(dram_capacity_bytes=0)
 
 
 class TestActivationCheckpointing:

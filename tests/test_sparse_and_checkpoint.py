@@ -1,96 +1,13 @@
-"""Tests for sparse GCNII propagation and trainer checkpointing."""
+"""Tests for trainer checkpointing."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.dba import ActivationPolicy
 from repro.offload import OffloadTrainer, TrainerMode
-from repro.tensor.gnn import GCNII, normalized_adjacency
-from repro.tensor.sparse import normalized_adjacency_sparse, spmm
-from repro.tensor.tensor import Tensor
 from repro.tensor.transformer import TinyTransformerLM
 
 RNG = lambda s=0: np.random.default_rng(s)
-
-
-def random_graph(rng, n=20):
-    adj = (rng.random((n, n)) < 0.2).astype(np.float32)
-    adj = np.maximum(adj, adj.T)
-    np.fill_diagonal(adj, 0)
-    return adj
-
-
-class TestSpmm:
-    def test_forward_matches_dense(self):
-        rng = RNG(0)
-        dense = random_graph(rng)
-        x = Tensor(rng.standard_normal((20, 5)).astype(np.float32))
-        sparse = sp.csr_matrix(dense)
-        np.testing.assert_allclose(
-            spmm(sparse, x).data, dense @ x.data, rtol=1e-5
-        )
-
-    def test_backward_matches_dense(self):
-        rng = RNG(1)
-        dense = random_graph(rng)
-        x0 = rng.standard_normal((20, 4)).astype(np.float32)
-        w = rng.standard_normal((20, 4)).astype(np.float32)
-
-        xd = Tensor(x0.copy(), requires_grad=True)
-        (Tensor(dense) @ xd * Tensor(w)).sum().backward()
-
-        xs = Tensor(x0.copy(), requires_grad=True)
-        (spmm(sp.csr_matrix(dense), xs) * Tensor(w)).sum().backward()
-        np.testing.assert_allclose(xs.grad, xd.grad, rtol=1e-4, atol=1e-6)
-
-    def test_type_and_shape_validation(self):
-        x = Tensor(np.zeros((4, 2), dtype=np.float32))
-        with pytest.raises(TypeError):
-            spmm(np.zeros((4, 4)), x)
-        with pytest.raises(ValueError):
-            spmm(sp.eye(3, format="csr"), x)
-
-
-class TestSparseNormalization:
-    def test_matches_dense_normalization(self):
-        rng = RNG(2)
-        adj = random_graph(rng)
-        dense = normalized_adjacency(adj)
-        sparse = normalized_adjacency_sparse(sp.csr_matrix(adj))
-        np.testing.assert_allclose(sparse.toarray(), dense, rtol=1e-5)
-
-    def test_validation(self):
-        with pytest.raises(TypeError):
-            normalized_adjacency_sparse(np.eye(3))
-        with pytest.raises(ValueError):
-            normalized_adjacency_sparse(sp.csr_matrix((2, 3)))
-
-
-class TestSparseGCNII:
-    def test_sparse_equals_dense_forward(self):
-        rng = RNG(3)
-        adj = random_graph(rng)
-        feats = rng.standard_normal((20, 8)).astype(np.float32)
-        model = GCNII(8, 16, 3, n_layers=3, rng=RNG(4))
-        dense_out = model(feats, normalized_adjacency(adj)).data
-        sparse_out = model(
-            feats, normalized_adjacency_sparse(sp.csr_matrix(adj))
-        ).data
-        np.testing.assert_allclose(sparse_out, dense_out, rtol=1e-4, atol=1e-5)
-
-    def test_sparse_training_through_offload_trainer(self):
-        rng = RNG(5)
-        adj = random_graph(rng)
-        feats = rng.standard_normal((20, 8)).astype(np.float32)
-        labels = rng.integers(0, 2, 20)
-        a_hat = normalized_adjacency_sparse(sp.csr_matrix(adj))
-        model = GCNII(8, 16, 2, n_layers=2, rng=RNG(6))
-        trainer = OffloadTrainer(model, lr=5e-3)
-        first = trainer.step(feats, a_hat, labels).loss
-        for _ in range(40):
-            last = trainer.step(feats, a_hat, labels).loss
-        assert last < first
 
 
 class TestCheckpointing:
