@@ -127,7 +127,9 @@ class CXLController:
             raise ValueError(
                 f"queue_depth must be an integer >= 1, got {queue_depth!r}"
             )
-        if not (math.isfinite(per_line_delay) and per_line_delay >= 0):
+        if isinstance(per_line_delay, bool) or not (
+            math.isfinite(per_line_delay) and per_line_delay >= 0
+        ):
             raise ValueError(
                 "per_line_delay must be finite and non-negative, "
                 f"got {per_line_delay!r}"

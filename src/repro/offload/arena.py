@@ -82,6 +82,12 @@ class FlatArena:
             else:
                 self.grads[sl] = p.grad.reshape(-1)
 
+    def zero_grad(self) -> None:
+        """Clear every model parameter's gradient (``Module.zero_grad``
+        without walking the module tree)."""
+        for _, p in self._named:
+            p.grad = None
+
     def view(self, name: str) -> np.ndarray:
         """Flat view of one named parameter inside the arena."""
         return self.params[self.slices[name]]

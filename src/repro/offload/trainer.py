@@ -205,7 +205,7 @@ class OffloadTrainer:
             self.arena.push_params(fp16_round_trip(self.gpu_params))
         else:
             self.arena.push_params(self.gpu_params)
-        self.model.zero_grad()
+        self.arena.zero_grad()
         loss = self.model.loss(*batch)
         if wall:
             marks["fwd"] = wall()

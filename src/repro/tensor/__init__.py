@@ -7,7 +7,8 @@ models.  This package provides a PyTorch-flavored API:
 
 * :mod:`repro.tensor.tensor` — the :class:`Tensor` with broadcasting-aware
   reverse-mode autodiff;
-* :mod:`repro.tensor.functional` — stateless ops (gelu, softmax, losses);
+* :mod:`repro.tensor.functional` — stateless ops (gelu, softmax, losses)
+  and the fused linear / layer_norm / attention / cross_entropy nodes;
 * :mod:`repro.tensor.nn` — modules (Linear, LayerNorm, Embedding, ...);
 * :mod:`repro.tensor.attention` — multi-head attention;
 * :mod:`repro.tensor.transformer` — encoder/decoder blocks and small LM /

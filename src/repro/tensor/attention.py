@@ -37,15 +37,6 @@ class MultiHeadAttention(Module):
         self.k_proj = Linear(dim, dim, rng)
         self.v_proj = Linear(dim, dim, rng)
         self.out_proj = Linear(dim, dim, rng)
-        self._scale = 1.0 / float(np.sqrt(self.head_dim))
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, t, _ = x.shape
-        return x.reshape(b, t, self.n_heads, self.head_dim).swapaxes(1, 2)
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        b, h, t, d = x.shape
-        return x.swapaxes(1, 2).reshape(b, t, h * d)
 
     def forward(
         self,
@@ -55,12 +46,11 @@ class MultiHeadAttention(Module):
     ) -> Tensor:
         """Attend ``x`` to itself (or to ``kv`` for cross-attention)."""
         source = kv if kv is not None else x
-        q = self._split_heads(self.q_proj(x))
-        k = self._split_heads(self.k_proj(source))
-        v = self._split_heads(self.v_proj(source))
-        scores = (q @ k.swapaxes(-1, -2)) * self._scale
-        if mask is not None:
-            scores = F.where_mask(scores, mask, -1e9)
-        attn = F.softmax(scores, axis=-1)
-        ctx = attn @ v
-        return self.out_proj(self._merge_heads(ctx))
+        ctx = F.attention(
+            self.q_proj(x),
+            self.k_proj(source),
+            self.v_proj(source),
+            self.n_heads,
+            mask,
+        )
+        return self.out_proj(ctx)

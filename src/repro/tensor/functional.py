@@ -3,13 +3,20 @@
 Numerically stable implementations of the activations, normalizations and
 losses the Table III model families need (GELU transformers, ReLU GCNII,
 cross-entropy LM / classification objectives).
+
+``linear``, ``layer_norm``, ``attention`` and ``cross_entropy`` are fused:
+each records one autograd node whose forward and backward run the float32
+operations of the graph the generic ops would build, in the same order
+(including the order gradient contributions to one tensor are summed), so
+results and gradients are bit-identical to it.  See DESIGN.md, "Fused
+autograd nodes".
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _unbroadcast
 
 __all__ = [
     "relu",
@@ -21,6 +28,9 @@ __all__ = [
     "sqrt",
     "softmax",
     "log_softmax",
+    "linear",
+    "layer_norm",
+    "attention",
     "cross_entropy",
     "mse_loss",
     "dropout",
@@ -151,10 +161,129 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - log(e.sum(axis=axis, keepdims=True))
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` as one node (the ``@`` and ``+`` nodes fused)."""
+    y = x.data @ weight.data
+    if bias is None:
+        parents = (x, weight)
+    else:
+        y = y + bias.data
+        parents = (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            out._send(bias, _unbroadcast(grad, bias.shape))
+        if x.requires_grad:
+            gx = grad @ weight.data.swapaxes(-1, -2)
+            out._send(x, _unbroadcast(gx, x.shape))
+        if weight.requires_grad:
+            gw = x.data.swapaxes(-1, -2) @ grad
+            out._send(weight, _unbroadcast(gw, weight.shape))
+
+    out = x._make(y, parents, backward)
+    return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis, then scale by ``gamma`` and shift by
+    ``beta``, as one node (the twelve nodes of the composed mean/variance
+    graph fused)."""
+    d = x.data
+    inv_n = np.float32(1.0 / d.shape[-1])
+    mu = d.sum(axis=-1, keepdims=True) * inv_n
+    centered = d - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    var_eps = var + np.float32(eps)
+    inv = var_eps**-0.5
+    normed = centered * inv
+    y = normed * gamma.data + beta.data
+
+    def backward(grad: np.ndarray) -> None:
+        if beta.requires_grad:
+            out._send(beta, _unbroadcast(grad, beta.shape))
+        if gamma.requires_grad:
+            out._send(gamma, _unbroadcast(grad * normed, gamma.shape))
+        if not x.requires_grad:
+            return
+        g_normed = grad * gamma.data
+        g_inv = _unbroadcast(g_normed * centered, inv.shape)
+        g_var = g_inv * -0.5 * var_eps**-1.5
+        # ``centered`` feeds ``centered * inv`` and both sides of
+        # ``centered * centered``; its gradient sums them in that order.
+        g_side = g_var * inv_n * centered
+        g_centered = g_normed * inv + g_side + g_side
+        # ``x`` gets the centered path, then the mean path: two sends,
+        # as two nodes would make them.  The second always adds to the
+        # first, so it may stay a broadcast view.
+        out._send(x, g_centered)
+        g_mean = _unbroadcast(g_centered, mu.shape) * -inv_n
+        out._send(x, np.broadcast_to(g_mean, d.shape))
+
+    out = x._make(y, (x, gamma, beta), backward)
+    return out
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``: ``(batch, q_len, dim)``; ``k``, ``v``: ``(batch, k_len, dim)``
+    (the projection outputs).  Splits ``dim`` into ``n_heads`` heads,
+    takes ``softmax(q k^T / sqrt(head_dim))`` with positions where the
+    boolean ``mask`` (broadcast over ``(batch, heads, q_len, k_len)``) is
+    False filled by -1e9, applies it to ``v`` and merges the heads back
+    into ``(batch, q_len, dim)``.
+    """
+    b, tq, dim = q.shape
+    tk = k.shape[1]
+    head_dim = dim // n_heads
+    scale = np.float32(1.0 / float(np.sqrt(head_dim)))
+    qs = q.data.reshape(b, tq, n_heads, head_dim).swapaxes(1, 2)
+    kt = k.data.reshape(b, tk, n_heads, head_dim).swapaxes(1, 2).swapaxes(-1, -2)
+    vs = v.data.reshape(b, tk, n_heads, head_dim).swapaxes(1, 2)
+    scores = (qs @ kt) * scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        keep = mask.astype(np.float32)
+        scores = scores * keep + np.where(mask, 0.0, -1e9).astype(np.float32)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    e_sum = e.sum(axis=-1, keepdims=True)
+    probs = e / e_sum
+    y = (probs @ vs).swapaxes(1, 2).reshape(b, tq, dim)
+
+    def backward(grad: np.ndarray) -> None:
+        g_ctx = grad.reshape(b, tq, n_heads, head_dim).swapaxes(1, 2)
+        if q.requires_grad or k.requires_grad:
+            g_probs = g_ctx @ vs.swapaxes(-1, -2)
+            g_sum = _unbroadcast(-g_probs * e / (e_sum * e_sum), e_sum.shape)
+            # ``e`` gets the division's gradient, then the sum's.
+            g_scores = (g_probs / e_sum + g_sum) * e
+            if mask is not None:
+                g_scores = g_scores * keep
+            g_scores = g_scores * scale
+            if q.requires_grad:
+                g_q = g_scores @ kt.swapaxes(-1, -2)
+                out._send(q, g_q.swapaxes(1, 2).reshape(q.shape))
+            if k.requires_grad:
+                g_kt = qs.swapaxes(-1, -2) @ g_scores
+                out._send(k, g_kt.swapaxes(-1, -2).swapaxes(1, 2).reshape(k.shape))
+        if v.requires_grad:
+            g_v = probs.swapaxes(-1, -2) @ g_ctx
+            out._send(v, g_v.swapaxes(1, 2).reshape(v.shape))
+
+    out = q._make(y, (q, k, v), backward)
+    return out
+
+
 def cross_entropy(
     logits: Tensor, targets: np.ndarray, ignore_index: int | None = None
 ) -> Tensor:
-    """Mean negative log likelihood over integer class targets.
+    """Mean negative log likelihood over integer class targets, as one node.
 
     ``logits``: ``(..., n_classes)``; ``targets``: integer array matching
     the leading shape.  Positions equal to ``ignore_index`` contribute
@@ -166,19 +295,32 @@ def cross_entropy(
             f"targets shape {targets.shape} != logits leading "
             f"shape {logits.shape[:-1]}"
         )
-    flat_logits = logits.reshape(-1, logits.shape[-1])
+    flat = logits.data.reshape(-1, logits.shape[-1])
     flat_targets = targets.reshape(-1)
     if ignore_index is not None:
         keep = flat_targets != ignore_index
     else:
         keep = np.ones(flat_targets.shape, dtype=bool)
     n_keep = max(int(keep.sum()), 1)
-    logp = log_softmax(flat_logits, axis=-1)
-    rows = np.arange(flat_targets.size)
-    safe_targets = np.where(keep, flat_targets, 0)
-    picked = logp[rows, safe_targets]  # Tensor indexing (grad-tracked)
-    weights = Tensor(keep.astype(np.float32) / np.float32(n_keep))
-    return -(picked * weights).sum()
+    shifted = flat - flat.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    e_sum = e.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(e_sum)
+    picked = (np.arange(flat_targets.size), np.where(keep, flat_targets, 0))
+    weights = keep.astype(np.float32) / np.float32(n_keep)
+    weighted = logp[picked] * weights
+    loss = -np.asarray(weighted.sum(), dtype=np.float32)
+
+    def backward(grad: np.ndarray) -> None:
+        g_logp = np.zeros_like(logp)
+        np.add.at(g_logp, picked, -grad * weights)
+        g_sum = -_unbroadcast(g_logp, e_sum.shape) * (1.0 / e_sum)
+        # ``shifted`` gets the ``logp`` path, then the ``exp`` path.
+        g_shifted = g_logp + g_sum * e
+        out._send(logits, g_shifted.reshape(logits.shape))
+
+    out = logits._make(loss, (logits,), backward)
+    return out
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:

@@ -134,11 +134,13 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        """Apply the affine map."""
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        """Apply the affine map (one fused autograd node)."""
+        if x.shape[-1:] != (self.in_features,):
+            raise ValueError(
+                f"Linear expects last dimension {self.in_features}, "
+                f"got input of shape {x.shape}"
+            )
+        return F.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -156,12 +158,14 @@ class LayerNorm(Module):
         self.dim = dim
 
     def forward(self, x: Tensor) -> Tensor:
-        """Normalize over the last dimension, then scale/shift."""
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = (var + self.eps) ** -0.5
-        return centered * inv * self.gamma + self.beta
+        """Normalize over the last dimension, then scale/shift (one fused
+        autograd node)."""
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(
+                f"LayerNorm expects last dimension {self.dim}, "
+                f"got input of shape {x.shape}"
+            )
+        return F.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Embedding(Module):

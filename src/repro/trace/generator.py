@@ -166,10 +166,10 @@ def simulate_sweep_writebacks(
     closed form's eviction point).  An oracle stays a plain loop over
     :meth:`~repro.memsim.hierarchy.CacheHierarchy.access`.
     """
-    if param_bytes <= 0 or sweep_duration <= 0:
-        raise ValueError("param_bytes and sweep_duration must be positive")
-    if words_per_store <= 0:
-        raise ValueError("words_per_store must be positive")
+    _check_int("param_bytes", param_bytes, 1)
+    _check_int("words_per_store", words_per_store, 1)
+    if isinstance(sweep_duration, bool) or not sweep_duration > 0:
+        raise ValueError(f"sweep_duration must be positive, got {sweep_duration!r}")
     n_words = -(-param_bytes // 4)
     stride = words_per_store * 4
     n_stores = -(-n_words * 4 // stride)

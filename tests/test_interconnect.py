@@ -208,12 +208,13 @@ class TestCXLController:
             {"per_line_delay": float("nan")},
             {"per_line_delay": float("inf")},
             {"per_line_delay": -1e-9},
+            {"per_line_delay": True},
             {"queue_depth": 2.5},
             {"queue_depth": True},
             {"queue_depth": 0},
         ],
-        ids=["delay-nan", "delay-inf", "delay-negative", "depth-float",
-             "depth-bool", "depth-zero"],
+        ids=["delay-nan", "delay-inf", "delay-negative", "delay-bool",
+             "depth-float", "depth-bool", "depth-zero"],
     )
     def test_bad_arguments_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -274,7 +275,7 @@ class TestCXLController:
         p2 = sim2.process(producer(sim2, c2))
         sim1.run()
         sim2.run()
-        assert p2.value == pytest.approx(p1.value + 1e-9, rel=1e-9)
+        assert p2.value == pytest.approx(p1.value + 1e-9, rel=1e-9, abs=0)
 
     def test_outstanding_counter(self):
         sim, ctrl = self._mk()
@@ -309,7 +310,7 @@ class TestCXLController:
         sim.run()
         line_time = ctrl.model.line_transfer_time()
         expected = d + n * line_time + ctrl.model.latency
-        assert p.value == pytest.approx(expected, rel=1e-9)
+        assert p.value == pytest.approx(expected, rel=1e-9, abs=0)
         # and strictly cheaper than the serialized (buggy) accounting
         assert p.value < n * (d + line_time) + ctrl.model.latency
 
@@ -327,7 +328,7 @@ class TestCXLController:
         p = sim.process(producer(sim))
         sim.run()
         expected = d + n * ctrl.model.line_transfer_time() + ctrl.model.latency
-        assert p.value == pytest.approx(expected, rel=1e-9)
+        assert p.value == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_last_delivery_time_none_until_first_delivery(self):
         """``last_delivery_time`` must be ``None`` before any delivery, so
@@ -399,7 +400,7 @@ class TestCXLController:
         assert ctrl.lines_delivered == n
         assert result["fired"] == pytest.approx(result["last"], abs=1e-15)
         expected = n * ctrl.model.line_transfer_time() + ctrl.model.latency
-        assert result["fired"] == pytest.approx(expected, rel=1e-9)
+        assert result["fired"] == pytest.approx(expected, rel=1e-9, abs=0)
 
     def test_dba_halves_wire_volume(self):
         """The DBA path should move ~half the bytes of the full path."""

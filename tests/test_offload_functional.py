@@ -48,6 +48,14 @@ class TestFlatArena:
         arena.push_params()
         np.testing.assert_allclose(net.weight.data, before + 1.0)
 
+    def test_zero_grad_clears_every_parameter(self):
+        net = Sequential(Linear(3, 4, RNG()), Linear(4, 2, RNG(1)))
+        arena = FlatArena(net)
+        net(Tensor(np.ones((2, 3), dtype=np.float32))).sum().backward()
+        assert all(p.grad is not None for _, p in net.parameters())
+        arena.zero_grad()
+        assert all(p.grad is None for _, p in net.parameters())
+
     def test_push_external_source(self):
         net = Linear(2, 2, RNG())
         arena = FlatArena(net)

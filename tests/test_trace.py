@@ -159,6 +159,25 @@ class TestSimulatedGenerator:
                 sim_tr.times[by_address], expected, rtol=0, atol=1e-15
             )
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((True, 1.0), {}),
+            ((640.5, 1.0), {}),
+            ((0, 1.0), {}),
+            ((640, True), {}),
+            ((640, 0.0), {}),
+            ((640, 1.0), {"words_per_store": True}),
+            ((640, 1.0), {"words_per_store": 0}),
+        ],
+        ids=["bytes-bool", "bytes-float", "bytes-zero", "duration-bool",
+             "duration-zero", "store-bool", "store-zero"],
+    )
+    def test_bad_arguments_rejected(self, args, kwargs):
+        hierarchy = CacheHierarchy([SetAssociativeCache(64 * 16, 64, 4, name="LLC")])
+        with pytest.raises(ValueError):
+            simulate_sweep_writebacks(*args, hierarchy, **kwargs)
+
 
 class TestReplay:
     def test_empty_trace(self):
