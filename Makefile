@@ -41,10 +41,10 @@ bench-smoke:
 check-cube:
 	PYTHONPATH=src python benchmarks/check_gelu_cube.py
 
-# Observability smoke: trace a reduced fig10 run and table6 through
-# `repro.obs.trace_experiment`, export the Chrome trace-event JSON, and
-# validate its schema + required span categories (CXL link, pending
-# queue, trainer phases).
+# Observability smoke: trace a reduced fig10 run, table6 and a reduced
+# fig_fabric through `repro.obs.trace_experiment`, export the Chrome
+# trace-event JSON, and validate its schema + required span categories
+# (CXL link, pending queue, trainer phases, fabric queueing).
 trace-smoke:
 	PYTHONPATH=src python benchmarks/trace_smoke.py results/trace-smoke.json
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Traced-run smoke check (``make trace-smoke``).
 
-Profiles two registered experiments through
+Profiles three registered experiments through
 :func:`repro.obs.trace_experiment`, exports each Chrome trace-event JSON,
 and fails (exit 1) unless every file passes
 :func:`repro.obs.validate_chrome_trace` (required fields, ``dur >= 0``,
@@ -11,14 +11,17 @@ monotonic timestamps) and carries its required span categories:
   the controller's pending queue (``queue``) and the trainer phases
   (``trainer``), with trainer steps counted in the metrics;
 * ``table6`` (timing engines only): the engines' wires (``link``) and
-  their step phases (``trainer``).
+  their step phases (``trainer``);
+* a reduced ``fig_fabric`` (two nodes, a shared pool): the fabric's
+  port, switch and pool wires (``link``) and its queueing spans
+  (``fabric``), which a traced drain books cell by cell.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/trace_smoke.py [out.json]
 
-``out.json`` receives the fig10 trace; the table6 trace is written next
-to it as ``<stem>-table6.json``.
+``out.json`` receives the fig10 trace; each other trace is written next
+to it as ``<stem>-<experiment>.json``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from pathlib import Path
 CASES = {
     "fig10": ({"n_steps": 6, "act_aft_steps": 2}, {"link", "queue", "trainer"}),
     "table6": ({}, {"link", "trainer"}),
+    "fig_fabric": (
+        {"nodes": (2,), "tenants": (1, 2), "policies": ("shared",)},
+        {"link", "fabric"},
+    ),
 }
 
 
@@ -60,11 +67,13 @@ def check(name: str, out: Path) -> bool:
 
 
 def main(argv) -> int:
-    """Run both traced smokes and validate the exported JSON."""
+    """Run every traced smoke and validate the exported JSON."""
     out = Path(argv[0]) if argv else Path("results") / "trace-smoke.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    ok = check("fig10", out)
-    ok = check("table6", out.with_name(f"{out.stem}-table6.json")) and ok
+    ok = True
+    for name in CASES:
+        path = out if name == "fig10" else out.with_name(f"{out.stem}-{name}.json")
+        ok = check(name, path) and ok
     if not ok:
         return 1
     print("trace smoke gate passed")

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, fields
 
 from repro.interconnect.cxl import CXLLinkModel
 from repro.sim import SerialLink, SimEvent, Simulator
+from repro.sim.resources import _check_amount
 from repro.utils.units import NS, Bandwidth
 
 __all__ = [
@@ -72,14 +73,6 @@ MIN_CELL_BYTES = 4096
 _INF = float("inf")
 
 
-def _check_amount(name: str, value: float) -> None:
-    """Reject a byte count or delay that is a bool, negative, NaN or infinite."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0.0 <= value < _INF:
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
 def _check_index(what: str, value, n: int, noun: str) -> int:
     """``value`` as an index below ``n``; ``ValueError`` if it is not one.
 
@@ -94,11 +87,11 @@ def _check_index(what: str, value, n: int, noun: str) -> int:
     return int(value)
 
 
-def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> list[float]:
-    """The pipelining cells one transfer of ``n_bytes`` is split into."""
+def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> tuple[int, float]:
+    """``(n_cells, cell)``: the equal pipelining cells of one transfer."""
     if n_bytes <= MIN_CELL_BYTES or cells_per_transfer == 1:
-        return [n_bytes]
-    return [n_bytes / cells_per_transfer] * cells_per_transfer
+        return 1, n_bytes
+    return cells_per_transfer, n_bytes / cells_per_transfer
 
 
 def _charge_wait(
@@ -115,8 +108,9 @@ def _charge_wait(
     """Account a cell that arrived at ``t`` and queued a positive ``wait``.
 
     The wait is added to ``wait_stats[tenant]`` and, when tracing,
-    emitted as a ``span_name`` span in category ``fabric``: the one
-    place queueing is accounted, for drains and gather downlinks alike.
+    emitted as a ``span_name`` span in category ``fabric``.  Gather
+    downlinks and traced drains charge every wait here; an untraced
+    drain adds its waits to the same totals inline.
     """
     wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
     tracer = fabric.sim.tracer
@@ -234,6 +228,7 @@ class FabricParams:
                 or value < 1
             ):
                 raise ValueError(f"{count} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, count, int(value))  # NumPy ints as int
         for bw in ("port_bandwidth", "switch_bandwidth", "pool_bandwidth"):
             value = getattr(self, bw)
             if value is None and bw != "port_bandwidth":
@@ -435,11 +430,11 @@ class FabricPort:
             mx.counter(f"{fabric.name}.tenant{self.tenant}.bytes").inc(n_bytes)
             mx.counter(f"{fabric.name}.port{self.port_index}.bytes").inc(n_bytes)
 
-        cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
+        n_cells, cell = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
         now = sim.now
-        exits, _ = self._wire.book([now] * len(cells), cells, extra_delay)
+        exits = self._wire.burst(now, n_cells, cell, extra_delay)
         train = _Train(
-            self.tenant, self.port_index, cells[0], exits, now, self._pool_link
+            self.tenant, self.port_index, cell, exits, now, self._pool_link
         )
         fabric._register((train,))
         done = sim.event()
@@ -586,6 +581,16 @@ class CXLFabric:
     earlier than their switch exits; and a waiting one is booked only
     when a port cell keyed after it is drained or the clock reaches it.
 
+    *Drain.*  A drain merges its due cells into key order and books them
+    in two passes, each one loop over the cells with the link state in
+    locals, written back once (per run of cells on one pool link).  The
+    switch pass books the switch, charges its waits and counts and
+    releases barriers, so every release comes before any pool booking,
+    as in the event pipeline; the pool pass merges in waiting reduced
+    cells and books each cell into its pool link.  With a tracer or
+    metrics active each cell goes through ``occupy`` and
+    :func:`_charge_wait` instead, so spans and samples are per cell.
+
     Each surviving event is pushed at the same point, relative to all
     other pushes, as its per-cell counterpart and fires at the same
     float, so ``done`` and every other event keep their ``(time, seq)``
@@ -666,8 +671,9 @@ class CXLFabric:
     def _drain(self, now: float, call_limit: float, reg_limit: float) -> None:
         """Book the switch for every registered cell due by ``now``.
 
-        In key order, as :class:`CXLFabric` describes: switch waits, then
-        barrier releases, then port cells into the pool.  While a gather
+        In key order, as :class:`CXLFabric` describes: one pass books the
+        switch, charges its waits and releases barriers, then
+        :meth:`_to_pool` books the port cells into the pool.  While a gather
         barrier is due at ``now``, a cell exiting its port exactly at
         ``now`` is due only if its call's ``(call time, registration)``
         is at most ``(call_limit, reg_limit)``, the calls made before the
@@ -716,62 +722,66 @@ class CXLFabric:
             merged = sorted(merged, key=push.__getitem__)
         # Stable on time alone: ties keep (registration, push number) order.
         merged = sorted(merged, key=times.__getitem__)
-        arrivals = [times[k] for k in merged]
-        trains = [trains[k] for k in merged]
-        sizes = [train.cell for train in trains]
-        t_switch, waits = self.switch_link.book(arrivals, sizes)
-        wait_stats = self.stats.tenant_switch_wait
-        track = self.switch_link.name
-        for t, wait, train in zip(arrivals, waits, trains):
-            if wait > 0.0:
-                _charge_wait(
-                    self, wait_stats, t, wait, "switch-queue", track,
-                    train.tenant, train.port_index, train.cell,
-                )
+        index: list[int] = []
         if units:
-            index = []
             for _, _, _, lo, hi in runs:
                 index += range(lo, hi)
-            index = [index[k] for k in merged]
-            pooled = []
-            for k, train in enumerate(trains):
-                col = train.collect
-                if col is None:
-                    pooled.append(k)
-                    continue
-                i = index[k]
-                arrived = col.arrived[i] = col.arrived[i] + 1
-                if arrived == 1:
-                    col.first[i] = t_switch[k]
-                if arrived == train.stride:  # every rank's cell ``i`` is in
-                    col.unit._release(
-                        col, i, t_switch[k], arrivals[k], i * train.stride + train.pos
+        sim = self.sim
+        traced = sim.tracer.enabled or sim.metrics.enabled
+        switch = self.switch_link
+        bps = switch.bandwidth.bytes_per_second
+        latency = switch.latency
+        free_at, busy, sent = switch.free_at, switch.busy_time, switch.bytes_sent
+        waits = self.stats.tenant_switch_wait
+        pooled = []  # port cells' (switch exit, port exit, train)
+        for k in merged:
+            t = times[k]
+            train = trains[k]
+            cell = train.cell
+            if traced:
+                wait = switch.free_at - t
+                t_switch = t + (switch.occupy(t, cell) - t)
+                if wait > 0.0:
+                    _charge_wait(
+                        self, waits, t, wait, "switch-queue", switch.name,
+                        train.tenant, train.port_index, cell,
                     )
-            if not pooled:
-                return
-            t_switch = [t_switch[k] for k in pooled]
-            arrivals = [arrivals[k] for k in pooled]
-            trains = [trains[k] for k in pooled]
-            sizes = [sizes[k] for k in pooled]
-        finished = {
-            train
-            for _, _, train, _, hi in runs
-            if hi == len(train.times) and train.collect is None
-        }
-        pending = self._pool_pending
-        if pending and pending[0][0] <= t_switch[-1]:
-            # Reduced cells keyed before a port cell enter the pool first.
-            times, owners = [], []
-            for t, t_port, train in zip(t_switch, arrivals, trains):
-                # On a tie of the three entries the port cell goes first.
-                key = (t, t_port, train.call)
-                while pending and pending[0][:3] < key:
-                    self._pop_pending(times, owners, finished)
-                times.append(t)
-                owners.append(train)
-            t_switch, trains = times, owners
-            sizes = [owner.cell for owner in owners]
-        self._book_pool(t_switch, trains, sizes, finished)
+            else:
+                # ``occupy(t, cell)`` on the locals, float for float.
+                wait = free_at - t
+                if wait > 0.0:
+                    waits[train.tenant] = waits.get(train.tenant, 0.0) + wait
+                else:
+                    free_at = t
+                duration = cell / bps
+                free_at += duration
+                busy += duration
+                sent += cell
+                t_switch = t + ((free_at + latency) - t)
+            col = train.collect
+            if col is None:
+                pooled.append((t_switch, t, train))
+                continue
+            i = index[k]
+            arrived = col.arrived[i] = col.arrived[i] + 1
+            if arrived == 1:
+                col.first[i] = t_switch
+            if arrived == train.stride:  # every rank's cell ``i`` is in
+                col.unit._release(
+                    col, i, t_switch, t, i * train.stride + train.pos
+                )
+        if not traced:
+            switch._wire_free_at = free_at
+            switch.busy_time = busy
+            switch.bytes_sent = sent
+            switch.transfers += len(times)
+        if pooled:
+            finished = {
+                train
+                for _, _, train, _, hi in runs
+                if hi == len(train.times) and train.collect is None
+            }
+            self._to_pool(pooled, finished)
 
     def _queue_reduced(
         self, col: _Collect, i: int, t_alu: float, t_bar: float, t_port: float,
@@ -804,57 +814,84 @@ class CXLFabric:
 
         self.sim.at(t_bar).callbacks.append(fire)
 
-    def _pop_pending(self, times: list, owners: list, finished: set) -> None:
-        """Move the first waiting reduced cell onto the pool lists."""
-        t_alu, _, _, _, _, col, i = heapq.heappop(self._pool_pending)
+    def _to_pool(self, cells, finished: set, until: tuple = ()) -> None:
+        """Book the pool for port cells and waiting reduced cells, in key order.
+
+        ``cells`` are port cells' ``(switch exit, port exit, train)`` in
+        switch order.  Each enters after every waiting reduced cell keyed
+        before it, and every waiting reduced cell keyed at or before
+        ``until`` enters after them.  Each link sees its cells in that
+        order, and waits are charged in it.  A run of cells on one link
+        is booked from locals, written back when the link changes.  Each
+        ``finished`` owner's last cell sets its ``last_exits``.
+        """
+        pending = self._pool_pending
+        if pending and (until or pending[0][0] <= cells[-1][0]):
+            merged = []
+            for entry in cells:
+                # On a tie of the three entries the port cell goes first.
+                key = (entry[0], entry[1], entry[2].call)
+                while pending and pending[0][:3] < key:
+                    merged.append(self._pop_pending(finished))
+                merged.append(entry)
+            while pending and pending[0][:5] <= until:
+                merged.append(self._pop_pending(finished))
+            cells = merged
+        sim = self.sim
+        traced = sim.tracer.enabled or sim.metrics.enabled
+        waits = self.stats.tenant_pool_wait
+        link = None
+        first = 0
+        for j, (t, _, owner) in enumerate(cells):
+            pool = owner.pool
+            if pool is not link:
+                if link is not None and not traced:
+                    link._wire_free_at = free_at
+                    link.busy_time = busy
+                    link.bytes_sent = sent
+                    link.transfers += j - first
+                link = pool
+                first = j
+                bps = link.bandwidth.bytes_per_second
+                latency = link.latency
+                free_at, busy, sent = link.free_at, link.busy_time, link.bytes_sent
+            cell = owner.cell
+            if traced:
+                wait = link.free_at - t
+                t_pool = t + (link.occupy(t, cell) - t)
+                if wait > 0.0:
+                    _charge_wait(
+                        self, waits, t, wait, "pool-queue", link.name,
+                        owner.tenant, owner.port_index, cell,
+                    )
+            else:
+                # ``occupy(t, cell)`` on the locals, float for float.
+                wait = free_at - t
+                if wait > 0.0:
+                    waits[owner.tenant] = waits.get(owner.tenant, 0.0) + wait
+                else:
+                    free_at = t
+                duration = cell / bps
+                free_at += duration
+                busy += duration
+                sent += cell
+                t_pool = t + ((free_at + latency) - t)
+            if owner in finished:
+                owner.last_exits = (t, t_pool)
+        if link is not None and not traced:
+            link._wire_free_at = free_at
+            link.busy_time = busy
+            link.bytes_sent = sent
+            link.transfers += len(cells) - first
+
+    def _pop_pending(self, finished: set) -> tuple:
+        """Take the first waiting reduced cell as ``(ALU exit, barrier,
+        collect)``, shaped like a port cell's entry for :meth:`_to_pool`."""
+        t_alu, t_bar, _, _, _, col, i = heapq.heappop(self._pool_pending)
         col.unit._account_out(col.cell)
-        times.append(t_alu)
-        owners.append(col)
         if i == col.last:
             finished.add(col)
-
-    def _book_pool(self, times, owners, sizes, finished: set) -> None:
-        """Book pool arrivals in key order, one cell of ``owners[k]`` each.
-
-        An owner is a port cell's :class:`_Train` or a reduced cell's
-        :class:`_Collect`; each link sees its cells in list order, and
-        waits are charged in that order.  Each ``finished`` owner's last
-        cell, its last in the list, sets its ``last_exits``.
-        """
-        by_link: dict[SerialLink, list[int]] = {}
-        for k, owner in enumerate(owners):
-            by_link.setdefault(owner.pool, []).append(k)
-        exits = [0.0] * len(owners)
-        waits = [0.0] * len(owners)
-        for link, ks in by_link.items():
-            link_exits, link_waits = link.book(
-                [times[k] for k in ks], [sizes[k] for k in ks]
-            )
-            for k, t, wait in zip(ks, link_exits, link_waits):
-                exits[k] = t
-                waits[k] = wait
-        wait_stats = self.stats.tenant_pool_wait
-        for t, wait, owner in zip(times, waits, owners):
-            if wait > 0.0:
-                _charge_wait(
-                    self, wait_stats, t, wait, "pool-queue", owner.pool.name,
-                    owner.tenant, owner.port_index, owner.cell,
-                )
-        for k in reversed(range(len(owners))):
-            if not finished:
-                break
-            if owners[k] in finished:
-                owners[k].last_exits = (times[k], exits[k])
-                finished.discard(owners[k])
-
-    def _flush_pool(self, key: tuple) -> None:
-        """Book every waiting reduced cell keyed at or before ``key``."""
-        pending = self._pool_pending
-        times, owners, finished = [], [], set()
-        while pending and pending[0][:5] <= key:
-            self._pop_pending(times, owners, finished)
-        if times:
-            self._book_pool(times, owners, [o.cell for o in owners], finished)
+        return t_alu, t_bar, col
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:
         """An attachment for ``tenant`` on host port ``port_index``."""
@@ -983,9 +1020,7 @@ class _RankUnit:
                 in_bytes
             )
 
-        cells = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
-        n_cells = len(cells)
-        cell = cells[0]
+        n_cells, cell = _cell_sizes(n_bytes, fabric.params.cells_per_transfer)
         col = _Collect(self, cell, n_cells)
         now = sim.now
         n_ranks = self.n_ranks
@@ -997,8 +1032,8 @@ class _RankUnit:
             # A second rank's first cell starts behind the first rank's,
             # so ``extra_delay`` on the wire's first cell is the same.
             m = len(positions)
-            exits, _ = fabric.port_links[port].book(
-                [now] * (n_cells * m), [cell] * (n_cells * m), extra_delay
+            exits = fabric.port_links[port].burst(
+                now, n_cells * m, cell, extra_delay
             )
             for q, pos in enumerate(positions):
                 trains[pos] = _Train(

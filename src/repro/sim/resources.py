@@ -20,13 +20,12 @@ __all__ = ["Resource", "Store", "SerialLink"]
 _INF = float("inf")
 
 
-def _check_bytes(*sizes: float) -> None:
-    """``ValueError`` unless every size is finite and non-negative."""
-    for n_bytes in sizes:
-        if not 0.0 <= n_bytes < _INF:
-            raise ValueError(
-                f"n_bytes must be finite and non-negative, got {n_bytes}"
-            )
+def _check_amount(name: str, value: float) -> None:
+    """Reject a byte count or delay that is a bool, negative, NaN or infinite."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value < _INF:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 class Resource:
@@ -195,11 +194,8 @@ class SerialLink:
         not precede the arrival of any transfer booked earlier.  Invalid
         input raises before any state changes.
         """
-        _check_bytes(n_bytes)
-        if not 0.0 <= extra_delay < _INF:
-            raise ValueError(
-                f"extra_delay must be finite and non-negative, got {extra_delay}"
-            )
+        _check_amount("n_bytes", n_bytes)
+        _check_amount("extra_delay", extra_delay)
         start = now + extra_delay
         if start < self._wire_free_at:
             start = self._wire_free_at
@@ -225,62 +221,49 @@ class SerialLink:
                 )
         return free_at + self.latency
 
-    def book(
-        self, times, sizes, extra_first: float = 0.0
-    ) -> tuple[list[float], list[float]]:
-        """Book a run of cells, cell ``i`` arriving at ``times[i]``.
+    def burst(
+        self, now: float, n_cells: int, cell: float, extra_first: float = 0.0
+    ) -> list[float]:
+        """Book ``n_cells`` cells of ``cell`` bytes, all arriving at ``now``.
 
-        The same float operations, in the same order, as
-        ``occupy(times[i], sizes[i], extra_first if i == 0 else 0.0)``
-        for each cell in turn: ``free_at``, ``busy_time``, ``bytes_sent``
-        and ``transfers`` build up cell by cell and are written back once.
-        Returns ``(exits, waits)``: ``exits[i]`` is ``t + (done_at - t)``,
-        the float :meth:`transmit` called at ``t`` would fire at, and
-        ``waits[i]`` is ``free_at - t`` just before the cell is booked
-        (positive when it queues).  With a tracer or metrics enabled every
-        cell goes through :meth:`occupy`, so spans and samples are the
-        per-cell ones.  Invalid input raises before any state changes.
+        The same float operations, in the same order, as ``n_cells``
+        calls ``occupy(now, cell, extra_first if i == 0 else 0.0)``, with
+        the link state built up cell by cell and written back once.
+        Returns each cell's exit ``now + (done_at - now)``, the float
+        :meth:`transmit` called at ``now`` would fire at.  With a tracer
+        or metrics enabled every cell goes through :meth:`occupy`, so
+        spans and samples are the per-cell ones.  Invalid input raises
+        before any state changes.
         """
-        if not 0.0 <= extra_first < _INF:
-            raise ValueError(
-                f"extra_first must be finite and non-negative, got {extra_first}"
-            )
-        if len(times) != len(sizes):
-            raise ValueError(
-                f"{len(times)} arrival times for {len(sizes)} cell sizes"
-            )
-        _check_bytes(*sizes)
-        exits: list[float] = []
-        waits: list[float] = []
-        extra = extra_first
+        if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
+            raise ValueError(f"n_cells must be an int >= 1, got {n_cells!r}")
+        _check_amount("cell", cell)
+        _check_amount("extra_first", extra_first)
         sim = self.sim
         if sim.tracer.enabled or sim.metrics.enabled:
-            for t, n in zip(times, sizes):
-                waits.append(self._wire_free_at - t)
-                exits.append(t + (self.occupy(t, n, extra) - t))
-                extra = 0.0
-            return exits, waits
-        bytes_per_second = self.bandwidth.bytes_per_second
+            return [
+                now + (self.occupy(now, cell, extra_first if i == 0 else 0.0) - now)
+                for i in range(n_cells)
+            ]
+        free_at = now + extra_first
+        if free_at < self._wire_free_at:
+            free_at = self._wire_free_at
+        duration = cell / self.bandwidth.bytes_per_second
         latency = self.latency
-        free_at = self._wire_free_at
         busy = self.busy_time
         sent = self.bytes_sent
-        for t, n in zip(times, sizes):
-            waits.append(free_at - t)
-            start = t + extra
-            extra = 0.0
-            if start < free_at:
-                start = free_at
-            duration = n / bytes_per_second
-            free_at = start + duration
+        exits = []
+        for _ in range(n_cells):
+            # Every cell after the first starts where the one ahead ends.
+            free_at += duration
             busy += duration
-            sent += n
-            exits.append(t + ((free_at + latency) - t))
+            sent += cell
+            exits.append(now + ((free_at + latency) - now))
         self._wire_free_at = free_at
         self.busy_time = busy
         self.bytes_sent = sent
-        self.transfers += len(exits)
-        return exits, waits
+        self.transfers += n_cells
+        return exits
 
     def transmit(self, n_bytes: float, extra_delay: float = 0.0) -> SimEvent:
         """Schedule a transfer; returns the delivery-complete event.

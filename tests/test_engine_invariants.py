@@ -42,8 +42,8 @@ class TestEngineInvariants:
         cxl = simulate_system(SystemKind.TECO_CXL, spec, batch, hw)
         red = simulate_system(SystemKind.TECO_REDUCTION, spec, batch, hw)
         eps = 1e-9
-        assert base.compute == pytest.approx(cxl.compute, rel=1e-9)
-        assert cxl.compute == pytest.approx(red.compute, rel=1e-9)
+        assert base.compute == pytest.approx(cxl.compute, rel=1e-9, abs=0)
+        assert cxl.compute == pytest.approx(red.compute, rel=1e-9, abs=0)
         assert red.communication_exposed <= cxl.communication_exposed + eps
         assert cxl.communication_exposed <= base.communication_exposed + eps
         assert red.total <= cxl.total + eps <= base.total + 2 * eps

@@ -86,7 +86,7 @@ class TestCommProfile:
         )
         r = rows[0]
         assert r["grad_fraction"] + r["param_fraction"] == pytest.approx(
-            r["comm_fraction"], rel=1e-9
+            r["comm_fraction"], rel=1e-9, abs=0
         )
 
     def test_empty_batches_rejected(self):

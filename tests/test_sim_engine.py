@@ -451,27 +451,16 @@ _CELL = st.one_of(
 
 
 @st.composite
-def booking_runs(draw):
-    """A link, its backlog, and one run of cells with arrival times."""
+def bursts(draw):
+    """A link, its backlog, and one burst of equal cells arriving at once."""
     bandwidth = draw(st.sampled_from([1e9, 2.0**30, 3.3e9, 94.3e8 / 7]))
     latency = draw(st.sampled_from([0.0, 1.1e-7, 2.5e-7]))
     backlog = draw(st.lists(_CELL, max_size=3))
-    k = draw(st.integers(1, 32))
-    start = draw(st.sampled_from([0.0, 1e-9, 3.3e-6, 0.125]))
-    gaps = draw(
-        st.lists(
-            st.sampled_from([0.0, 0.0, 0.0, 1e-10, 3e-7, 1e-3]),
-            min_size=k,
-            max_size=k,
-        )
-    )
-    times, t = [], start
-    for gap in gaps:
-        t += gap
-        times.append(t)
-    sizes = draw(st.lists(_CELL, min_size=k, max_size=k))
+    now = draw(st.sampled_from([0.0, 1e-9, 3.3e-6, 0.125]))
+    n_cells = draw(st.integers(1, 32))
+    cell = draw(_CELL)
     extra = draw(st.sampled_from([0.0, 1e-9, 7e-7]))
-    return bandwidth, latency, backlog, times, sizes, extra
+    return bandwidth, latency, backlog, now, n_cells, cell, extra
 
 
 def _link_state(link):
@@ -485,7 +474,7 @@ def _link_state(link):
 
 
 class TestSerialLinkBook:
-    """``book`` is one ``occupy`` per cell, float for float."""
+    """``burst`` is one ``occupy`` per cell, float for float."""
 
     @staticmethod
     def _links(bandwidth, latency, backlog):
@@ -497,32 +486,30 @@ class TestSerialLinkBook:
             links.append(link)
         return links
 
-    @given(run=booking_runs())
+    @given(run=bursts())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_cell_occupy(self, run):
-        bandwidth, latency, backlog, times, sizes, extra = run
+        bandwidth, latency, backlog, now, n_cells, cell, extra = run
         booked, oracle = self._links(bandwidth, latency, backlog)
-        exits, waits = booked.book(times, sizes, extra)
-        ref_exits, ref_waits = [], []
-        for i, (t, n) in enumerate(zip(times, sizes)):
-            ref_waits.append(oracle.free_at - t)
-            done_at = oracle.occupy(t, n, extra if i == 0 else 0.0)
-            ref_exits.append(t + (done_at - t))
+        exits = booked.burst(now, n_cells, cell, extra)
+        ref_exits = []
+        for i in range(n_cells):
+            done_at = oracle.occupy(now, cell, extra if i == 0 else 0.0)
+            ref_exits.append(now + (done_at - now))
         assert [x.hex() for x in exits] == [x.hex() for x in ref_exits]
-        assert [x.hex() for x in waits] == [x.hex() for x in ref_waits]
         assert _link_state(booked) == _link_state(oracle)
 
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize(
         "sizes, extra_first",
         [
-            ([100, float("nan"), 100], 0.0),
-            ([100, 100, float("inf")], 0.0),
+            ([float("nan")] * 3, 0.0),
+            ([float("inf")] * 3, 0.0),
             ([-1.0], 0.0),
-            ([100, -1e-9], 0.0),
+            ([-1e-9] * 2, 0.0),
             ([100], float("nan")),
             ([100], -1e-9),
-            ([100, 100], 0.0),  # one size short of the three times
+            ([True] * 2, 0.0),  # a bool is an int, but not a byte count
         ],
     )
     def test_bad_input_rejected_before_any_state_change(
@@ -536,24 +523,30 @@ class TestSerialLinkBook:
         link = SerialLink(sim, Bandwidth(100.0), latency=0.5)
         link.occupy(0.0, 100)
         before = _link_state(link)
-        times = [0.0] * (3 if len(sizes) == 2 else len(sizes))
         with pytest.raises(ValueError):
-            link.book(times, sizes, extra_first)
+            link.burst(0.0, len(sizes), sizes[0], extra_first)
         assert _link_state(link) == before
 
+    @pytest.mark.parametrize("n_cells", [0, -1, 2.0, True])
+    def test_bad_cell_count_rejected(self, n_cells):
+        link = SerialLink(Simulator(), Bandwidth(100.0))
+        with pytest.raises(ValueError, match="n_cells"):
+            link.burst(0.0, n_cells, 100)
+        assert _link_state(link) == (0.0, 0.0, 0, int, 0)
+
     def test_traced_run_emits_the_per_cell_spans_and_samples(self):
-        times, sizes = [0.0, 0.0, 2e-9, 1e-6], [4096, 0, 1e3, 64.0]
         runs = []
-        for book in (True, False):
+        for burst in (True, False):
             tracer, metrics = Tracer(), Metrics()
             with Profile(tracer, metrics).activate():
                 sim = Simulator()
             link = SerialLink(sim, Bandwidth(3e9), latency=1e-7, name="w")
-            if book:
-                link.book(times, sizes, 5e-9)
+            link.occupy(0.0, 1e3)
+            if burst:
+                link.burst(2e-9, 4, 4096, 5e-9)
             else:
-                for i, (t, n) in enumerate(zip(times, sizes)):
-                    link.occupy(t, n, 5e-9 if i == 0 else 0.0)
+                for i in range(4):
+                    link.occupy(2e-9, 4096, 5e-9 if i == 0 else 0.0)
             runs.append(
                 (
                     [(s.name, s.begin, s.end, s.args) for s in tracer.spans],
@@ -563,7 +556,37 @@ class TestSerialLinkBook:
                 )
             )
         assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 4
+        assert len(runs[0][0]) == 5
+
+
+class TestSerialLinkRejectsBools:
+    """A bool is an int, but ``transmit(True)`` is a typo, not one byte."""
+
+    @staticmethod
+    def _link():
+        return SerialLink(Simulator(), Bandwidth(100.0), latency=0.5)
+
+    @pytest.mark.parametrize("n_bytes, extra", [(True, 0.0), (10, True)])
+    def test_occupy(self, n_bytes, extra):
+        link = self._link()
+        with pytest.raises(ValueError, match="must be a number"):
+            link.occupy(0.0, n_bytes, extra)
+        assert _link_state(link) == (0.0, 0.0, 0, int, 0)
+
+    @pytest.mark.parametrize("n_bytes, extra", [(True, 0.0), (10, True)])
+    def test_transmit(self, n_bytes, extra):
+        link = self._link()
+        with pytest.raises(ValueError, match="must be a number"):
+            link.transmit(n_bytes, extra)
+        assert _link_state(link) == (0.0, 0.0, 0, int, 0)
+        assert link.sim._seq == 0  # no event pushed
+
+    @pytest.mark.parametrize("cell, extra", [(True, 0.0), (10, True)])
+    def test_burst(self, cell, extra):
+        link = self._link()
+        with pytest.raises(ValueError, match="must be a number"):
+            link.burst(0.0, 3, cell, extra)
+        assert _link_state(link) == (0.0, 0.0, 0, int, 0)
 
 
 class TestAbsoluteTimeAndValidation:

@@ -204,7 +204,7 @@ class TestReplay:
             np.zeros(n), np.arange(n, dtype=np.uint64) * 64
         )
         r = replay_trace(tr, link)
-        assert r.exposed_time == pytest.approx(r.wire_time, rel=1e-9)
+        assert r.exposed_time == pytest.approx(r.wire_time, rel=1e-9, abs=0)
         assert r.overlap_fraction == pytest.approx(0.0)
 
     def test_matches_queueing_recursion(self):
@@ -218,7 +218,7 @@ class TestReplay:
         depart = 0.0
         for t in times:
             depart = max(t, depart) + t_line
-        assert r.finish_time == pytest.approx(depart, rel=1e-9)
+        assert r.finish_time == pytest.approx(depart, rel=1e-9, abs=0)
 
     def test_dba_halves_wire_time(self):
         n = 256
