@@ -14,7 +14,12 @@ monotonic timestamps) and carries its required span categories:
   their step phases (``trainer``);
 * a reduced ``fig_fabric`` (two nodes, a shared pool): the fabric's
   port, switch and pool wires (``link``) and its queueing spans
-  (``fabric``), which a traced drain books cell by cell.
+  (``fabric``), recorded per cell by the same booking loops an untraced
+  run takes;
+* a reduced ``fig_zero3`` (two and four ranks, FP16): the in-fabric
+  reducer's and gather unit's spans by name (``reduce-wait``,
+  ``fabric-reduce``, ``gather-wait``, ``gather-egress-queue``), so the
+  traced unit paths run end to end.
 
 Usage::
 
@@ -30,13 +35,22 @@ import json
 import sys
 from pathlib import Path
 
-#: experiment -> (params, span categories its trace must contain).
+#: experiment -> (params, span categories its trace must contain, span
+#: names it must contain).
 CASES = {
-    "fig10": ({"n_steps": 6, "act_aft_steps": 2}, {"link", "queue", "trainer"}),
-    "table6": ({}, {"link", "trainer"}),
+    "fig10": (
+        {"n_steps": 6, "act_aft_steps": 2}, {"link", "queue", "trainer"}, set()
+    ),
+    "table6": ({}, {"link", "trainer"}, set()),
     "fig_fabric": (
         {"nodes": (2,), "tenants": (1, 2), "policies": ("shared",)},
         {"link", "fabric"},
+        set(),
+    ),
+    "fig_zero3": (
+        {"ranks": (2, 4), "formats": ("fp16",)},
+        {"link", "fabric"},
+        {"reduce-wait", "fabric-reduce", "gather-wait", "gather-egress-queue"},
     ),
 }
 
@@ -45,12 +59,13 @@ def check(name: str, out: Path) -> bool:
     """Trace one case into ``out``; print and return whether it passed."""
     from repro.obs import trace_experiment, validate_chrome_trace
 
-    params, required = CASES[name]
+    params, required, required_names = CASES[name]
     profile = trace_experiment(name, params=params, out=out)
     obj = json.loads(out.read_text())
     errors = validate_chrome_trace(obj)
     categories = {c for e in obj["traceEvents"] if (c := e.get("cat"))}
     missing = required - categories
+    missing_names = required_names - {e.get("name") for e in obj["traceEvents"]}
     n_events = len(obj["traceEvents"])
     print(f"{name}: wrote {out}: {n_events} events, "
           f"categories {sorted(categories)}")
@@ -59,6 +74,9 @@ def check(name: str, out: Path) -> bool:
         return False
     if missing:
         print(f"FAIL: required categories missing from trace: {sorted(missing)}")
+        return False
+    if missing_names:
+        print(f"FAIL: required spans missing from trace: {sorted(missing_names)}")
         return False
     if name == "fig10" and profile.metrics.value("trainer.steps") <= 0:
         print("FAIL: no trainer steps recorded in metrics")

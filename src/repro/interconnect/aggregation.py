@@ -384,7 +384,7 @@ class FabricReducer(_RankUnit):
 
         def alu_exit(_ev: SimEvent) -> None:
             fabric._drain(sim.now, col.bar[-1], _INF)
-            fabric._to_pool([], set(), col.key)
+            fabric._to_pool([], col.key)
             _tail(sim, col.last_exits[1:], done, n_bytes_per_rank)
 
         sim.at(max(train.times[-1] for train in trains)).callbacks.append(

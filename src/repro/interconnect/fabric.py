@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, fields
 from repro.interconnect.cxl import CXLLinkModel
 from repro.sim import SerialLink, SimEvent, Simulator
 from repro.sim.resources import _check_amount
+from repro.utils.checks import check_int
 from repro.utils.units import NS, Bandwidth
 
 __all__ = [
@@ -94,9 +95,8 @@ def _cell_sizes(n_bytes: float, cells_per_transfer: int) -> tuple[int, float]:
     return cells_per_transfer, n_bytes / cells_per_transfer
 
 
-def _charge_wait(
-    fabric: "CXLFabric",
-    wait_stats: dict[int, float],
+def _queue_span(
+    sim: Simulator,
     t: float,
     wait: float,
     span_name: str,
@@ -105,15 +105,12 @@ def _charge_wait(
     port: int,
     cell: float,
 ) -> None:
-    """Account a cell that arrived at ``t`` and queued a positive ``wait``.
+    """Trace a cell that arrived at ``t`` and queued a positive ``wait``.
 
-    The wait is added to ``wait_stats[tenant]`` and, when tracing,
-    emitted as a ``span_name`` span in category ``fabric``.  Gather
-    downlinks and traced drains charge every wait here; an untraced
-    drain adds its waits to the same totals inline.
+    Emitted, when tracing, as a ``span_name`` span in category
+    ``fabric``; each caller adds the wait to its stats itself.
     """
-    wait_stats[tenant] = wait_stats.get(tenant, 0.0) + wait
-    tracer = fabric.sim.tracer
+    tracer = sim.tracer
     if tracer.enabled:
         tracer.add_span(
             t,
@@ -221,14 +218,8 @@ class FabricParams:
 
     def __post_init__(self) -> None:
         for count in ("n_ports", "n_tenants", "cells_per_transfer"):
-            value = getattr(self, count)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < 1
-            ):
-                raise ValueError(f"{count} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, count, int(value))  # NumPy ints as int
+            value = check_int(count, getattr(self, count), 1)
+            object.__setattr__(self, count, value)  # NumPy ints as int
         for bw in ("port_bandwidth", "switch_bandwidth", "pool_bandwidth"):
             value = getattr(self, bw)
             if value is None and bw != "port_bandwidth":
@@ -587,9 +578,10 @@ class CXLFabric:
     switch pass books the switch, charges its waits and counts and
     releases barriers, so every release comes before any pool booking,
     as in the event pipeline; the pool pass merges in waiting reduced
-    cells and books each cell into its pool link.  With a tracer or
-    metrics active each cell goes through ``occupy`` and
-    :func:`_charge_wait` instead, so spans and samples are per cell.
+    cells and books each cell into its pool link.  Traced or not, every
+    cell takes these passes: with a tracer or metrics active each pass
+    also records the cell on its link, as ``occupy`` would, and traces
+    its wait, so spans and samples are per cell.
 
     Each surviving event is pushed at the same point, relative to all
     other pushes, as its per-cell counterpart and fires at the same
@@ -738,26 +730,25 @@ class CXLFabric:
             t = times[k]
             train = trains[k]
             cell = train.cell
+            # ``occupy(t, cell)`` on the locals, float for float.
+            wait = free_at - t
+            if wait > 0.0:
+                waits[train.tenant] = waits.get(train.tenant, 0.0) + wait
+            else:
+                free_at = t
+            start = free_at
+            duration = cell / bps
+            free_at += duration
+            busy += duration
+            sent += cell
+            t_switch = t + ((free_at + latency) - t)
             if traced:
-                wait = switch.free_at - t
-                t_switch = t + (switch.occupy(t, cell) - t)
+                switch._record(t, start, free_at, cell, busy)
                 if wait > 0.0:
-                    _charge_wait(
-                        self, waits, t, wait, "switch-queue", switch.name,
+                    _queue_span(
+                        sim, t, wait, "switch-queue", switch.name,
                         train.tenant, train.port_index, cell,
                     )
-            else:
-                # ``occupy(t, cell)`` on the locals, float for float.
-                wait = free_at - t
-                if wait > 0.0:
-                    waits[train.tenant] = waits.get(train.tenant, 0.0) + wait
-                else:
-                    free_at = t
-                duration = cell / bps
-                free_at += duration
-                busy += duration
-                sent += cell
-                t_switch = t + ((free_at + latency) - t)
             col = train.collect
             if col is None:
                 pooled.append((t_switch, t, train))
@@ -770,18 +761,12 @@ class CXLFabric:
                 col.unit._release(
                     col, i, t_switch, t, i * train.stride + train.pos
                 )
-        if not traced:
-            switch._wire_free_at = free_at
-            switch.busy_time = busy
-            switch.bytes_sent = sent
-            switch.transfers += len(times)
+        switch._wire_free_at = free_at
+        switch.busy_time = busy
+        switch.bytes_sent = sent
+        switch.transfers += len(times)
         if pooled:
-            finished = {
-                train
-                for _, _, train, _, hi in runs
-                if hi == len(train.times) and train.collect is None
-            }
-            self._to_pool(pooled, finished)
+            self._to_pool(pooled)
 
     def _queue_reduced(
         self, col: _Collect, i: int, t_alu: float, t_bar: float, t_port: float,
@@ -814,7 +799,7 @@ class CXLFabric:
 
         self.sim.at(t_bar).callbacks.append(fire)
 
-    def _to_pool(self, cells, finished: set, until: tuple = ()) -> None:
+    def _to_pool(self, cells, until: tuple = ()) -> None:
         """Book the pool for port cells and waiting reduced cells, in key order.
 
         ``cells`` are port cells' ``(switch exit, port exit, train)`` in
@@ -823,7 +808,8 @@ class CXLFabric:
         ``until`` enters after them.  Each link sees its cells in that
         order, and waits are charged in it.  A run of cells on one link
         is booked from locals, written back when the link changes.  Each
-        ``finished`` owner's last cell sets its ``last_exits``.
+        booking sets its owner's ``last_exits``; an owner's cells enter
+        in index order, so the last one set is its last cell's.
         """
         pending = self._pool_pending
         if pending and (until or pending[0][0] <= cells[-1][0]):
@@ -832,10 +818,10 @@ class CXLFabric:
                 # On a tie of the three entries the port cell goes first.
                 key = (entry[0], entry[1], entry[2].call)
                 while pending and pending[0][:3] < key:
-                    merged.append(self._pop_pending(finished))
+                    merged.append(self._pop_pending())
                 merged.append(entry)
             while pending and pending[0][:5] <= until:
-                merged.append(self._pop_pending(finished))
+                merged.append(self._pop_pending())
             cells = merged
         sim = self.sim
         traced = sim.tracer.enabled or sim.metrics.enabled
@@ -845,7 +831,7 @@ class CXLFabric:
         for j, (t, _, owner) in enumerate(cells):
             pool = owner.pool
             if pool is not link:
-                if link is not None and not traced:
+                if link is not None:
                     link._wire_free_at = free_at
                     link.busy_time = busy
                     link.bytes_sent = sent
@@ -856,41 +842,37 @@ class CXLFabric:
                 latency = link.latency
                 free_at, busy, sent = link.free_at, link.busy_time, link.bytes_sent
             cell = owner.cell
+            # ``occupy(t, cell)`` on the locals, float for float.
+            wait = free_at - t
+            if wait > 0.0:
+                waits[owner.tenant] = waits.get(owner.tenant, 0.0) + wait
+            else:
+                free_at = t
+            start = free_at
+            duration = cell / bps
+            free_at += duration
+            busy += duration
+            sent += cell
+            t_pool = t + ((free_at + latency) - t)
+            owner.last_exits = (t, t_pool)
             if traced:
-                wait = link.free_at - t
-                t_pool = t + (link.occupy(t, cell) - t)
+                link._record(t, start, free_at, cell, busy)
                 if wait > 0.0:
-                    _charge_wait(
-                        self, waits, t, wait, "pool-queue", link.name,
+                    _queue_span(
+                        sim, t, wait, "pool-queue", link.name,
                         owner.tenant, owner.port_index, cell,
                     )
-            else:
-                # ``occupy(t, cell)`` on the locals, float for float.
-                wait = free_at - t
-                if wait > 0.0:
-                    waits[owner.tenant] = waits.get(owner.tenant, 0.0) + wait
-                else:
-                    free_at = t
-                duration = cell / bps
-                free_at += duration
-                busy += duration
-                sent += cell
-                t_pool = t + ((free_at + latency) - t)
-            if owner in finished:
-                owner.last_exits = (t, t_pool)
-        if link is not None and not traced:
+        if link is not None:
             link._wire_free_at = free_at
             link.busy_time = busy
             link.bytes_sent = sent
             link.transfers += len(cells) - first
 
-    def _pop_pending(self, finished: set) -> tuple:
+    def _pop_pending(self) -> tuple:
         """Take the first waiting reduced cell as ``(ALU exit, barrier,
         collect)``, shaped like a port cell's entry for :meth:`_to_pool`."""
-        t_alu, t_bar, _, _, _, col, i = heapq.heappop(self._pool_pending)
+        t_alu, t_bar, _, _, _, col, _ = heapq.heappop(self._pool_pending)
         col.unit._account_out(col.cell)
-        if i == col.last:
-            finished.add(col)
         return t_alu, t_bar, col
 
     def port(self, port_index: int, tenant: int = 0) -> FabricPort:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from repro.interconnect.fabric import (
     _INF,
-    _charge_wait,
     _check_amount,
+    _queue_span,
     _RankUnit,
     _tail,
 )
@@ -107,17 +107,20 @@ class FabricGather(_RankUnit):
         self._account_out(cell * (R - 1) * R)
         down = cell * (R - 1)
         last = now
+        tenant = self.tenant
+        waits = fabric.stats.tenant_switch_wait
         for port in self.ranks:
-            fabric.stats._account_bytes(port, self.tenant, down)
+            fabric.stats._account_bytes(port, tenant, down)
             wire = fabric.port_links[port]
             wait = wire.free_at - now
             if wait > 0.0:
                 # Egress head-of-line blocking on a busy port downlink is
                 # charged as switch-side queueing (the cells are parked
                 # in the switch until the port wire frees up).
-                _charge_wait(
-                    fabric, fabric.stats.tenant_switch_wait, now, wait,
-                    "gather-egress-queue", wire.name, self.tenant, port, down,
+                waits[tenant] = waits.get(tenant, 0.0) + wait
+                _queue_span(
+                    fabric.sim, now, wait, "gather-egress-queue", wire.name,
+                    tenant, port, down,
                 )
             # The float ``transmit`` at ``now`` would fire its delivery at.
             last = max(last, now + (wire.occupy(now, down) - now))

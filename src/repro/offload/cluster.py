@@ -11,17 +11,20 @@ tenants step inside one :class:`~repro.sim.Simulator`, so switch and
 pool contention emerges from the discrete-event timeline instead of
 being charged analytically.
 
-With ``n_hosts=1, n_tenants=1`` and default fabric provisioning the
-engine reproduces the :class:`DataParallelEngine` breakdown (the fabric
-degenerates to one uncontended attachment; regression-tested in
-``tests/test_fabric.py``).
+``ClusterEngine`` subclasses :class:`DataParallelEngine`, so both run
+one job model.  With ``n_hosts=1, n_tenants=1`` and default fabric
+provisioning it reproduces the :class:`DataParallelEngine` breakdown
+(the fabric degenerates to one uncontended attachment; regression-tested
+in ``tests/test_fabric.py``).  With ``n_hosts=n_gpus, n_tenants=1,
+reduce_in_fabric=True`` it is one job whose gradients reduce in the
+fabric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dba.registers import check_dirty_bytes
+from repro.interconnect.aggregation import WireFormat, wire_bytes_for
 from repro.interconnect.fabric import (
     CXLFabric,
     FabricParams,
@@ -29,8 +32,8 @@ from repro.interconnect.fabric import (
 )
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
-from repro.offload.engines import SystemKind, _trace_phase_marks
-from repro.offload.parallel import ClusterParams, dp_step_process
+from repro.offload.engines import SystemKind
+from repro.offload.parallel import ClusterParams, DataParallelEngine
 from repro.offload.timing import HardwareParams
 from repro.sim import Simulator
 
@@ -108,17 +111,18 @@ class ClusterStepResult:
         return sum(self.tenant_reduce_out_bytes)
 
 
-class ClusterEngine:
+class ClusterEngine(DataParallelEngine):
     """``M`` concurrent ZeRO-sharded jobs over one shared CXL fabric.
 
-    Each tenant is one training job running the
-    :func:`~repro.offload.parallel.dp_step_process` step (its intra-job
+    Each tenant is one :class:`DataParallelEngine` job (its intra-job
     data parallelism still described by :class:`ClusterParams`), but its
     representative host link is a :class:`FabricPort` instead of a
-    private :class:`~repro.sim.SerialLink`.  Tenants are assigned to the
-    ``n_hosts`` ports round-robin, so ``n_tenants > n_hosts`` co-locates
-    jobs on nodes (port contention) while any ``n_tenants > 1`` contends
-    at the switch and pool stages.
+    private :class:`~repro.sim.SerialLink`.  This class adds only the
+    fabric, the ports, the reducers and :class:`ClusterStepResult`; the
+    job model is inherited.  Tenants are assigned to the ``n_hosts``
+    ports round-robin, so ``n_tenants > n_hosts`` co-locates jobs on
+    nodes (port contention) while any ``n_tenants > 1`` contends at the
+    switch and pool stages.
 
     Parameters
     ----------
@@ -167,175 +171,67 @@ class ClusterEngine:
         reduce_in_fabric: bool = False,
         grad_wire_format="fp32",
     ):
-        from repro.interconnect.aggregation import WireFormat
-
+        super().__init__(kind, spec, global_batch, cluster, hw, dirty_bytes)
         self.reduce_in_fabric = reduce_in_fabric
         self.grad_wire_format = WireFormat.parse(grad_wire_format)
-        self.kind = kind
-        self.spec = spec
-        self.cluster = cluster or ClusterParams()
-        if global_batch < self.cluster.n_gpus:
-            raise ValueError("global_batch must be >= n_gpus")
-        if global_batch % self.cluster.n_gpus:
-            raise ValueError("global_batch must divide evenly across GPUs")
-        self.global_batch = global_batch
-        self.hw = hw or HardwareParams.paper_default()
-        check_dirty_bytes(dirty_bytes)
-        self.dirty_bytes = (
-            dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
-        )
-        if kind is SystemKind.ZERO_OFFLOAD:
-            port_bw = self.hw.pcie.effective_bandwidth
-        else:
-            port_bw = self.hw.cxl.effective_bandwidth
         self.fabric_params = FabricParams(
             n_ports=n_hosts,
             n_tenants=n_tenants,
-            port_bandwidth=port_bw,
+            port_bandwidth=self._link_bandwidth,
             port_latency=0.0,
             policy=policy,
             tenant_weights=tenant_weights,
         )
 
-    @property
-    def n_hosts(self) -> int:
-        """Trainer nodes (= fabric ports)."""
-        return self.fabric_params.n_ports
-
-    @property
-    def n_tenants(self) -> int:
-        """Concurrent jobs sharing the fabric."""
-        return self.fabric_params.n_tenants
-
-    @property
-    def micro_batch(self) -> int:
-        """Per-GPU batch size of each job."""
-        return self.global_batch // self.cluster.n_gpus
-
     def simulate_step(self) -> ClusterStepResult:
         """Simulate one step of every tenant, contending on the fabric."""
-        spec, hw, n = self.spec, self.hw, self.cluster.n_gpus
         params = self.fabric_params
-        micro = self.micro_batch
-        fwd = hw.forward_time(spec, micro)
-        bwd = hw.backward_time(spec, micro)
-        clip = hw.grad_clip_time(spec)
-        adam = hw.adam_time(spec)
-        shard_bytes = spec.gradient_bytes / n
-        param_shard = spec.param_bytes / n
-        reduce_scatter = self.cluster.ring_time(shard_bytes)
-        all_gather = self.cluster.ring_time(param_shard)
-
+        n, m = self.cluster.n_gpus, params.n_tenants
         sim = Simulator()
         fabric = CXLFabric(sim, params)
-        ports = tuple(t % params.n_ports for t in range(params.n_tenants))
-        links = [fabric.port(ports[t], tenant=t) for t in range(params.n_tenants)]
+        ports = tuple(t % params.n_ports for t in range(m))
+        links = [fabric.port(ports[t], tenant=t) for t in range(m)]
         reducers = None
         grad_reduce_bytes = 0.0
         if self.reduce_in_fabric:
-            from repro.interconnect.aggregation import wire_bytes_for
-
             # Each tenant's n_gpus ranks spread round-robin over the
             # fabric ports, starting at the tenant's own port.
             reducers = [
                 fabric.reducer(
-                    ranks=[
-                        (ports[t] + r) % params.n_ports for r in range(n)
-                    ],
+                    ranks=[(ports[t] + r) % params.n_ports for r in range(n)],
                     tenant=t,
                 )
-                for t in range(params.n_tenants)
+                for t in range(m)
             ]
             grad_reduce_bytes = wire_bytes_for(
-                spec.gradient_bytes, self.grad_wire_format
+                self.spec.gradient_bytes, self.grad_wire_format
             )
-        all_marks: list[dict[str, float]] = []
-        for t, link in enumerate(links):
-            marks: dict[str, float] = {}
-            all_marks.append(marks)
-            sim.process(
-                dp_step_process(
-                    sim,
-                    kind=self.kind,
-                    link=link,
-                    marks=marks,
-                    fwd=fwd,
-                    bwd=bwd,
-                    clip=clip,
-                    adam=adam,
-                    shard_bytes=shard_bytes,
-                    param_shard_bytes=param_shard,
-                    reduce_scatter=reduce_scatter,
-                    all_gather=all_gather,
-                    dma_setup_latency=hw.pcie.dma_setup_latency,
-                    dirty_bytes=self.dirty_bytes,
-                    grad_reduce=(
-                        reducers[t].reduce if reducers is not None else None
-                    ),
-                    grad_reduce_bytes=grad_reduce_bytes,
-                ),
-                name=f"tenant{t}-step",
-            )
-        sim.run()
+        breakdowns = self._run_jobs(
+            sim, links, [f" tenant{t}" for t in range(m)], reducers,
+            grad_reduce_bytes,
+        )
 
         stats = fabric.stats
-        breakdowns = []
-        for t, (marks, link) in enumerate(zip(all_marks, links)):
-            _trace_phase_marks(
-                sim,
-                marks,
-                system=f"{self.kind.value} x{n} tenant{t}",
-            )
-            # Under reduce_in_fabric the gradient direction is the
-            # tenant's reducer intake (n encoded full gradients), not
-            # host-link shard traffic.
-            grad_wire = reducers[t].bytes_in if reducers is not None else 0.0
-            breakdowns.append(
-                StepBreakdown(
-                    forward=fwd,
-                    backward=marks["bwd_end"] - marks["fwd_end"],
-                    grad_transfer_exposed=(
-                        marks["grads_on_cpu"] - marks["bwd_end"]
-                    ),
-                    grad_clip=clip,
-                    optimizer=marks["adam_end"] - marks["clip_end"],
-                    param_transfer_exposed=(
-                        marks["params_on_gpu"] - marks["adam_end"]
-                    ),
-                    wire_bytes=link.bytes_sent * n + grad_wire,
-                    wire_bytes_per_link=link.bytes_sent + grad_wire / n,
-                )
-            )
-        m = params.n_tenants
-        reduce_kwargs = {}
+
+        def per_tenant(name: str) -> tuple[float, ...]:
+            values = getattr(stats, name)
+            return tuple(values.get(t, 0.0) for t in range(m))
+
+        reduce_fields = ()
         if reducers is not None:
-            reduce_kwargs = {
-                "tenant_reduce_in_bytes": tuple(
-                    stats.tenant_reduce_in_bytes.get(t, 0.0)
-                    for t in range(m)
-                ),
-                "tenant_reduce_out_bytes": tuple(
-                    stats.tenant_reduce_out_bytes.get(t, 0.0)
-                    for t in range(m)
-                ),
-                "tenant_reduce_wait": tuple(
-                    stats.tenant_reduce_wait.get(t, 0.0) for t in range(m)
-                ),
-            }
+            reduce_fields = (
+                "tenant_reduce_in_bytes",
+                "tenant_reduce_out_bytes",
+                "tenant_reduce_wait",
+            )
         return ClusterStepResult(
             tenants=tuple(breakdowns),
             ports=ports,
-            tenant_bytes=tuple(
-                stats.tenant_bytes.get(t, 0.0) for t in range(m)
-            ),
+            tenant_bytes=per_tenant("tenant_bytes"),
             port_bytes=tuple(
                 stats.port_bytes.get(p, 0.0) for p in range(params.n_ports)
             ),
-            tenant_switch_wait=tuple(
-                stats.tenant_switch_wait.get(t, 0.0) for t in range(m)
-            ),
-            tenant_pool_wait=tuple(
-                stats.tenant_pool_wait.get(t, 0.0) for t in range(m)
-            ),
-            **reduce_kwargs,
+            tenant_switch_wait=per_tenant("tenant_switch_wait"),
+            tenant_pool_wait=per_tenant("tenant_pool_wait"),
+            **{name: per_tenant(name) for name in reduce_fields},
         )

@@ -42,6 +42,7 @@ from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
+from repro.utils.checks import check_int
 from repro.utils.units import NS
 
 __all__ = ["SystemKind", "ZeROOffloadEngine", "TECOEngine", "simulate_system"]
@@ -136,10 +137,8 @@ class ZeROOffloadEngine:
         hw: HardwareParams | None = None,
         dpu: bool = False,
     ):
-        if batch <= 0:
-            raise ValueError("batch must be positive")
         self.spec = spec
-        self.batch = batch
+        self.batch = check_int("batch", batch, 1)
         self.hw = hw or HardwareParams.paper_default()
         self.dpu = dpu
 
@@ -250,11 +249,9 @@ class TECOEngine:
         dirty_bytes: int = 2,
         coherence: CoherenceMode = CoherenceMode.UPDATE,
     ):
-        if batch <= 0:
-            raise ValueError("batch must be positive")
         check_dirty_bytes(dirty_bytes)
         self.spec = spec
-        self.batch = batch
+        self.batch = check_int("batch", batch, 1)
         self.hw = hw or HardwareParams.paper_default()
         self.dba = dba
         self.dirty_bytes = dirty_bytes if dba else 4

@@ -35,6 +35,8 @@ from repro.offload.engines import (
 )
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
+from repro.sim.resources import _check_amount
+from repro.utils.checks import check_int
 from repro.utils.units import GB, Bandwidth
 
 __all__ = ["ClusterParams", "DataParallelEngine", "dp_step_process"]
@@ -71,17 +73,16 @@ def dp_step_process(
     same step logic runs unmodified under pool contention.  Phase end
     times are written into ``marks``.
 
-    When ``grad_reduce`` is set (the ``reduce_in_fabric`` mode), the
-    gradient direction bypasses both the ring reduce-scatter and the
-    per-shard host-link transfer: every rank instead streams its **full
-    encoded gradient** (``grad_reduce_bytes`` per rank, sized by the
-    wire format) into the in-fabric reduction stage — a callable
-    ``(n_bytes_per_rank, extra_delay) -> SimEvent``, normally
+    When ``grad_reduce`` is set (``ClusterEngine``'s
+    ``reduce_in_fabric`` mode), the gradient direction bypasses both
+    the ring reduce-scatter and the per-shard host-link transfer: every
+    rank instead streams its **full encoded gradient**
+    (``grad_reduce_bytes`` per rank, sized by the wire format) into the
+    in-fabric reduction stage — a callable ``(n_bytes_per_rank,
+    extra_delay) -> SimEvent``, normally
     :meth:`repro.interconnect.aggregation.FabricReducer.reduce` — and
     only the reduced stream crosses the pool boundary.  The parameter
-    direction (host link + all-gather) is unchanged.  With
-    ``grad_reduce=None`` (the default) the process is bit-identical to
-    its pre-aggregation behavior.
+    direction (host link + all-gather) is unchanged.
     """
     yield sim.timeout(fwd)
     marks["fwd_end"] = sim.now
@@ -168,10 +169,8 @@ class ClusterParams:
     collective_latency: float = 10e-6
 
     def __post_init__(self) -> None:
-        if self.n_gpus < 1:
-            raise ValueError("n_gpus must be >= 1")
-        if self.collective_latency < 0:
-            raise ValueError("collective_latency must be non-negative")
+        object.__setattr__(self, "n_gpus", check_int("n_gpus", self.n_gpus, 1))
+        _check_amount("collective_latency", self.collective_latency)
 
     def ring_time(self, shard_bytes_per_gpu: float) -> float:
         """One ring collective (reduce-scatter or all-gather).
@@ -209,13 +208,10 @@ class DataParallelEngine:
     work parallelizes over shards (its memory bandwidth is shared, so the
     sweep time stays that of the full parameter set).
 
-    With ``reduce_in_fabric=True`` the gradient direction runs through a
-    private in-fabric reduction stage instead of the ring: every GPU
-    streams its full gradient — encoded in ``grad_wire_format`` — into a
-    :class:`~repro.interconnect.aggregation.FabricReducer` over a
-    one-port-per-GPU :class:`~repro.interconnect.fabric.CXLFabric`, and
-    a single reduced stream crosses the pool boundary.  The parameter
-    direction (host link + all-gather) is unchanged.
+    This is the one data-parallel job model: validation, phase times,
+    the :func:`dp_step_process` run and the breakdown from its marks.
+    :class:`~repro.offload.cluster.ClusterEngine` runs the same jobs on
+    a shared fabric, in-fabric gradient reduction included.
     """
 
     def __init__(
@@ -226,34 +222,49 @@ class DataParallelEngine:
         cluster: ClusterParams | None = None,
         hw: HardwareParams | None = None,
         dirty_bytes: int = 2,
-        reduce_in_fabric: bool = False,
-        grad_wire_format="fp32",
     ):
-        from repro.interconnect.aggregation import WireFormat
-
         self.kind = kind
         self.spec = spec
         self.cluster = cluster or ClusterParams()
-        if global_batch < self.cluster.n_gpus:
-            raise ValueError("global_batch must be >= n_gpus")
-        if global_batch % self.cluster.n_gpus:
+        n = self.cluster.n_gpus
+        self.global_batch = check_int("global_batch", global_batch, n)
+        if self.global_batch % n:
             raise ValueError("global_batch must divide evenly across GPUs")
-        self.global_batch = global_batch
         self.hw = hw or HardwareParams.paper_default()
         check_dirty_bytes(dirty_bytes)
         self.dirty_bytes = (
             dirty_bytes if kind is SystemKind.TECO_REDUCTION else 4
         )
-        self.reduce_in_fabric = reduce_in_fabric
-        self.grad_wire_format = WireFormat.parse(grad_wire_format)
 
     @property
     def micro_batch(self) -> int:
         """Per-GPU batch size."""
         return self.global_batch // self.cluster.n_gpus
 
+    @property
+    def _link_bandwidth(self) -> Bandwidth:
+        """One GPU's host-link bandwidth: PCIe for ZeRO-Offload, else CXL."""
+        if self.kind is SystemKind.ZERO_OFFLOAD:
+            return self.hw.pcie.effective_bandwidth
+        return self.hw.cxl.effective_bandwidth
+
     def simulate_step(self) -> StepBreakdown:
         """Simulate one data-parallel training step."""
+        sim = Simulator()
+        host_link = SerialLink(sim, self._link_bandwidth, name="host")
+        (breakdown,) = self._run_jobs(sim, [host_link], [""])
+        return breakdown
+
+    def _run_jobs(
+        self, sim: Simulator, links, suffixes, reducers=None,
+        grad_reduce_bytes: float = 0.0,
+    ) -> list[StepBreakdown]:
+        """Step one job per host link in ``sim``; return their breakdowns.
+
+        Job ``j`` drives ``links[j]``, labels its trace phases with
+        ``suffixes[j]`` and, with ``reducers``, streams its gradient
+        (``grad_reduce_bytes`` per rank) into ``reducers[j]``.
+        """
         spec, hw, n = self.spec, self.hw, self.cluster.n_gpus
         micro = self.micro_batch
         fwd = hw.forward_time(spec, micro)
@@ -261,80 +272,60 @@ class DataParallelEngine:
         clip = hw.grad_clip_time(spec)
         adam = hw.adam_time(spec)
         shard_bytes = spec.gradient_bytes / n
+        param_shard = spec.param_bytes / n
         reduce_scatter = self.cluster.ring_time(shard_bytes)
-        all_gather = self.cluster.ring_time(spec.param_bytes / n)
-
-        sim = Simulator()
-        if self.kind is SystemKind.ZERO_OFFLOAD:
-            link_bw = hw.pcie.effective_bandwidth
-        else:
-            link_bw = hw.cxl.effective_bandwidth
-        host_link = SerialLink(sim, link_bw, name="host")
-        marks: dict[str, float] = {}
-
-        grad_reduce = None
-        grad_reduce_bytes = 0.0
-        reducer = None
-        if self.reduce_in_fabric:
-            from repro.interconnect.aggregation import wire_bytes_for
-            from repro.interconnect.fabric import CXLFabric, FabricParams
-
-            fabric = CXLFabric(
-                sim,
-                FabricParams(
-                    n_ports=n,
-                    n_tenants=1,
-                    port_bandwidth=link_bw,
-                    port_latency=0.0,
+        all_gather = self.cluster.ring_time(param_shard)
+        all_marks: list[dict[str, float]] = []
+        for j, link in enumerate(links):
+            marks: dict[str, float] = {}
+            all_marks.append(marks)
+            sim.process(
+                dp_step_process(
+                    sim,
+                    kind=self.kind,
+                    link=link,
+                    marks=marks,
+                    fwd=fwd,
+                    bwd=bwd,
+                    clip=clip,
+                    adam=adam,
+                    shard_bytes=shard_bytes,
+                    param_shard_bytes=param_shard,
+                    reduce_scatter=reduce_scatter,
+                    all_gather=all_gather,
+                    dma_setup_latency=hw.pcie.dma_setup_latency,
+                    dirty_bytes=self.dirty_bytes,
+                    grad_reduce=reducers[j].reduce if reducers else None,
+                    grad_reduce_bytes=grad_reduce_bytes,
                 ),
-                name="dp-fabric",
+                name=f"job{j}-step",
             )
-            reducer = fabric.reducer(ranks=range(n))
-            grad_reduce = reducer.reduce
-            grad_reduce_bytes = wire_bytes_for(
-                spec.gradient_bytes, self.grad_wire_format
-            )
-
-        sim.process(
-            dp_step_process(
-                sim,
-                kind=self.kind,
-                link=host_link,
-                marks=marks,
-                fwd=fwd,
-                bwd=bwd,
-                clip=clip,
-                adam=adam,
-                shard_bytes=shard_bytes,
-                param_shard_bytes=spec.param_bytes / n,
-                reduce_scatter=reduce_scatter,
-                all_gather=all_gather,
-                dma_setup_latency=hw.pcie.dma_setup_latency,
-                dirty_bytes=self.dirty_bytes,
-                grad_reduce=grad_reduce,
-                grad_reduce_bytes=grad_reduce_bytes,
-            )
-        )
         sim.run()
-        _trace_phase_marks(
-            sim, marks, system=f"{self.kind.value} x{n}"
-        )
-        # host_link is *one* GPU's attachment; the cluster drives n of
-        # them.  wire_bytes is the aggregate cluster traffic (an earlier
-        # version reported the single link here, undercounting by n and
-        # making multi-GPU volumes incomparable with the single-GPU
-        # engines); per-link traffic is reported alongside.  Under
-        # reduce_in_fabric the gradient direction is the reducer's
-        # aggregate intake (n encoded full gradients) instead of the n
-        # host-link shards.
-        grad_wire = reducer.bytes_in if reducer is not None else 0.0
-        return StepBreakdown(
-            forward=fwd,
-            backward=marks["bwd_end"] - marks["fwd_end"],
-            grad_transfer_exposed=marks["grads_on_cpu"] - marks["bwd_end"],
-            grad_clip=clip,
-            optimizer=marks["adam_end"] - marks["clip_end"],
-            param_transfer_exposed=marks["params_on_gpu"] - marks["adam_end"],
-            wire_bytes=host_link.bytes_sent * n + grad_wire,
-            wire_bytes_per_link=host_link.bytes_sent + grad_wire / n,
-        )
+        breakdowns = []
+        for j, (marks, link) in enumerate(zip(all_marks, links)):
+            _trace_phase_marks(
+                sim, marks, system=f"{self.kind.value} x{n}{suffixes[j]}"
+            )
+            # ``link`` is *one* GPU's attachment; the job drives n of
+            # them.  wire_bytes is the aggregate job traffic, per-link
+            # traffic is reported alongside.  With in-fabric reduction
+            # the gradient direction is the reducer's intake (n encoded
+            # full gradients) instead of the n host-link shards.
+            grad_wire = reducers[j].bytes_in if reducers else 0.0
+            breakdowns.append(
+                StepBreakdown(
+                    forward=fwd,
+                    backward=marks["bwd_end"] - marks["fwd_end"],
+                    grad_transfer_exposed=(
+                        marks["grads_on_cpu"] - marks["bwd_end"]
+                    ),
+                    grad_clip=clip,
+                    optimizer=marks["adam_end"] - marks["clip_end"],
+                    param_transfer_exposed=(
+                        marks["params_on_gpu"] - marks["adam_end"]
+                    ),
+                    wire_bytes=link.bytes_sent * n + grad_wire,
+                    wire_bytes_per_link=link.bytes_sent + grad_wire / n,
+                )
+            )
+        return breakdowns

@@ -47,6 +47,7 @@ from repro.offload.breakdown import StepBreakdown
 from repro.offload.engines import STREAM_CHUNKS, _trace_phase_marks
 from repro.offload.timing import HardwareParams
 from repro.sim import Simulator
+from repro.utils.checks import check_int
 from repro.utils.units import GB
 
 __all__ = ["Zero3StepResult", "Zero3Engine"]
@@ -103,19 +104,15 @@ class Zero3Engine:
         wire_format: "WireFormat | str" = "fp16",
         policy="fair",
     ):
-        if ranks < 1:
-            raise ValueError("ranks must be >= 1")
-        if global_batch < ranks:
-            raise ValueError("global_batch must be >= ranks")
+        ranks = check_int("ranks", ranks, 1)
+        global_batch = check_int("global_batch", global_batch, ranks)
         if global_batch % ranks:
             raise ValueError("global_batch must divide evenly across ranks")
-        if prefetch_layers < 0:
-            raise ValueError("prefetch_layers must be >= 0")
         self.spec = spec
         self.global_batch = global_batch
         self.ranks = ranks
         self.hw = hw or HardwareParams.paper_default()
-        self.prefetch_layers = prefetch_layers
+        self.prefetch_layers = check_int("prefetch_layers", prefetch_layers, 0)
         self.wire_format = WireFormat.parse(wire_format)
         self.policy = policy
 

@@ -205,6 +205,20 @@ class SerialLink:
         self.bytes_sent += n_bytes
         self.transfers += 1
         sim = self.sim
+        if sim.tracer.enabled or sim.metrics.enabled:
+            self._record(now, start, free_at, n_bytes, self.busy_time)
+        return free_at + self.latency
+
+    def _record(
+        self, now: float, start: float, free_at: float, n_bytes: float, busy: float
+    ) -> None:
+        """Trace and count one transfer booked at ``now`` on ``[start, free_at)``.
+
+        ``busy`` is the link's busy time with the transfer included.  Every
+        booking loop calls this per transfer while a tracer or metrics is
+        active, so spans and samples are the per-transfer ones.
+        """
+        sim = self.sim
         if sim.tracer.enabled:
             sim.tracer.add_span(
                 start, free_at, "xfer", "link", track=self.name, bytes=n_bytes
@@ -216,10 +230,7 @@ class SerialLink:
             if free_at > 0:
                 # Honest cumulative occupancy up to the wire-busy horizon:
                 # by construction <= 1; a larger value is an accounting bug.
-                metrics.sample(
-                    f"{self.name}.utilization", now, self.busy_time / free_at
-                )
-        return free_at + self.latency
+                metrics.sample(f"{self.name}.utilization", now, busy / free_at)
 
     def burst(
         self, now: float, n_cells: int, cell: float, extra_first: float = 0.0
@@ -228,11 +239,11 @@ class SerialLink:
 
         The same float operations, in the same order, as ``n_cells``
         calls ``occupy(now, cell, extra_first if i == 0 else 0.0)``, with
-        the link state built up cell by cell and written back once.
-        Returns each cell's exit ``now + (done_at - now)``, the float
-        :meth:`transmit` called at ``now`` would fire at.  With a tracer
-        or metrics enabled every cell goes through :meth:`occupy`, so
-        spans and samples are the per-cell ones.  Invalid input raises
+        the link state built up cell by cell in one loop and written back
+        once.  Returns each cell's exit ``now + (done_at - now)``, the
+        float :meth:`transmit` called at ``now`` would fire at.  Traced or
+        not, the cells take that loop; with a tracer or metrics active it
+        records each cell as ``occupy`` would.  Invalid input raises
         before any state changes.
         """
         if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
@@ -240,11 +251,7 @@ class SerialLink:
         _check_amount("cell", cell)
         _check_amount("extra_first", extra_first)
         sim = self.sim
-        if sim.tracer.enabled or sim.metrics.enabled:
-            return [
-                now + (self.occupy(now, cell, extra_first if i == 0 else 0.0) - now)
-                for i in range(n_cells)
-            ]
+        traced = sim.tracer.enabled or sim.metrics.enabled
         free_at = now + extra_first
         if free_at < self._wire_free_at:
             free_at = self._wire_free_at
@@ -255,10 +262,13 @@ class SerialLink:
         exits = []
         for _ in range(n_cells):
             # Every cell after the first starts where the one ahead ends.
+            start = free_at
             free_at += duration
             busy += duration
             sent += cell
             exits.append(now + ((free_at + latency) - now))
+            if traced:
+                self._record(now, start, free_at, cell, busy)
         self._wire_free_at = free_at
         self.busy_time = busy
         self.bytes_sent = sent

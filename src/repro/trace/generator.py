@@ -21,7 +21,6 @@ Two generators are provided:
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 
 import numpy as np
@@ -29,20 +28,13 @@ import numpy as np
 from repro.interconnect.packets import CACHE_LINE_BYTES
 from repro.memsim.hierarchy import CacheHierarchy
 from repro.memsim.trace import WritebackTrace
+from repro.utils.checks import check_int
 
 __all__ = [
     "adam_writeback_chunks",
     "adam_writeback_trace",
     "simulate_sweep_writebacks",
 ]
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Reject a non-integral, ``bool`` or too small count up front."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _check_sweep(param_bytes, sweep_duration, llc_bytes) -> tuple[int, int]:
@@ -52,8 +44,8 @@ def _check_sweep(param_bytes, sweep_duration, llc_bytes) -> tuple[int, int]:
     count, an LLC under one line would silently become one line, and a
     non-finite duration would poison every timestamp.
     """
-    _check_int("param_bytes", param_bytes, 1)
-    _check_int("llc_bytes", llc_bytes, CACHE_LINE_BYTES)
+    check_int("param_bytes", param_bytes, 1)
+    check_int("llc_bytes", llc_bytes, CACHE_LINE_BYTES)
     if not (math.isfinite(sweep_duration) and sweep_duration > 0):
         raise ValueError(
             f"sweep_duration must be finite and positive, got {sweep_duration!r}"
@@ -122,8 +114,8 @@ def adam_writeback_chunks(
     on the global line index, so a chunk may straddle blocks.
     """
     n_lines, llc_lines = _check_sweep(param_bytes, sweep_duration, llc_bytes)
-    _check_int("chunk_lines", chunk_lines, 0)
-    _check_int("block_lines", block_lines, 1)
+    check_int("chunk_lines", chunk_lines, 0)
+    check_int("block_lines", block_lines, 1)
     time_per_line = sweep_duration / n_lines
 
     def block(lo: int) -> np.ndarray:
@@ -166,8 +158,8 @@ def simulate_sweep_writebacks(
     closed form's eviction point).  An oracle stays a plain loop over
     :meth:`~repro.memsim.hierarchy.CacheHierarchy.access`.
     """
-    _check_int("param_bytes", param_bytes, 1)
-    _check_int("words_per_store", words_per_store, 1)
+    check_int("param_bytes", param_bytes, 1)
+    check_int("words_per_store", words_per_store, 1)
     if isinstance(sweep_duration, bool) or not sweep_duration > 0:
         raise ValueError(f"sweep_duration must be positive, got {sweep_duration!r}")
     n_words = -(-param_bytes // 4)

@@ -19,7 +19,7 @@ from repro.models import get_model
 from repro.obs import Metrics, Profile, Tracer
 from repro.offload.cluster import ClusterEngine
 from repro.offload.engines import SystemKind
-from repro.offload.parallel import ClusterParams, DataParallelEngine
+from repro.offload.parallel import ClusterParams
 from repro.sim import Simulator
 
 ALL_FORMATS = ("fp32", "fp16", "bf16", "fp8-e4m3", "int8-dba")
@@ -280,50 +280,36 @@ class TestReduceInFabricEngines:
     def bert(self):
         return get_model("bert-large-cased")
 
+    @staticmethod
+    def _one_job(bert, fmt):
+        """One 4-GPU job whose gradients reduce in the fabric."""
+        return ClusterEngine(
+            SystemKind.TECO_REDUCTION,
+            bert,
+            8,
+            ClusterParams(n_gpus=4),
+            n_hosts=4,
+            n_tenants=1,
+            reduce_in_fabric=True,
+            grad_wire_format=fmt,
+        ).simulate_step()
+
     def test_wire_bytes_monotone_in_format(self, bert):
         """Acceptance: FP32 > FP16/BF16 > FP8/INT8-DBA wire bytes."""
-        wire = {}
-        for fmt in ALL_FORMATS:
-            eng = DataParallelEngine(
-                SystemKind.TECO_REDUCTION,
-                bert,
-                8,
-                ClusterParams(n_gpus=4),
-                reduce_in_fabric=True,
-                grad_wire_format=fmt,
-            )
-            wire[fmt] = eng.simulate_step().wire_bytes
+        wire = {
+            fmt: self._one_job(bert, fmt).tenants[0].wire_bytes
+            for fmt in ALL_FORMATS
+        }
         assert wire["fp32"] > wire["fp16"] == wire["bf16"]
         assert wire["fp16"] > wire["fp8-e4m3"]
         assert wire["fp16"] > wire["int8-dba"]
 
     def test_low_bit_formats_cut_step_time(self, bert):
-        totals = {}
-        for fmt in ("fp32", "fp8-e4m3"):
-            eng = DataParallelEngine(
-                SystemKind.TECO_REDUCTION,
-                bert,
-                8,
-                ClusterParams(n_gpus=4),
-                reduce_in_fabric=True,
-                grad_wire_format=fmt,
-            )
-            totals[fmt] = eng.simulate_step().total
+        totals = {
+            fmt: self._one_job(bert, fmt).makespan
+            for fmt in ("fp32", "fp8-e4m3")
+        }
         assert totals["fp8-e4m3"] < totals["fp32"]
-
-    def test_dp_engine_disabled_path_unchanged(self, bert):
-        a = DataParallelEngine(
-            SystemKind.TECO_REDUCTION, bert, 8, ClusterParams(n_gpus=4)
-        ).simulate_step()
-        b = DataParallelEngine(
-            SystemKind.TECO_REDUCTION,
-            bert,
-            8,
-            ClusterParams(n_gpus=4),
-            reduce_in_fabric=False,
-            grad_wire_format="fp8-e4m3",
-        ).simulate_step()
-        assert a == b
 
     def test_cluster_engine_reduce_stats_populated(self, bert):
         eng = ClusterEngine(

@@ -5,7 +5,10 @@ import pytest
 from repro.experiments.scaling import render_scaling, run_scaling
 from repro.models import get_model
 from repro.offload import SystemKind
+from repro.offload.cluster import ClusterEngine
+from repro.offload.engines import TECOEngine, ZeROOffloadEngine
 from repro.offload.parallel import ClusterParams, DataParallelEngine
+from repro.offload.zero3 import Zero3Engine
 
 
 class TestClusterParams:
@@ -46,6 +49,44 @@ class TestClusterParams:
             ClusterParams(n_gpus=0)
         with pytest.raises(ValueError):
             ClusterParams().ring_time(-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("collective_latency", float("nan")),
+            ("collective_latency", float("inf")),
+            ("n_gpus", 2.0),
+            ("n_gpus", True),
+        ],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        """Caught here, not as a ``KeyError`` from a step that never ran."""
+        with pytest.raises(ValueError, match=field):
+            ClusterParams(**{field: value})
+
+
+#: engine.parameter -> a factory building the engine with that parameter.
+_COUNT_PARAMETERS = {
+    "ZeROOffloadEngine.batch": lambda spec, v: ZeROOffloadEngine(spec, v),
+    "TECOEngine.batch": lambda spec, v: TECOEngine(spec, v),
+    "DataParallelEngine.global_batch": lambda spec, v: DataParallelEngine(
+        SystemKind.TECO_REDUCTION, spec, v, ClusterParams(n_gpus=1)
+    ),
+    "ClusterEngine.global_batch": lambda spec, v: ClusterEngine(
+        SystemKind.TECO_REDUCTION, spec, v, ClusterParams(n_gpus=1)
+    ),
+    "Zero3Engine.prefetch_layers": lambda spec, v: Zero3Engine(
+        spec, 8, prefetch_layers=v
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 4.0])
+@pytest.mark.parametrize("parameter", sorted(_COUNT_PARAMETERS))
+def test_engine_counts_must_be_integers(parameter, value):
+    """A ``bool`` or float count is rejected, not run as batch 1 or 2.5."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        _COUNT_PARAMETERS[parameter](get_model("bert-large-cased"), value)
 
 
 class TestDataParallelEngine:
