@@ -41,10 +41,11 @@ bench-smoke:
 check-cube:
 	PYTHONPATH=src python benchmarks/check_gelu_cube.py
 
-# Observability smoke: trace a reduced fig10 run, table6 and a reduced
-# fig_fabric through `repro.obs.trace_experiment`, export the Chrome
-# trace-event JSON, and validate its schema + required span categories
-# (CXL link, pending queue, trainer phases, fabric queueing).
+# Observability smoke: trace a reduced fig10 run, table6, a reduced
+# fig_fabric, a reduced fig_zero3 and granularity through
+# `repro.obs.trace_experiment`, export the Chrome trace-event JSON, and
+# validate its schema + required span categories (CXL link, pending
+# queue, trainer phases, fabric queueing, one replay span per sweep).
 trace-smoke:
 	PYTHONPATH=src python benchmarks/trace_smoke.py results/trace-smoke.json
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Traced-run smoke check (``make trace-smoke``).
 
-Profiles three registered experiments through
+Profiles five registered experiments through
 :func:`repro.obs.trace_experiment`, exports each Chrome trace-event JSON,
 and fails (exit 1) unless every file passes
 :func:`repro.obs.validate_chrome_trace` (required fields, ``dur >= 0``,
@@ -19,7 +19,10 @@ monotonic timestamps) and carries its required span categories:
 * a reduced ``fig_zero3`` (two and four ranks, FP16): the in-fabric
   reducer's and gather unit's spans by name (``reduce-wait``,
   ``fabric-reduce``, ``gather-wait``, ``gather-egress-queue``), so the
-  traced unit paths run end to end.
+  traced unit paths run end to end;
+* ``granularity``: one ``stream`` span and one ``compute-end`` instant on
+  the ``replay`` track per stream row, so the closed-form sweep replay
+  records what the fold it replaced did.
 
 Usage::
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 #: experiment -> (params, span categories its trace must contain, span
@@ -52,6 +56,7 @@ CASES = {
         {"link", "fabric"},
         {"reduce-wait", "fabric-reduce", "gather-wait", "gather-egress-queue"},
     ),
+    "granularity": ({}, {"link"}, {"stream", "compute-end"}),
 }
 
 
@@ -78,6 +83,17 @@ def check(name: str, out: Path) -> bool:
     if missing_names:
         print(f"FAIL: required spans missing from trace: {sorted(missing_names)}")
         return False
+    if name == "granularity":
+        # One replay per stream row: chunk_lines 1, 64, 4096, 262144 and 0.
+        tracer = profile.tracer
+        replayed = Counter(
+            r.name for r in [*tracer.spans, *tracer.instants]
+            if r.track == "replay"
+        )
+        if replayed["stream"] != 5 or replayed["compute-end"] != 5:
+            print(f"FAIL: replay track holds {dict(replayed)}, want 5 "
+                  "'stream' spans and 5 'compute-end' instants")
+            return False
     if name == "fig10" and profile.metrics.value("trainer.steps") <= 0:
         print("FAIL: no trainer steps recorded in metrics")
         return False

@@ -70,8 +70,9 @@ def run_stream_granularity(
 
     Replays the ADAM write-back stream with timestamps quantized to chunk
     boundaries — chunk 1 is TECO's per-line streaming; chunk 0 means "one
-    transfer at sweep end" (the coarse-grained baseline behaviour).  Each
-    replay folds bounded blocks, so no full trace is ever built.
+    transfer at sweep end" (the coarse-grained baseline behaviour).
+    :func:`~repro.trace.replay.replay_trace` replays each sweep's stream
+    in closed form, so no line of the trace is ever built.
     """
     spec = get_model(model)
     adam_time = HardwareParams.paper_default().adam_time(spec)

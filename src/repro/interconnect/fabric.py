@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, fields
 from repro.interconnect.cxl import CXLLinkModel
 from repro.sim import SerialLink, SimEvent, Simulator
 from repro.sim.resources import _check_amount
-from repro.utils.checks import check_int
+from repro.utils.checks import check_bandwidth, check_int
 from repro.utils.units import NS, Bandwidth
 
 __all__ = [
@@ -224,8 +224,7 @@ class FabricParams:
             value = getattr(self, bw)
             if value is None and bw != "port_bandwidth":
                 continue  # sized from the ports (``resolved_*``)
-            if not isinstance(value, Bandwidth):
-                raise ValueError(f"{bw} must be a Bandwidth, got {value!r}")
+            check_bandwidth(bw, value)
         for lat in ("port_latency", "switch_latency", "pool_latency"):
             _check_amount(lat, getattr(self, lat))
         object.__setattr__(self, "policy", PartitionPolicy.parse(self.policy))

@@ -36,7 +36,7 @@ from repro.offload.engines import (
 from repro.offload.timing import HardwareParams
 from repro.sim import SerialLink, Simulator
 from repro.sim.resources import _check_amount
-from repro.utils.checks import check_int
+from repro.utils.checks import check_bandwidth, check_int
 from repro.utils.units import GB, Bandwidth
 
 __all__ = ["ClusterParams", "DataParallelEngine", "dp_step_process"]
@@ -170,6 +170,7 @@ class ClusterParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_gpus", check_int("n_gpus", self.n_gpus, 1))
+        check_bandwidth("collective_bandwidth", self.collective_bandwidth)
         _check_amount("collective_latency", self.collective_latency)
 
     def ring_time(self, shard_bytes_per_gpu: float) -> float:

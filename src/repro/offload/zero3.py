@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.interconnect.aggregation import WireFormat, wire_bytes_for
-from repro.interconnect.fabric import CXLFabric, FabricParams
+from repro.interconnect.fabric import CXLFabric, FabricParams, PartitionPolicy
 from repro.models.specs import ModelSpec
 from repro.offload.breakdown import StepBreakdown
 from repro.offload.engines import STREAM_CHUNKS, _trace_phase_marks
@@ -102,7 +102,7 @@ class Zero3Engine:
         hw: HardwareParams | None = None,
         prefetch_layers: int = 1,
         wire_format: "WireFormat | str" = "fp16",
-        policy="fair",
+        policy: "PartitionPolicy | str" = PartitionPolicy.FAIR_SHARE,
     ):
         ranks = check_int("ranks", ranks, 1)
         global_batch = check_int("global_batch", global_batch, ranks)
@@ -114,7 +114,7 @@ class Zero3Engine:
         self.hw = hw or HardwareParams.paper_default()
         self.prefetch_layers = check_int("prefetch_layers", prefetch_layers, 0)
         self.wire_format = WireFormat.parse(wire_format)
-        self.policy = policy
+        self.policy = PartitionPolicy.parse(policy)
 
     @property
     def micro_batch(self) -> int:

@@ -13,6 +13,7 @@ from collections import deque
 from typing import Any
 
 from repro.sim.engine import SimEvent, Simulator
+from repro.utils.checks import check_bandwidth
 from repro.utils.units import Bandwidth
 
 __all__ = ["Resource", "Store", "SerialLink"]
@@ -165,8 +166,7 @@ class SerialLink:
         latency: float = 0.0,
         name: str = "link",
     ):
-        if not isinstance(bandwidth, Bandwidth):
-            raise ValueError(f"bandwidth must be a Bandwidth, got {bandwidth!r}")
+        check_bandwidth("bandwidth", bandwidth)
         # A bool is an int, but ``latency=True`` is a typo, not 1 s.
         if isinstance(latency, bool) or not 0.0 <= latency < _INF:
             raise ValueError(

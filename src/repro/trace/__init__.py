@@ -11,7 +11,8 @@ emulator to get the transfer time not overlapped with compute
   whole or as bounded chunks) or through the real cache hierarchy;
 * :mod:`repro.trace.replay` — replays a trace, or a stream of its chunks,
   over a CXL link model and reports exposed (non-overlapped) transfer
-  time and wire volume.
+  time and wire volume; the analytic sweep's stream replays in closed
+  form.
 """
 
 from repro.trace.generator import (

@@ -31,6 +31,7 @@ from repro.memsim.trace import WritebackTrace
 from repro.utils.checks import check_int
 
 __all__ = [
+    "SweepChunks",
     "adam_writeback_chunks",
     "adam_writeback_trace",
     "simulate_sweep_writebacks",
@@ -98,13 +99,15 @@ def adam_writeback_chunks(
     llc_bytes: int = 16 * 2**20,
     chunk_lines: int = 1,
     block_lines: int = 1 << 16,
-) -> Iterator[np.ndarray]:
+) -> SweepChunks:
     """Stream the ADAM sweep's write-back times in bounded blocks.
 
-    Yields float64 time arrays for line-index blocks ``[lo, lo +
-    block_lines)`` in order, so :func:`~repro.trace.replay.replay_trace`
-    can fold a billion-line sweep in ``block_lines``-sized memory.  The
-    arguments are checked here, before the first block is built.
+    Iterating the result yields float64 time arrays for line-index
+    blocks ``[lo, lo + block_lines)`` in order, so
+    :func:`~repro.trace.replay.replay_trace` could fold a billion-line
+    sweep in ``block_lines``-sized memory; it replays a
+    :class:`SweepChunks` in closed form instead, with the same result.
+    The arguments are checked here, before the first block is built.
 
     ``chunk_lines`` sets the streaming granularity: 1 is per-line
     streaming (the times of :func:`adam_writeback_trace`); ``c > 1``
@@ -113,28 +116,49 @@ def adam_writeback_chunks(
     n - 1)``; 0 sends every line at sweep end.  The quantization works
     on the global line index, so a chunk may straddle blocks.
     """
-    n_lines, llc_lines = _check_sweep(param_bytes, sweep_duration, llc_bytes)
-    check_int("chunk_lines", chunk_lines, 0)
-    check_int("block_lines", block_lines, 1)
-    time_per_line = sweep_duration / n_lines
+    return SweepChunks(
+        param_bytes, sweep_duration, llc_bytes, chunk_lines, block_lines
+    )
 
-    def block(lo: int) -> np.ndarray:
-        hi = min(lo + block_lines, n_lines)
-        if chunk_lines == 0:
-            return np.full(hi - lo, sweep_duration, dtype=np.float64)
-        idx = np.arange(lo, hi)
-        if chunk_lines > 1:
-            chunk_end = (idx // chunk_lines + 1) * chunk_lines - 1
-            idx = np.minimum(chunk_end, n_lines - 1)
+
+class SweepChunks:
+    """The block stream of :func:`adam_writeback_chunks`, with its geometry.
+
+    :meth:`times` is the one write-back-time expression: the blocks are
+    its values, and the closed-form replay evaluates it at a few line
+    indices, so both round alike.
+    """
+
+    def __init__(
+        self, param_bytes, sweep_duration, llc_bytes, chunk_lines, block_lines
+    ):
+        self.n_lines, self.llc_lines = _check_sweep(
+            param_bytes, sweep_duration, llc_bytes
+        )
+        self.sweep_duration = sweep_duration
+        self.chunk_lines = check_int("chunk_lines", chunk_lines, 0)
+        self.block_lines = check_int("block_lines", block_lines, 1)
+        self.time_per_line = sweep_duration / self.n_lines
+
+    def times(self, idx: np.ndarray) -> np.ndarray:
+        """Write-back times of the int64 line indices ``idx``."""
+        n, c = self.n_lines, self.chunk_lines
+        if c == 0:
+            return np.full(idx.size, self.sweep_duration, dtype=np.float64)
+        if c > 1:
+            idx = np.minimum((idx // c + 1) * c - 1, n - 1)
         # Line i is written at (i+1)*tpl and written back when the front
         # reaches i + llc_lines; lines inside the final LLC-capacity
         # window are flushed at sweep end.
         return np.minimum(
-            (idx.astype(np.float64) + llc_lines) * time_per_line,
-            sweep_duration,
+            (idx.astype(np.float64) + self.llc_lines) * self.time_per_line,
+            self.sweep_duration,
         )
 
-    return map(block, range(0, n_lines, block_lines))
+    def __iter__(self) -> Iterator[np.ndarray]:
+        n, block = self.n_lines, self.block_lines
+        for lo in range(0, n, block):
+            yield self.times(np.arange(lo, min(lo + block, n)))
 
 
 def simulate_sweep_writebacks(

@@ -12,10 +12,16 @@ is vectorized via the standard transformation
 (a running maximum), so multi-million-line traces replay in milliseconds.
 The maximum folds across chunks, so a trace can also arrive as a stream
 of time arrays and replay in bounded memory.
+
+The analytic ADAM sweep needs no fold at all: given its
+:class:`~repro.trace.generator.SweepChunks`, :func:`replay_trace` takes
+the running maximum at the few line indices where it can lie, and the
+fold of the same blocks is its oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -27,6 +33,7 @@ from repro.interconnect.cxl import CXLLinkModel
 from repro.interconnect.packets import CACHE_LINE_BYTES, packet_wire_bytes
 from repro.memsim.trace import WritebackTrace
 from repro.obs.profile import active_profile
+from repro.trace.generator import SweepChunks
 
 __all__ = [
     "ReplayResult",
@@ -152,7 +159,9 @@ def replay_trace(
         together are non-decreasing.  The running maximum closing the
         queueing recursion folds across chunks, so a stream replays in
         one chunk's memory and gives bit for bit the result of its
-        concatenation.
+        concatenation.  The analytic sweep's stream, a
+        :class:`~repro.trace.generator.SweepChunks`, replays in closed
+        form (:func:`_sweep_fold`) with that same result.
     link
         CXL link model (paper default if omitted).
     dirty_bytes
@@ -166,17 +175,14 @@ def replay_trace(
     _check_replay_args(dirty_bytes, start_time)
     link = link or CXLLinkModel.paper_default()
     t_line = link.line_transfer_time(dirty_bytes)
-    n = 0
-    head_start = -np.inf
-    first_arrival = compute_end = start_time
-    for times in _time_chunks(trace):
-        arrive = np.maximum(times, start_time)
-        if n == 0:
-            first_arrival = float(arrive[0])
-        compute_end = float(arrive[-1])
-        idx = np.arange(n, n + times.size, dtype=np.float64)
-        head_start = max(head_start, float(np.max(arrive - idx * t_line)))
-        n += times.size
+    fold = None
+    # Sweep times are never negative, so a wire free from ``start_time
+    # <= 0`` delays no line, and the closed form needs no clamp.
+    if isinstance(trace, SweepChunks) and start_time <= 0:
+        fold = _sweep_fold(trace, t_line)
+    if fold is None:
+        fold = _fold(_time_chunks(trace), t_line, start_time)
+    n, head_start, first_arrival, compute_end = fold
     if n == 0:
         return ReplayResult(
             finish_time=start_time,
@@ -198,6 +204,67 @@ def replay_trace(
     )
     _observe_replay(result, first_arrival)
     return result
+
+
+def _fold(chunks, t_line, start_time):
+    """``(n, head_start, first_arrival, compute_end)`` of a replay, by
+    folding the running maximum ``max_i(arrive_i - i * t_line)`` over
+    the time chunks."""
+    n = 0
+    head_start = -np.inf
+    first_arrival = compute_end = start_time
+    for times in chunks:
+        arrive = np.maximum(times, start_time)
+        if n == 0:
+            first_arrival = float(arrive[0])
+        compute_end = float(arrive[-1])
+        idx = np.arange(n, n + times.size, dtype=np.float64)
+        head_start = max(head_start, float(np.max(arrive - idx * t_line)))
+        n += times.size
+    return n, head_start, first_arrival, compute_end
+
+
+#: The closed form trusts a piece's monotonicity only when its per-chunk
+#: slope exceeds this many ULPs of the largest term.  Rounding moves each
+#: term by at most 1.5 ULP, so two neighbours by at most 3.
+SLOPE_GUARD_ULPS = 64
+
+
+def _sweep_fold(sweep: SweepChunks, t_line: float):
+    """:func:`_fold` of ``sweep`` from a few of its lines, or ``None``
+    when rounding could hide which line holds the maximum.
+
+    Each term ``arrive_i - i * t_line`` is rounded as the fold rounds
+    it.  Inside a chunk the arrival is constant, so the chunk's first
+    line holds its maximum.  Across chunks the arrival rises linearly up
+    to chunk ``b`` (found by bisection), and from there it is the sweep
+    end, where the terms fall.  Along the rise the terms are monotone,
+    with slope ``chunk_lines * (tpl - t_line)`` per chunk: falling, they
+    peak at chunk 0; rising, at chunk ``b - 1``, or ``b - 2`` if the
+    rise reaches a ragged last chunk.  So chunks 0 and ``b - 2 .. b``
+    are the only candidates, unless the slope is within rounding noise
+    and some chunk is not a candidate.  DESIGN.md gives the bounds.
+    """
+    n, end = sweep.n_lines, sweep.sweep_duration
+    # ``chunk_lines`` 0 (every line at sweep end) is one constant chunk.
+    chunk = sweep.chunk_lines or n
+    n_chunks = -(-n // chunk)
+    at_end = bisect.bisect_left(
+        range(n_chunks),
+        True,
+        key=lambda k: bool(sweep.times(np.array([k * chunk]))[0] >= end),
+    )
+    ks = sorted({0, *range(max(at_end - 2, 0), min(at_end + 1, n_chunks))})
+    noise = math.ulp(max(end, n * t_line))
+    slope = chunk * (sweep.time_per_line - t_line)
+    if len(ks) < n_chunks and abs(slope) <= SLOPE_GUARD_ULPS * noise:
+        return None
+    # The last line rides along: it is a term of the maximum too, and
+    # its arrival is the compute end.
+    idx = np.array([k * chunk for k in ks] + [n - 1], dtype=np.int64)
+    arrive = sweep.times(idx)
+    head_start = float(np.max(arrive - idx.astype(np.float64) * t_line))
+    return n, head_start, float(arrive[0]), float(arrive[-1])
 
 
 def replay_trace_scalar(

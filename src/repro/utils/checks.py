@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numbers
 
-__all__ = ["check_int"]
+from repro.utils.units import Bandwidth
+
+__all__ = ["check_bandwidth", "check_int"]
 
 
 def check_int(name: str, value, minimum: int) -> int:
@@ -19,3 +21,13 @@ def check_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_bandwidth(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is a :class:`Bandwidth`.
+
+    A bare float would construct and fail only at its first transfer,
+    with an ``AttributeError`` far from the typo.
+    """
+    if not isinstance(value, Bandwidth):
+        raise ValueError(f"{name} must be a Bandwidth, got {value!r}")

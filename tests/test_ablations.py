@@ -90,7 +90,7 @@ class TestGranularityAblation:
         sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux"
     )
     def test_experiment_peak_rss_bounded(self):
-        """The stream side folds bounded blocks: the whole experiment, in a
+        """The stream side builds no trace: the whole experiment, in a
         fresh interpreter, peaks far below the ~1.6 GiB that building the
         bert-large write-back trace took."""
         code = (

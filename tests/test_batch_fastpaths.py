@@ -111,7 +111,7 @@ class TestReplayDifferential:
         ref = replay_trace_scalar(trace, link, 2)
         assert vec.n_lines == ref.n_lines
         assert vec.wire_bytes == ref.wire_bytes
-        assert vec.finish_time == pytest.approx(ref.finish_time, rel=1e-12)
+        assert vec.finish_time == pytest.approx(ref.finish_time, rel=1e-12, abs=0)
         assert vec.exposed_time == pytest.approx(
             ref.exposed_time, rel=1e-9, abs=1e-15
         )

@@ -400,6 +400,35 @@ class TestReplayInstrumentation:
         assert traced[0] == traced[1]
         assert traced[1][1] == times[0]
 
+    @pytest.mark.parametrize("chunk_lines", [1, 7, 0])
+    def test_closed_form_sweep_records_same_summary(self, chunk_lines):
+        """The analytic sweep's closed form records the fold's spans and
+        counters."""
+        from repro.trace import adam_writeback_chunks
+        from repro.trace.replay import replay_trace
+
+        sweep = adam_writeback_chunks(64 * 500 - 3, 3e-6, 64 * 40, chunk_lines)
+        traced = []
+        for stream in (sweep, iter(sweep)):  # closed form, then the fold
+            tr, mx = Tracer(), Metrics()
+            with Profile(tr, mx).activate():
+                result = replay_trace(stream)
+            (span,) = [s for s in tr.spans_in("link") if s.name == "stream"]
+            (end,) = [i for i in tr.instants if i.name == "compute-end"]
+            traced.append(
+                (
+                    result,
+                    span.begin,
+                    span.end,
+                    span.args,
+                    end.ts,
+                    len(tr.spans_in("link")),
+                    mx.value("replay.lines"),
+                    mx.value("replay.wire_bytes"),
+                )
+            )
+        assert traced[0] == traced[1]
+
     def test_replay_untraced_unchanged(self):
         from repro.memsim.trace import WritebackTrace
         from repro.trace.replay import replay_trace

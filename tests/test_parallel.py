@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.scaling import render_scaling, run_scaling
+from repro.interconnect.fabric import PartitionPolicy
 from repro.models import get_model
 from repro.offload import SystemKind
 from repro.offload.cluster import ClusterEngine
@@ -57,6 +58,8 @@ class TestClusterParams:
             ("collective_latency", float("inf")),
             ("n_gpus", 2.0),
             ("n_gpus", True),
+            ("collective_bandwidth", 60e9),
+            ("collective_bandwidth", None),
         ],
     )
     def test_bad_value_rejected_at_construction(self, field, value):
@@ -79,6 +82,15 @@ _COUNT_PARAMETERS = {
         spec, 8, prefetch_layers=v
     ),
 }
+
+
+def test_zero3_policy_parsed_at_construction():
+    """A bad policy fails when the engine is built, not at its first step."""
+    spec = get_model("bert-large-cased")
+    with pytest.raises(ValueError, match="partition policy"):
+        Zero3Engine(spec, 8, policy="bogus")
+    engine = Zero3Engine(spec, 8, policy="shared")
+    assert engine.policy is PartitionPolicy.SHARED
 
 
 @pytest.mark.parametrize("value", [True, 1.5, 4.0])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.trace.replay as replay_module
 from repro.interconnect import CacheLinePayload, CXLController, CXLLinkModel
 from repro.memsim import CacheHierarchy, SetAssociativeCache, WritebackTrace
 from repro.sim import Simulator
@@ -193,7 +196,7 @@ class TestReplay:
         times = np.arange(1, n + 1) * (t_line * 10)  # 10x slower than link
         tr = WritebackTrace(times, np.arange(n, dtype=np.uint64) * 64)
         r = replay_trace(tr, link)
-        assert r.exposed_time == pytest.approx(t_line, rel=1e-6)
+        assert r.exposed_time == pytest.approx(t_line, rel=1e-6, abs=0)
         assert r.overlap_fraction > 0.98
 
     def test_burst_producer_fully_exposed(self):
@@ -341,3 +344,145 @@ class TestReplay:
         assert ctrl.wire_bytes_sent == result.wire_bytes
         assert ctrl.lines_delivered == result.n_lines == n_lines
 
+
+def _closed_and_fold(param_bytes, sweep_duration, llc_bytes, chunk_lines,
+                     **replay):
+    """One sweep replayed in closed form, and by its oracle: the fold of
+    the same blocks (``iter`` hides the sweep's geometry)."""
+    sweep = adam_writeback_chunks(
+        param_bytes, sweep_duration, llc_bytes, chunk_lines
+    )
+    return replay_trace(sweep, **replay), replay_trace(iter(sweep), **replay)
+
+
+@st.composite
+def _sweeps(draw):
+    """A sweep geometry, a chunking of every kind, and a replay setup.
+
+    The sweep lasts ``ratio`` times its own wire time, so ``ratio`` is
+    ``tpl / t_line``: below 1 the terms of the running maximum fall along
+    the linear piece, above 1 they rise, and at 1 only the guard's
+    fallback is exact.
+    """
+    n = draw(st.integers(1, 3000))
+    param_bytes = 64 * n - draw(st.integers(0, 63))
+    llc_lines = draw(
+        st.one_of(st.integers(1, n), st.integers(n, 2 * n + 3))
+    )
+    kind = draw(st.sampled_from(["0", "1", "divides", "ragged", "larger"]))
+    if kind == "0":
+        chunk = 0
+    elif kind == "1":
+        chunk = 1
+    elif kind == "divides":
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        chunk = draw(st.sampled_from(divisors or [1]))
+    elif kind == "ragged":
+        ragged = [c for c in range(2, n) if n % c]
+        chunk = draw(st.sampled_from(ragged or [n + 1]))
+    else:
+        chunk = n + draw(st.integers(1, 100))
+    dirty_bytes = draw(st.sampled_from([2, 4]))
+    ratio = draw(
+        st.one_of(
+            st.floats(0.05, 20.0),
+            st.sampled_from([1.0, 1.0 + 2**-40, 1.0 - 2**-40, 0.63, 1.58]),
+        )
+    )
+    t_line = CXLLinkModel.paper_default().line_transfer_time(dirty_bytes)
+    # A product of ``n`` divides back exactly; a nudged one need not, so
+    # ``n * tpl`` may round below the sweep end.
+    nudge = draw(st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)))
+    duration = ratio * t_line * n * (1.0 + nudge)
+    # A wire free before the sweep (closed form), or busy into or past
+    # it (the fold).
+    start = draw(st.one_of(st.just(0.0), st.floats(-1.0, 2.0))) * duration
+    return param_bytes, duration, 64 * llc_lines, chunk, dirty_bytes, start
+
+
+class TestSweepClosedForm:
+    """``replay_trace`` of a ``SweepChunks`` against its oracle, the fold."""
+
+    @given(_sweeps())
+    @settings(max_examples=300, deadline=None)
+    # (param_bytes, duration, llc_bytes, chunk_lines, dirty_bytes, start):
+    # 1000 lines at 3e-6 s is tpl < t_line, at 9e-6 s tpl > t_line.
+    @example((64 * 1000 - 5, 3e-6, 64 * 100, 0, 4, 0.0))  # ragged bytes
+    @example((64 * 1000, 3e-6, 64 * 100, 1, 2, 0.0))
+    @example((64 * 1000, 3e-6, 64 * 100, 8, 4, 0.0))  # chunk divides n
+    @example((64 * 1000, 3e-6, 64 * 100, 7, 4, 0.0))  # it does not
+    @example((64 * 1000, 3e-6, 64 * 100, 1001, 2, 0.0))  # chunk > n
+    @example((64 * 1000, 3e-6, 64 * 2000, 3, 4, 0.0))  # LLC > arena
+    @example((64 * 1000, 3e-6, 64 * 100, 3, 4, -1e-6))  # free before
+    @example((64 * 1000, 9e-6, 64 * 100, 3, 4, 0.0))
+    # The rising run reaches the ragged last chunk and peaks just before.
+    @example((64 * 301, 2.5830519943756384e-06, 64, 4, 4, 0.0))
+    def test_equals_streamed_fold(self, sweep):
+        param_bytes, duration, llc_bytes, chunk, dirty_bytes, start = sweep
+        closed, fold = _closed_and_fold(
+            param_bytes, duration, llc_bytes, chunk,
+            dirty_bytes=dirty_bytes, start_time=start,
+        )
+        assert closed == fold
+
+    @staticmethod
+    def _count_folds(monkeypatch) -> list:
+        """Record every fold :func:`replay_trace` runs."""
+        calls = []
+        fold = replay_module._fold
+
+        def spy(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(replay_module, "_fold", spy)
+        return calls
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("ulps", [-2, 0, 2])
+    def test_tpl_near_t_line_falls_back_to_fold(
+        self, monkeypatch, chunk, ulps
+    ):
+        """With ``tpl == t_line`` the linear piece is flat and rounding
+        decides its maximum, so only the fold gives the fold's bits."""
+        n = 5000
+        t_line = CXLLinkModel.paper_default().line_transfer_time()
+        duration = n * t_line
+        for _ in range(abs(ulps)):
+            duration = np.nextafter(duration, np.sign(ulps) * np.inf)
+        calls = self._count_folds(monkeypatch)
+        closed, fold = _closed_and_fold(
+            64 * n, float(duration), 64 * 100, chunk
+        )
+        assert len(calls) == 2  # the guard's fallback and the oracle
+        assert closed == fold
+
+    def test_clear_slope_takes_closed_form(self, monkeypatch):
+        calls = self._count_folds(monkeypatch)
+        t_line = CXLLinkModel.paper_default().line_transfer_time()
+        for ratio in (0.63, 1.58):
+            replay_trace(
+                adam_writeback_chunks(64 * 5000, ratio * 5000 * t_line, 6400)
+            )
+        assert calls == []
+
+    def test_busy_wire_folds(self, monkeypatch):
+        """A wire busy into the sweep clamps arrivals: the fold replays."""
+        calls = self._count_folds(monkeypatch)
+        replay_trace(adam_writeback_chunks(64 * 100, 1e-6), start_time=1e-9)
+        assert len(calls) == 1
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("chunk", [1, 64, 4096, 262144, 0])
+    def test_granularity_default_equals_fold(self, chunk):
+        """The ``granularity`` ablation's bert-large sweeps, bit for bit."""
+        from repro.models import get_model
+        from repro.offload import HardwareParams
+
+        spec = get_model("bert-large-cased")
+        duration = HardwareParams.paper_default().adam_time(spec)
+        closed, fold = _closed_and_fold(
+            spec.param_bytes, duration, 16 * 2**20, chunk
+        )
+        assert closed == fold
+        assert closed.finish_time.hex() == fold.finish_time.hex()
