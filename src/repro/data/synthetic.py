@@ -30,15 +30,23 @@ def lm_corpus(
     base = 1.0 / (np.arange(1, vocab + 1) ** 1.1)
     base /= base.sum()
     trans = rng.dirichlet(base * order, size=vocab)
-    tokens = np.empty(n_tokens, dtype=np.int64)
-    tokens[0] = rng.integers(vocab)
-    # Vectorized chain sampling via inverse-CDF per step batch is awkward;
-    # chains are short in practice (<= a few 10k), a loop is fine.
+    first = int(rng.integers(vocab))
     cdf = np.cumsum(trans, axis=1)
     u = rng.random(n_tokens)
+    # Inverse-CDF sampling: nxt[s][t] is the token drawn at step t from
+    # state s.  One searchsorted per state row into the narrowest dtype
+    # that holds ``vocab``, then a walk over memoryviews, which index to
+    # Python ints without NumPy's per-call cost.
+    table = np.empty((vocab, n_tokens), dtype=np.min_scalar_type(vocab))
+    for s, row in enumerate(cdf):
+        table[s] = np.searchsorted(row, u)
+    nxt = [memoryview(r) for r in table]
+    tokens = [first]
+    tok = first
     for t in range(1, n_tokens):
-        tokens[t] = np.searchsorted(cdf[tokens[t - 1]], u[t])
-    return np.clip(tokens, 0, vocab - 1)
+        tok = nxt[tok][t]
+        tokens.append(tok)
+    return np.clip(np.array(tokens, dtype=np.int64), 0, vocab - 1)
 
 
 def lm_batches(

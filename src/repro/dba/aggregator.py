@@ -6,9 +6,10 @@ them into a compact payload (32 bytes for the default ``dirty_bytes=2``),
 which the CXL link layer then packs into packets.  When the DBA register is
 disabled the logic is bypassed and full lines are sent.
 
-Implementation notes: lines are processed as ``uint32`` word matrices whose
-little-endian byte lanes are gathered with a single strided copy, which is
-endianness-neutral and vectorizes over arbitrarily many lines at once.  A
+Implementation notes: lines are processed as ``uint32`` word matrices; the
+low byte lanes leave as one narrowing cast to a little-endian integer type
+(one strided byte gather for 3 dirty bytes), which is endianness-neutral and
+vectorizes over arbitrarily many lines at once.  A
 per-word scalar reference (:meth:`Aggregator.pack_lines_scalar`) defines
 the semantics and anchors the differential tests.
 """
@@ -59,9 +60,11 @@ class Aggregator:
     def pack_lines(self, lines: np.ndarray) -> np.ndarray:
         """Aggregate cache lines into wire payloads (vectorized fast path).
 
-        Reinterprets the word matrix as a little-endian byte grid
-        ``(n_lines, 16, 4)`` and gathers the low ``dirty_bytes`` byte
-        lanes with one strided copy — no per-byte shift/mask passes.
+        Casts the words to little-endian ``<u1``/``<u2``/``<u4`` (a
+        narrowing cast keeps the low bytes) and reinterprets the result
+        as the payload bytes; ``dirty_bytes=3`` has no such type, so it
+        gathers the low three lanes of the ``(n_lines, 16, 4)`` byte grid
+        with one strided copy.  No per-byte shift/mask passes.
         Bit-identical to :meth:`pack_lines_scalar`, the per-word
         reference (the equivalence is differentially fuzz-tested).
 
@@ -81,15 +84,16 @@ class Aggregator:
         rows = lines.shape[0]
         # "<u4" pins byte j of the view to (word >> 8j) & 0xFF regardless
         # of host endianness (a no-op view on little-endian hosts).
-        lanes = (
-            float32_to_words(lines)
-            .astype("<u4", copy=False)
-            .view(np.uint8)
-            .reshape(rows, WORDS_PER_LINE, 4)
-        )
-        out = np.ascontiguousarray(lanes[:, :, :n]).reshape(
-            rows, WORDS_PER_LINE * n
-        )
+        words = float32_to_words(lines).astype("<u4", copy=False)
+        if n == 3:
+            lanes = words.view(np.uint8).reshape(rows, WORDS_PER_LINE, 4)
+            out = np.ascontiguousarray(lanes[:, :, :n]).reshape(
+                rows, WORDS_PER_LINE * n
+            )
+        else:
+            # A narrowing cast keeps each word's low n bytes, and "<u{n}"
+            # stores them low byte first: the payload in one copy.
+            out = words.astype(f"<u{n}").view(np.uint8)
         self.lines_processed += rows
         self.payload_bytes_produced += out.size
         return out

@@ -64,9 +64,11 @@ class Disaggregator:
     ) -> np.ndarray:
         """Merge wire payloads into stale lines (vectorized fast path).
 
-        Scatters the payload into the low byte lanes of a zeroed
-        little-endian byte grid with one strided copy and reinterprets
-        the grid as words — no per-byte shift/OR passes.  Bit-identical
+        Reads each word's payload bytes as one little-endian
+        ``<u1``/``<u2``/``<u4`` integer and widens it to a word;
+        ``dirty_bytes=3`` scatters the payload into the low lanes of a
+        zeroed byte grid with one strided copy instead.  No per-byte
+        shift/OR passes.  Bit-identical
         to :meth:`merge_lines_scalar`, the per-word reference.
 
         Parameters
@@ -84,12 +86,17 @@ class Disaggregator:
         """
         stale_lines, payload, n = self._validated(stale_lines, payload)
         rows = stale_lines.shape[0]
-        lanes = np.zeros((rows, WORDS_PER_LINE, 4), dtype=np.uint8)
-        lanes[:, :, :n] = payload.reshape(rows, WORDS_PER_LINE, n)
-        # "<u4" makes byte lane j the (8j)-shifted byte on any host.
-        fresh_low = lanes.view("<u4")[:, :, 0].astype(np.uint32, copy=False)
-        mask = low_byte_mask(n)
-        merged = (float32_to_words(stale_lines) & ~mask) | (fresh_low & mask)
+        if n == 3:
+            lanes = np.zeros((rows, WORDS_PER_LINE, 4), dtype=np.uint8)
+            lanes[:, :, :n] = payload.reshape(rows, WORDS_PER_LINE, n)
+            # "<u4" makes byte lane j the (8j)-shifted byte on any host.
+            fresh = lanes.view("<u4")[:, :, 0]
+        else:
+            # Each word's n payload bytes, low byte first, read as one
+            # little-endian "<u{n}" integer.
+            fresh = np.ascontiguousarray(payload).view(f"<u{n}")
+        fresh_low = fresh.astype(np.uint32, copy=False)
+        merged = (float32_to_words(stale_lines) & ~low_byte_mask(n)) | fresh_low
         self.lines_merged += rows
         self.extra_reads += rows if self.register.enabled else 0
         return words_to_float32(merged)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from repro.dba import ActivationPolicy
 from repro.experiments.registry import register, renderer
-from repro.experiments.runner import finetune, pretrained_lm
+from repro.experiments.runner import Branch, finetune_branches, pretrained_lm
 from repro.models import get_model
 from repro.offload import HardwareParams, SystemKind, TrainerMode, simulate_system
 from repro.offload.engines import TECOEngine
+from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 
 __all__ = ["run_dirty_bytes_ablation", "render_dirty_bytes"]
@@ -35,19 +36,26 @@ def run_dirty_bytes_ablation(
     hw = HardwareParams.paper_default()
     base = simulate_system(SystemKind.ZERO_OFFLOAD, spec, batch, hw)
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
-    baseline_tr = finetune(setup, TrainerMode.ZERO_OFFLOAD, seed=seed + 1)
+    dirty = (1, 2, 3, 4)
+    baseline_tr, *trainers = finetune_branches(
+        lambda: setup.fresh_model(make_rng(seed + 1)),
+        setup.state,
+        setup.train_batches,
+        [Branch(TrainerMode.ZERO_OFFLOAD)]
+        + [
+            Branch(
+                TrainerMode.TECO_REDUCTION,
+                ActivationPolicy(act_aft_steps=n_steps // 5, dirty_bytes=db),
+            )
+            for db in dirty
+        ],
+    )
     baseline_ppl = baseline_tr.model.perplexity(setup.eval_batch)
     rows = []
-    for db in (1, 2, 3, 4):
+    for db, tr in zip(dirty, trainers):
         timed = TECOEngine(
             spec, batch, hw, dba=(db < 4), dirty_bytes=db
         ).simulate_step()
-        tr = finetune(
-            setup,
-            TrainerMode.TECO_REDUCTION,
-            seed=seed + 1,
-            policy=ActivationPolicy(act_aft_steps=n_steps // 5, dirty_bytes=db),
-        )
         ppl = tr.model.perplexity(setup.eval_batch)
         rows.append(
             {

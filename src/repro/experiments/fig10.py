@@ -16,12 +16,14 @@ from repro.dba import ActivationPolicy
 from repro.experiments.registry import register, renderer
 from repro.experiments.runner import (
     FINETUNE_LR,
+    Branch,
     checkpoint_file,
-    finetune,
+    finetune_branches,
     pretrained_classifier,
     pretrained_lm,
 )
 from repro.offload import TrainerMode
+from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -88,20 +90,19 @@ def _compare(
             lr=lr,
         )
 
-    baseline = finetune(
-        setup,
-        TrainerMode.ZERO_OFFLOAD,
+    baseline, teco = finetune_branches(
+        lambda: setup.fresh_model(make_rng(seed + 1)),
+        setup.state,
+        setup.train_batches,
+        [
+            Branch(TrainerMode.ZERO_OFFLOAD, checkpoint_path=ckpt("baseline")),
+            Branch(
+                TrainerMode.TECO_REDUCTION,
+                ActivationPolicy(act_aft_steps=act_aft_steps, dirty_bytes=2),
+                ckpt("teco"),
+            ),
+        ],
         lr=lr,
-        seed=seed + 1,
-        checkpoint_path=ckpt("baseline"),
-    )
-    teco = finetune(
-        setup,
-        TrainerMode.TECO_REDUCTION,
-        lr=lr,
-        seed=seed + 1,
-        policy=ActivationPolicy(act_aft_steps=act_aft_steps, dirty_bytes=2),
-        checkpoint_path=ckpt("teco"),
     )
     return Fig10Result(
         baseline_curve=baseline.loss_curve,

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from repro.dba import ActivationPolicy
 from repro.experiments.registry import register, renderer
-from repro.experiments.runner import checkpoint_file, finetune, pretrained_lm
+from repro.experiments.runner import (
+    Branch,
+    checkpoint_file,
+    finetune_branches,
+    pretrained_lm,
+)
 from repro.models import get_model
 from repro.offload import (
     HardwareParams,
@@ -26,6 +31,7 @@ from repro.offload import (
     TrainerMode,
     simulate_system,
 )
+from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 
 __all__ = ["run_fig13", "render_fig13", "mixed_speedup"]
@@ -64,28 +70,36 @@ def run_fig13(
     """One row per activation point: proxy perplexity + modelled speedup.
 
     The timing side scales each sweep point to the paper's 1775-step run
-    proportionally, so speedups are comparable with Figure 13.  With
+    proportionally, so speedups are comparable with Figure 13.  The
+    sweep points share their steps before activation: one trunk runs
+    them and each point forks where it activates
+    (:func:`~repro.experiments.runner.finetune_branches`).  With
     ``checkpoint_dir`` each sweep point's fine-tuning run checkpoints to
     its own file and resumes bit-exactly if the sweep is interrupted.
     """
     if any(not 0 <= s <= total_steps for s in sweep):
         raise ValueError("sweep points must lie within the run")
     setup = pretrained_lm(seed=seed, finetune_batches=total_steps)
+    trainers = finetune_branches(
+        lambda: setup.fresh_model(make_rng(seed + 1)),
+        setup.state,
+        setup.train_batches,
+        [
+            Branch(
+                TrainerMode.TECO_REDUCTION,
+                ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
+                checkpoint_file(
+                    checkpoint_dir,
+                    f"fig13-act{act}",
+                    seed=seed,
+                    total_steps=total_steps,
+                ),
+            )
+            for act in sweep
+        ],
+    )
     rows = []
-    for act in sweep:
-        ckpt = checkpoint_file(
-            checkpoint_dir,
-            f"fig13-act{act}",
-            seed=seed,
-            total_steps=total_steps,
-        )
-        trainer = finetune(
-            setup,
-            TrainerMode.TECO_REDUCTION,
-            seed=seed + 1,
-            policy=ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
-            checkpoint_path=ckpt,
-        )
+    for act, trainer in zip(sweep, trainers):
         ppl = trainer.model.perplexity(setup.eval_batch)
         paper_act = int(act / total_steps * paper_total_steps)
         rows.append(

@@ -67,20 +67,27 @@ def _simulate_cell(
 def _format_accuracy(
     formats: tuple[str, ...], n_steps: int, seed: int
 ) -> dict[str, dict]:
-    """Finetune the proxy once per format with its wire round-trip."""
+    """Finetune the proxy once per format with its wire round-trip.
+
+    The ``fp32`` round-trip is the bitwise identity, so its run is the
+    baseline run.
+    """
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
     baseline = finetune(setup, TrainerMode.TECO_REDUCTION, seed=seed + 1)
     baseline_ppl = baseline.model.perplexity(setup.eval_batch)
     out = {}
     for fmt in formats:
         wf = WireFormat.parse(fmt)
-        tr = finetune(
-            setup,
-            TrainerMode.TECO_REDUCTION,
-            seed=seed + 1,
-            grad_transform=lambda g, wf=wf: wire_roundtrip(g, wf),
-        )
-        ppl = tr.model.perplexity(setup.eval_batch)
+        if wf is WireFormat.FP32:
+            ppl = baseline_ppl
+        else:
+            tr = finetune(
+                setup,
+                TrainerMode.TECO_REDUCTION,
+                seed=seed + 1,
+                grad_transform=lambda g, wf=wf: wire_roundtrip(g, wf),
+            )
+            ppl = tr.model.perplexity(setup.eval_batch)
         out[fmt] = {
             "perplexity": ppl,
             "perplexity_delta": ppl - baseline_ppl,

@@ -14,16 +14,19 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data import classification_set, lm_batches, lm_corpus
+from repro.dba import ActivationPolicy
 from repro.experiments.pretrained import memoized_setup
 from repro.experiments.registry import content_hash
 from repro.models import TinyProxyConfig
 from repro.offload import OffloadTrainer, TrainerMode
 from repro.state import save_state
+from repro.tensor.nn import Module
 from repro.tensor.transformer import (
     TinyTransformerClassifier,
     TinyTransformerLM,
@@ -34,9 +37,11 @@ __all__ = [
     "LMSetup",
     "ClassifierSetup",
     "AsyncCheckpointer",
+    "Branch",
     "pretrained_lm",
     "pretrained_classifier",
     "finetune",
+    "finetune_branches",
     "checkpoint_file",
     "CHECKPOINT_EVERY",
     "FINETUNE_LR",
@@ -291,6 +296,128 @@ def checkpoint_file(checkpoint_dir, run: str, **cell) -> str | None:
     return os.path.join(os.fspath(checkpoint_dir), name)
 
 
+@dataclass
+class Branch:
+    """One fine-tuning run of a :func:`finetune_branches` sweep."""
+
+    mode: TrainerMode
+    #: DBA activation policy (``None``: the trainer's default).
+    policy: ActivationPolicy | None = None
+    #: Where the run checkpoints and resumes (``None``: not at all).
+    checkpoint_path: str | os.PathLike | None = None
+
+    def diverges_at(self, n_steps: int) -> int:
+        """The first step whose dataflow differs from a run that never
+        activates DBA (``n_steps`` if none does)."""
+        if self.mode is not TrainerMode.TECO_REDUCTION:
+            return n_steps
+        policy = self.policy or ActivationPolicy()
+        return 0 if policy.active else min(policy.act_aft_steps, n_steps)
+
+
+def finetune_branches(
+    make_model: Callable[[], Module],
+    state: dict[str, np.ndarray],
+    batches: list[tuple],
+    branches: list[Branch],
+    lr: float = FINETUNE_LR,
+    grad_transform=None,
+) -> list[OffloadTrainer]:
+    """Fine-tune one trainer per branch from the pre-trained ``state``,
+    running the steps the branches share once.
+
+    Until DBA activates, every mode and policy runs the same arithmetic,
+    so the branches agree up to :meth:`Branch.diverges_at`.  One trunk —
+    the branch that diverges last — trains from ``make_model()`` loaded
+    with ``state``; every other branch is forked from it
+    (:meth:`OffloadTrainer.fork`) at its divergence step and trained on
+    to the end, before the trunk goes on.  Each trainer equals a
+    separate run of its branch, bit for bit.
+
+    A branch with a ``checkpoint_path`` checkpoints there every
+    :data:`CHECKPOINT_EVERY` steps and after its last one.  One whose
+    checkpoint exists resumes from it (already-trained batches are
+    skipped); otherwise it forks from the trunk, or runs from step 0
+    when it diverges at step 0 or the resumed trunk is past its
+    divergence step.
+
+    ``grad_transform`` is forwarded to every :class:`OffloadTrainer` —
+    the in-fabric aggregation experiments pass a wire-format round-trip
+    so accuracy reflects the gradient rounding of the chosen format.
+    """
+    n = len(batches)
+
+    def fresh(branch: Branch) -> OffloadTrainer:
+        model = make_model()
+        model.load_state_dict(state)
+        return OffloadTrainer(
+            model,
+            mode=branch.mode,
+            lr=lr,
+            policy=branch.policy,
+            grad_transform=grad_transform,
+        )
+
+    def resumed(branch: Branch) -> OffloadTrainer | None:
+        path = branch.checkpoint_path
+        if path is None or not os.path.exists(path):
+            return None
+        trainer = fresh(branch)
+        trainer.load_checkpoint(path)
+        if trainer.step_count > n:
+            raise ValueError(
+                f"checkpoint at {path!r} has {trainer.step_count} steps but "
+                f"this run only has {n} batches; wrong checkpoint?"
+            )
+        return trainer
+
+    def train(trainer: OffloadTrainer, writer, stop: int) -> None:
+        for i in range(trainer.step_count, stop):
+            trainer.step(*batches[i])
+            done = i + 1
+            if writer is not None and (
+                done % CHECKPOINT_EVERY == 0 or done == n
+            ):
+                writer.submit()
+
+    def checkpointer(trainer: OffloadTrainer, branch: Branch):
+        path = branch.checkpoint_path
+        return None if path is None else AsyncCheckpointer(trainer, path)
+
+    def finish(trainer: OffloadTrainer, branch: Branch) -> OffloadTrainer:
+        writer = checkpointer(trainer, branch)
+        try:
+            train(trainer, writer, n)
+        finally:
+            if writer is not None:
+                writer.close()
+        return trainer
+
+    points = [b.diverges_at(n) for b in branches]
+    t = max(range(len(branches)), key=points.__getitem__)
+    trunk = resumed(branches[t]) or fresh(branches[t])
+    trainers: list[OffloadTrainer | None] = [None] * len(branches)
+    writer = checkpointer(trunk, branches[t])
+    try:
+        for i in sorted(range(len(branches)), key=points.__getitem__):
+            if i == t:
+                continue
+            branch = branches[i]
+            trainer = resumed(branch)
+            if trainer is None and 0 < points[i] >= trunk.step_count:
+                train(trunk, writer, points[i])
+                trainer = trunk.fork(
+                    branch.mode, branch.policy or ActivationPolicy()
+                )
+            trainers[i] = finish(trainer or fresh(branch), branch)
+        train(trunk, writer, n)
+    finally:
+        if writer is not None:
+            writer.close()
+    trainers[t] = trunk
+    return trainers
+
+
 def finetune(
     setup: LMSetup | ClassifierSetup,
     mode: TrainerMode,
@@ -300,52 +427,20 @@ def finetune(
     checkpoint_path: str | os.PathLike | None = None,
     grad_transform=None,
 ) -> OffloadTrainer:
-    """Fine-tune a fresh copy of the setup's checkpoint under ``mode``.
+    """Fine-tune a fresh copy of the setup's checkpoint under ``mode``:
+    the one-branch :func:`finetune_branches`.
 
     With ``checkpoint_path`` the run becomes interruptible: an existing
     checkpoint at that path is resumed (bit-exactly — already-trained
     batches are skipped), and the trainer re-checkpoints there every
-    :data:`CHECKPOINT_EVERY` steps and after its last step.  Long
-    Figure-10/13 sweeps can then be killed and relaunched without
-    redoing finished work; they name each run's path with
-    :func:`checkpoint_file`.
-
-    ``grad_transform`` is forwarded to :class:`OffloadTrainer` — the
-    in-fabric aggregation experiments pass a wire-format round-trip so
-    accuracy reflects the gradient rounding of the chosen format.
+    :data:`CHECKPOINT_EVERY` steps and after its last step.  Sweeps name
+    each run's path with :func:`checkpoint_file`.
     """
-    model = setup.fresh_model(make_rng(seed))
-    trainer = OffloadTrainer(
-        model,
-        mode=mode,
+    return finetune_branches(
+        lambda: setup.fresh_model(make_rng(seed)),
+        setup.state,
+        setup.train_batches,
+        [Branch(mode, policy, checkpoint_path)],
         lr=lr,
-        policy=policy,
         grad_transform=grad_transform,
-    )
-    batches = setup.train_batches
-    start = 0
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        trainer.load_checkpoint(checkpoint_path)
-        start = trainer.step_count
-        if start > len(batches):
-            raise ValueError(
-                f"checkpoint at {checkpoint_path!r} has {start} steps but "
-                f"this run only has {len(batches)} batches; wrong checkpoint?"
-            )
-    writer = (
-        None
-        if checkpoint_path is None
-        else AsyncCheckpointer(trainer, checkpoint_path)
-    )
-    try:
-        for i in range(start, len(batches)):
-            trainer.step(*batches[i])
-            done = i + 1
-            if writer is not None and (
-                done % CHECKPOINT_EVERY == 0 or done == len(batches)
-            ):
-                writer.submit()
-    finally:
-        if writer is not None:
-            writer.close()
-    return trainer
+    )[0]

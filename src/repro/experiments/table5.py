@@ -27,7 +27,8 @@ from repro.experiments.registry import register, renderer
 from repro.tensor.span import TinySpanExtractor
 from repro.dba import ActivationPolicy
 from repro.experiments.runner import (
-    finetune,
+    Branch,
+    finetune_branches,
     pretrained_classifier,
     pretrained_lm,
 )
@@ -47,36 +48,62 @@ PAPER_TABLE5 = {
 }
 
 
-def _policy(act: int) -> ActivationPolicy:
-    return ActivationPolicy(act_aft_steps=act, dirty_bytes=2)
+def _original_vs_teco(make_model, state, batches: list[tuple], metric) -> tuple:
+    """``metric(model)`` after fine-tuning from ``state`` on ``batches``
+    under ZeRO-Offload and under TECO-Reduction (DBA from a quarter of
+    the run on); the two runs share their steps before activation."""
+    act = len(batches) // 4
+    original, teco = finetune_branches(
+        make_model,
+        state,
+        batches,
+        [
+            Branch(TrainerMode.ZERO_OFFLOAD),
+            Branch(
+                TrainerMode.TECO_REDUCTION,
+                ActivationPolicy(act_aft_steps=act, dirty_bytes=2),
+            ),
+        ],
+    )
+    return metric(original.model), metric(teco.model)
+
+
+def _pretrained(model, batches: list[tuple]) -> dict[str, np.ndarray]:
+    """``model``'s state after pre-training on ``batches``."""
+    OffloadTrainer(model, lr=3e-3).train(batches)
+    return model.state_dict()
 
 
 def _lm_row(n_steps: int, seed: int) -> dict:
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
-    out = {}
-    for mode in (TrainerMode.ZERO_OFFLOAD, TrainerMode.TECO_REDUCTION):
-        tr = finetune(setup, mode, seed=seed + 1, policy=_policy(n_steps // 4))
-        out[mode] = tr.model.perplexity(setup.eval_batch)
+    original, teco = _original_vs_teco(
+        lambda: setup.fresh_model(make_rng(seed + 1)),
+        setup.state,
+        setup.train_batches,
+        lambda m: m.perplexity(setup.eval_batch),
+    )
     return {
         "model": "gpt2",
         "metric": "perplexity (proxy)",
-        "original": out[TrainerMode.ZERO_OFFLOAD],
-        "teco_reduction": out[TrainerMode.TECO_REDUCTION],
+        "original": original,
+        "teco_reduction": teco,
         "higher_is_better": False,
     }
 
 
 def _classifier_row(name: str, metric: str, n_steps: int, seed: int) -> dict:
     setup = pretrained_classifier(seed=seed, finetune_batches=n_steps)
-    out = {}
-    for mode in (TrainerMode.ZERO_OFFLOAD, TrainerMode.TECO_REDUCTION):
-        tr = finetune(setup, mode, seed=seed + 1, policy=_policy(n_steps // 4))
-        out[mode] = tr.model.accuracy(setup.eval_ids, setup.eval_labels) * 100
+    original, teco = _original_vs_teco(
+        lambda: setup.fresh_model(make_rng(seed + 1)),
+        setup.state,
+        setup.train_batches,
+        lambda m: m.accuracy(setup.eval_ids, setup.eval_labels) * 100,
+    )
     return {
         "model": name,
         "metric": metric,
-        "original": out[TrainerMode.ZERO_OFFLOAD],
-        "teco_reduction": out[TrainerMode.TECO_REDUCTION],
+        "original": original,
+        "teco_reduction": teco,
         "higher_is_better": True,
     }
 
@@ -104,20 +131,12 @@ def _albert_qa_row(n_steps: int, seed: int) -> dict:
             rng=make_rng(seed + 21), share_layers=True,
         )
 
-    pre = fresh()
-    OffloadTrainer(pre, lr=3e-3).train(batches[:pretrain_steps])
-    state = pre.state_dict()
-    out = {}
-    for mode in (TrainerMode.ZERO_OFFLOAD, TrainerMode.TECO_REDUCTION):
-        model = fresh()
-        model.load_state_dict(state)
-        trainer = OffloadTrainer(
-            model, mode=mode, lr=5e-4, policy=_policy(n_steps // 4)
-        )
-        trainer.train(batches[pretrain_steps:])
-        out[mode] = model.evaluate(eval_ids, eval_s, eval_e)
-    orig = out[TrainerMode.ZERO_OFFLOAD]
-    teco = out[TrainerMode.TECO_REDUCTION]
+    orig, teco = _original_vs_teco(
+        fresh,
+        _pretrained(fresh(), batches[:pretrain_steps]),
+        batches[pretrain_steps:],
+        lambda m: m.evaluate(eval_ids, eval_s, eval_e),
+    )
     return {
         "model": "albert-xxlarge-v1",
         "metric": "F1/EM",
@@ -150,26 +169,24 @@ def _t5_row(n_steps: int, seed: int) -> dict:
         for i in range(pretrain_steps + n_steps)
     ]
     eval_src = src[-64:]
+
+    def fresh():
+        return make_tiny_proxy(get_model("t5-large"), make_rng(seed + 31), cfg)
+
     # Pre-train once (the paper fine-tunes a pre-trained T5).
-    pre = make_tiny_proxy(get_model("t5-large"), make_rng(seed + 31), cfg)
-    OffloadTrainer(pre, lr=3e-3).train(batches[:pretrain_steps])
-    state = pre.state_dict()
-    out = {}
-    for mode in (TrainerMode.ZERO_OFFLOAD, TrainerMode.TECO_REDUCTION):
-        model = make_tiny_proxy(get_model("t5-large"), make_rng(seed + 31), cfg)
-        model.load_state_dict(state)
-        trainer = OffloadTrainer(
-            model, mode=mode, lr=5e-4, policy=_policy(n_steps // 4)
-        )
-        trainer.train(batches[pretrain_steps:])
-        out[mode] = model.mean_generation_length(
+    original, teco = _original_vs_teco(
+        fresh,
+        _pretrained(fresh(), batches[:pretrain_steps]),
+        batches[pretrain_steps:],
+        lambda m: m.mean_generation_length(
             eval_src, bos=T5_BOS, eos=T5_EOS, max_len=8
-        )
+        ),
+    )
     return {
         "model": "t5-large",
         "metric": "gen-length",
-        "original": out[TrainerMode.ZERO_OFFLOAD],
-        "teco_reduction": out[TrainerMode.TECO_REDUCTION],
+        "original": original,
+        "teco_reduction": teco,
         "higher_is_better": True,
     }
 

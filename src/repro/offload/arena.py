@@ -54,8 +54,15 @@ class FlatArena:
     # -- parameter mirroring --------------------------------------------------
     def pull_params(self) -> None:
         """Copy model parameter values into the flat arena (CPU side)."""
+        self.params[...] = self.model_params()
+
+    def model_params(self) -> np.ndarray:
+        """A flat copy of the values the model tensors hold now (the copy
+        last pushed, which need not equal :attr:`params`)."""
+        out = np.empty(self.n_params, dtype=np.float32)
         for name, p in self._named:
-            self.params[self.slices[name]] = p.data.reshape(-1)
+            out[self.slices[name]] = p.data.reshape(-1)
+        return out
 
     def push_params(self, source: np.ndarray | None = None) -> None:
         """Scatter a flat parameter array back into the model tensors.

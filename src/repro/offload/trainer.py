@@ -20,6 +20,7 @@ and 13 and Table V.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -410,8 +411,10 @@ class OffloadTrainer:
         """Complete resume state: everything a fresh trainer needs so
         that resuming is bit-exact — ``resume == never stopped``.
 
-        Beyond the parameter/moment arrays this captures the
-        mixed-precision loss-scaler state, the gradient-accumulation
+        Beyond the parameter/moment arrays this captures the values the
+        model tensors hold (the compute copy the last step ran on, which
+        an evaluation after training reads), the mixed-precision
+        loss-scaler state, the gradient-accumulation
         buffer and micro-step position (a checkpoint may land
         mid-accumulation-window), comm-volume counters, the live
         (schedule-mutated) learning rate, DBA activation state, and the
@@ -426,6 +429,7 @@ class OffloadTrainer:
             "micro_step": self._micro_step,
             "params": self.arena.params.copy(),
             "gpu_params": self.gpu_params.copy(),
+            "model_params": self.arena.model_params(),
             "accum": None if self._accum is None else self._accum.copy(),
             "optimizer": self.optimizer.state_dict(),
             "loss_scaler": (
@@ -542,7 +546,74 @@ class OffloadTrainer:
             )
             for i in range(len(hist["step"]))
         ]
-        self.arena.push_params(self.gpu_params)
+        # Checkpoints written before the model's values were saved
+        # restore the device copy into the model instead.
+        self.arena.push_params(state.get("model_params", self.gpu_params))
+
+    def fork(
+        self,
+        mode: TrainerMode | None = None,
+        policy: ActivationPolicy | None = None,
+    ) -> "OffloadTrainer":
+        """An independent copy of this trainer, optionally continuing
+        under another ``mode`` or DBA ``policy``.
+
+        The copy trains a deep copy of the model and is restored from
+        :meth:`state_dict` — the resume path — so stepping it is
+        bit-exact with stepping this trainer.  ``mode`` and ``policy``
+        (default: this trainer's) are installed after the load; the
+        branch uses the policy object given, with its configuration.
+
+        Every mode runs the same arithmetic until DBA activates (only
+        the parameter transfer after ADAM differs), so a changed mode or
+        policy yields the run that used them from step 0 — as long as
+        neither run has activated DBA yet.  The change is refused once
+        this trainer's DBA is active, and for a TECO-Reduction branch
+        whose ``act_aft_steps`` lies before :attr:`step_count`.
+
+        Raises
+        ------
+        ValueError
+            For a mode or policy change after DBA activation (this
+            trainer's or the branch's).
+        """
+        mode = self.mode if mode is None else mode
+        source = self.policy.state_dict()
+        target = source if policy is None else policy.state_dict()
+        config = ("act_aft_steps", "dirty_bytes")
+        if mode is self.mode and all(target[k] == source[k] for k in config):
+            state = source
+        else:
+            if self._dba_active_now():
+                raise ValueError(
+                    f"cannot fork into another mode or policy at step "
+                    f"{self.step_count}: DBA has been active since step "
+                    f"{self.policy.activated_at}"
+                )
+            if (
+                mode is TrainerMode.TECO_REDUCTION
+                and target["act_aft_steps"] < self.step_count
+            ):
+                raise ValueError(
+                    f"cannot fork at step {self.step_count} into a "
+                    f"{mode.value} run with act_aft_steps="
+                    f"{target['act_aft_steps']}: its DBA would already "
+                    "have activated"
+                )
+            state = {**target, "active": False, "activated_at": None}
+        branch = OffloadTrainer(
+            copy.deepcopy(self.model),
+            mode=self.mode,
+            mixed_precision=self.mixed_precision,
+            accumulation_steps=self.accumulation_steps,
+            lr_schedule=copy.deepcopy(self.lr_schedule),
+            grad_transform=self.grad_transform,
+        )
+        branch.load_state_dict(self.state_dict())
+        branch.mode = mode
+        branch.policy = ActivationPolicy() if policy is None else policy
+        branch.policy.load_state_dict(state)
+        return branch
 
     def checkpoint_meta(self) -> dict:
         """The container metadata :meth:`save_checkpoint` writes.

@@ -14,7 +14,8 @@ it to step N, and asserts bit-exact agreement on:
 The default suite sweeps all three ``TrainerMode``s × {FP32, mixed
 precision} × {no accumulation, ``accumulation_steps=4`` with the
 checkpoint landing mid-accumulation-window}, plus a checkpoint straddling
-DBA activation — optionally at the paper's step-500 threshold.  Run it via
+DBA activation — optionally at the paper's step-500 threshold — and a
+ZeRO-Offload run forked into TECO-Reduction before it checkpoints.  Run it via
 ``python -m repro verify-resume`` or ``make verify-resume``.
 """
 
@@ -60,6 +61,10 @@ class ResumeCase:
     checkpoint_step: int = 5
     #: DBA activation threshold (TECO-Reduction only).
     act_aft_steps: int = 8
+    #: When set, the interrupted run trains in this mode (DBA never
+    #: activating) and is forked into ``mode`` just before it
+    #: checkpoints (:meth:`OffloadTrainer.fork`).
+    fork_from: TrainerMode | None = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -67,6 +72,13 @@ class ResumeCase:
             raise ValueError(
                 "need 0 < checkpoint_step < n_steps so the run actually "
                 "stops and then continues"
+            )
+        if self.fork_from is not None and (
+            self.act_aft_steps < self.checkpoint_step
+        ):
+            raise ValueError(
+                "a forked case needs act_aft_steps >= checkpoint_step: "
+                "the fork must precede DBA activation"
             )
 
     @property
@@ -173,8 +185,22 @@ def verify_resume(
     reference = make()
     reference.train(batches)
 
-    interrupted = make()
+    if case.fork_from is None:
+        interrupted = make()
+    else:
+        interrupted = build_demo_trainer(
+            mode=case.fork_from,
+            mixed_precision=case.mixed_precision,
+            accumulation_steps=case.accumulation_steps,
+            act_aft_steps=case.n_steps,
+            seed=seed,
+        )
     interrupted.train(batches[: case.checkpoint_step])
+    if case.fork_from is not None:
+        interrupted = interrupted.fork(
+            case.mode,
+            ActivationPolicy(act_aft_steps=case.act_aft_steps, dirty_bytes=2),
+        )
 
     cleanup = checkpoint_path is None
     if checkpoint_path is None:
@@ -222,7 +248,10 @@ def default_suite(include_paper_activation: bool = False) -> list[ResumeCase]:
     activation threshold and resumes across it; with
     ``include_paper_activation`` that straddle also runs at the paper's
     ``act_aft_steps=500`` (hundreds of real training steps — seconds of
-    runtime, so it is opt-in).
+    runtime, so it is opt-in).  Two forked cases train the interrupted
+    run in ZeRO-Offload and fork it into TECO-Reduction before the
+    checkpoint, so fork -> checkpoint -> resume is held to the same
+    bar.
     """
     cases = [
         ResumeCase(
@@ -245,6 +274,23 @@ def default_suite(include_paper_activation: bool = False) -> list[ResumeCase]:
             n_steps=12,
             label="dba-straddle/small",
         )
+    )
+    # A ZeRO-Offload run forked into TECO-Reduction at step 5, then
+    # checkpointed and resumed across the activation at 8, must equal a
+    # TECO-Reduction run from step 0 — also mid-accumulation-window
+    # under mixed precision.
+    cases.extend(
+        ResumeCase(
+            mode=TrainerMode.TECO_REDUCTION,
+            mixed_precision=mixed,
+            accumulation_steps=accum,
+            checkpoint_step=5,
+            act_aft_steps=8,
+            n_steps=12,
+            fork_from=TrainerMode.ZERO_OFFLOAD,
+            label=f"fork/zero-offload->teco-reduction/{precision}/accum={accum}",
+        )
+        for mixed, precision, accum in ((False, "fp32", 1), (True, "fp16", 4))
     )
     if include_paper_activation:
         cases.append(

@@ -65,6 +65,26 @@ class TestWireFormat:
 
 
 class TestEncodeDecode:
+    def test_fp32_round_trip_is_the_bitwise_identity(self):
+        """fig_aggregation reuses its baseline run for the ``fp32`` row,
+        which holds only if the round-trip changes no bit."""
+        sweep = np.arange(0, 2**32, 65_537, dtype=np.uint64).astype(np.uint32)
+        specials = np.array(
+            [
+                0x00000000, 0x80000000,  # +-0
+                0x7F800000, 0xFF800000,  # +-inf
+                0x7FC00000, 0xFFC00000,  # quiet NaNs
+                0x7F800001, 0x7FBFFFFF, 0xFFA5A5A5,  # NaN payloads
+                0x00000001, 0x007FFFFF, 0x807FFFFF,  # subnormals
+                0x00800000, 0x7F7FFFFF, 0xFF7FFFFF,  # normal extremes
+            ],
+            dtype=np.uint32,
+        )
+        words = np.concatenate([sweep, specials])
+        out = wire_roundtrip(words.view(np.float32), "fp32")
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.view(np.uint32), words)
+
     def test_fp32_is_bit_exact(self):
         x = _grad()
         enc = encode_tensor(x, "fp32")

@@ -33,6 +33,29 @@ class TestLMCorpus:
         h_bi = -np.sum(joint * np.where(cond > 0, np.log(cond + 1e-12), 0))
         assert h_bi < 0.8 * h_uni
 
+    @pytest.mark.parametrize("vocab", [8, 16, 32])
+    def test_matches_per_step_searchsorted_chain(self, vocab):
+        """The table walk draws the chain a per-step ``searchsorted`` loop
+        draws, token for token."""
+
+        def reference(n_tokens, vocab, rng, order=4.0):
+            base = 1.0 / (np.arange(1, vocab + 1) ** 1.1)
+            base /= base.sum()
+            trans = rng.dirichlet(base * order, size=vocab)
+            tokens = np.empty(n_tokens, dtype=np.int64)
+            tokens[0] = rng.integers(vocab)
+            cdf = np.cumsum(trans, axis=1)
+            u = rng.random(n_tokens)
+            for t in range(1, n_tokens):
+                tokens[t] = np.searchsorted(cdf[tokens[t - 1]], u[t])
+            return np.clip(tokens, 0, vocab - 1)
+
+        for seed in range(5):
+            got = lm_corpus(2000, vocab, np.random.default_rng(seed))
+            want = reference(2000, vocab, np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_determinism(self):
         a = lm_corpus(100, 8, np.random.default_rng(42))
         b = lm_corpus(100, 8, np.random.default_rng(42))

@@ -270,10 +270,10 @@ class TestHardwareModel:
     def test_paper_scaled_latency(self):
         agg = paper_aggregator().to_asic()
         dis = paper_disaggregator().to_asic()
-        assert agg.latency_s == pytest.approx(1.28e-9, rel=1e-6)
-        assert dis.latency_s == pytest.approx(1.126e-9, rel=1e-6)
-        assert agg.latency_s == pytest.approx(AGGREGATOR_LATENCY, rel=1e-6)
-        assert dis.latency_s == pytest.approx(DISAGGREGATOR_LATENCY, rel=1e-6)
+        assert agg.latency_s == pytest.approx(1.28e-9, rel=1e-6, abs=0)
+        assert dis.latency_s == pytest.approx(1.126e-9, rel=1e-6, abs=0)
+        assert agg.latency_s == pytest.approx(AGGREGATOR_LATENCY, rel=1e-6, abs=0)
+        assert dis.latency_s == pytest.approx(DISAGGREGATOR_LATENCY, rel=1e-6, abs=0)
 
     def test_ratios(self):
         assert (ASIC_RATIOS.area, ASIC_RATIOS.power, ASIC_RATIOS.delay) == (

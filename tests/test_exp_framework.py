@@ -620,11 +620,13 @@ def test_fig10_checkpoint_dir_writes_and_resumes(tmp_path, monkeypatch):
     assert run(tmp_path / "a").result_hash == first.result_hash
     assert first.result_hash == fresh.result_hash
 
-    # Kill the TECO run after 5 of its 8 steps; it has a step-3
-    # checkpoint, and the resumed run matches the uninterrupted curves.
+    # The baseline run is the trunk: after its 2 steps before DBA
+    # activation the TECO run forks off.  Kill the TECO run after 5 of
+    # its 8 steps; it has a step-3 checkpoint, and the resumed run
+    # matches the uninterrupted curves.
     monkeypatch.setattr(runner, "CHECKPOINT_EVERY", 3)
     with monkeypatch.context() as patch:
-        _interrupt_after(patch, 8 + 5)
+        _interrupt_after(patch, 2 + 3)
         with pytest.raises(KeyboardInterrupt):
             run(tmp_path / "b")
     from repro.state import load_state

@@ -169,7 +169,7 @@ class TestFullPipeline:
             system["region"].n_lines * model.line_transfer_time(2)
             + model.latency
         )
-        assert out["fence_time"] == pytest.approx(expected, rel=1e-6)
+        assert out["fence_time"] == pytest.approx(expected, rel=1e-6, abs=0)
 
 
 class TestGradientDirectionPipeline:

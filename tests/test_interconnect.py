@@ -234,7 +234,9 @@ class TestCXLController:
         assert ctrl.payload_bytes_delivered == 640
         wire_time = ctrl.model.line_transfer_time() * 10
         # fence fires after last delivery (wire + latency)
-        assert p.value == pytest.approx(wire_time + ctrl.model.latency, rel=1e-6)
+        assert p.value == pytest.approx(
+            wire_time + ctrl.model.latency, rel=1e-6, abs=0
+        )
 
     def test_fence_with_no_traffic_fires_immediately(self):
         sim, ctrl = self._mk()
