@@ -1,9 +1,9 @@
-.PHONY: install test test-fast verify-resume verify-resume-full bench bench-show bench-smoke check-cube trace-smoke exp-smoke service-smoke report examples clean
+.PHONY: install test test-fast verify-resume verify-resume-full bench bench-show bench-smoke check-cube trace-smoke exp-smoke report examples clean
 
 install:
 	pip install -e '.[dev]' --no-build-isolation
 
-test: verify-resume exp-smoke service-smoke trace-smoke
+test: verify-resume exp-smoke trace-smoke
 	PYTHONPATH=src pytest tests/
 
 # Inner-loop tier: skips the @slow-marked multi-second cases (see
@@ -54,13 +54,6 @@ trace-smoke:
 # cells, and (on hosts with >= 4 CPUs) a >= 2x jobs=4 speedup gate.
 exp-smoke:
 	PYTHONPATH=src python benchmarks/exp_smoke.py
-
-# Sweep-service smoke: daemon sweep byte-identical to inline run_sweep,
-# warm resubmit fully cached, 429 backpressure under a full queue, a
-# worker-killing cell contained to one error outcome, and clean SIGTERM
-# shutdown of the real `repro serve` CLI daemon.
-service-smoke:
-	PYTHONPATH=src python benchmarks/service_smoke.py
 
 report:
 	PYTHONPATH=src python -m repro report --out results

@@ -177,47 +177,6 @@ def op_tracer_disabled_steps():
     return _timed(run, n_steps, repeats=25)
 
 
-def op_service_warm_cache_hit():
-    """Submit -> done latency of a fully cache-hit job via the daemon.
-
-    Starts an in-process sweep service on an ephemeral port, fills the
-    cache with one cold job outside the timed window, then times the
-    whole client round trip — ``POST /jobs``, FIFO dispatch onto the
-    persistent worker pool, cache lookup, status poll — for the warm
-    resubmit.  One element = one warm 1-cell job.  Gates the
-    service-layer overhead (HTTP + queue + dispatch), not the simulation
-    itself, which the cache absorbs.
-    """
-    import tempfile
-
-    from repro.experiments import registry
-    from repro.service import ServiceClient, SweepService
-
-    registry.ensure_registered()
-    with tempfile.TemporaryDirectory(prefix="bench-svc-") as tmp:
-        with SweepService(
-            port=0,
-            jobs=1,
-            cache_dir=f"{tmp}/cache",
-            work_dir=f"{tmp}/work",
-        ) as service:
-            client = ServiceClient(service.url)
-            cold = client.submit_and_wait(
-                experiment="table6", sweep={"batch": [2]}
-            )
-            assert cold["state"] == "done" and cold["cache"]["misses"] == 1
-
-            def run():
-                job_id = client.submit(
-                    experiment="table6", sweep={"batch": [2]}
-                )
-                status = client.wait(job_id, timeout=60.0, interval=0.002)
-                assert status["state"] == "done"
-                assert status["cache"]["hits"] == 1, status["cache"]
-
-            return _timed(run, 1, repeats=10)
-
-
 OPS = {
     "dba_pack_64k_words": op_dba_pack,
     "dba_unpack_64k_words": op_dba_unpack,
@@ -226,7 +185,6 @@ OPS = {
     "headline_system_model": op_headline_system_model,
     "fabric_cluster_step_2x2": op_fabric_cluster_step,
     "infabric_reduce_8rank": op_infabric_reduce_8rank,
-    "service_warm_cache_hit": op_service_warm_cache_hit,
     TRACER_OVERHEAD_OP: op_tracer_disabled_steps,
 }
 

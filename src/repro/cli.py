@@ -19,9 +19,6 @@ Usage::
     python -m repro resume --ckpt run.ckpt --steps 40
     python -m repro verify-resume            # bit-exact resume-equivalence
     python -m repro trace fig10 --out trace.json   # Chrome/Perfetto trace
-    python -m repro serve --port 8731 --jobs 4     # the sweep daemon
-    python -m repro submit table6 --set batch=2,4 --seeds 0,1 --wait
-    python -m repro poll j00001-ab12cd34 --results out.json
 """
 
 from __future__ import annotations
@@ -45,15 +42,37 @@ def _make_cache(args):
     return ResultCache(root=root) if root else ResultCache()
 
 
-def _parse_sets(spec, assignments):
-    """Parse repeated ``--set key=value`` into typed param overrides."""
+class _UsageError(Exception):
+    """Bad command-line input found after parsing: one line, exit code 2."""
+
+
+def _parse_sets(spec, assignments, sweep=False):
+    """Parse repeated ``--set key=value`` into typed param overrides.
+
+    With ``sweep`` each value is a comma-separated list of points, except
+    for a tuple-typed param, whose comma-separated value is one point.
+    """
     params = {}
     for text in assignments or []:
-        if "=" not in text:
-            raise SystemExit(f"--set expects key=value, got {text!r}")
-        key, value = text.split("=", 1)
-        params[key] = spec.coerce_param(key, value)
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise _UsageError(f"--set expects key=value, got {text!r}")
+        try:
+            if sweep and not isinstance(spec.params.get(key), (tuple, list)):
+                points = value.split(",")
+                params[key] = [spec.coerce_param(key, v) for v in points]
+            else:
+                params[key] = spec.coerce_param(key, value)
+        except (KeyError, ValueError) as exc:
+            raise _UsageError(f"--set {text!r}: {exc.args[0]}") from None
     return params
+
+
+def _jobs(args) -> int:
+    """``--jobs``, which must name at least one worker."""
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
 
 
 def _cmd_list(args) -> int:
@@ -99,28 +118,24 @@ def _sweep_cells(spec, args):
     """Cross-product of swept params × seeds -> SweepCell list."""
     from repro.experiments.executor import grid_cells
 
-    axes = {}
-    for text in args.set or []:
-        if "=" not in text:
-            raise SystemExit(f"--set expects key=value[,value...], got {text!r}")
-        key, value = text.split("=", 1)
-        if isinstance(spec.params.get(key), (tuple, list)):
-            # a tuple-typed value is itself comma-separated: one point
-            axes[key] = spec.coerce_param(key, value)
-        else:
-            axes[key] = [spec.coerce_param(key, v) for v in value.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    axes = _parse_sets(spec, args.set, sweep=True)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
+    except ValueError:
+        raise _UsageError(
+            f"--seeds expects comma-separated integers, got {args.seeds!r}"
+        ) from None
     return grid_cells(spec, axes, seeds)
 
 
 def _cmd_sweep(args) -> int:
     from repro.experiments.executor import run_sweep
 
-    spec = registry.get_spec(args.experiment)
-    cells = _sweep_cells(spec, args)
+    jobs = _jobs(args)
+    cells = _sweep_cells(registry.get_spec(args.experiment), args)
     report = run_sweep(
         cells,
-        jobs=args.jobs,
+        jobs=jobs,
         cache=_make_cache(args),
         profile_dir=args.profile_dir,
     )
@@ -150,12 +165,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_all(args) -> int:
     from repro.experiments.executor import SweepCell, run_sweep
 
+    jobs = _jobs(args)
     cache = _make_cache(args)
-    if args.jobs > 1:
+    if jobs > 1:
         cells = [
             SweepCell.make(n, seed=0) for n in DEFAULT_REPORT_EXPERIMENTS
         ]
-        report = run_sweep(cells, jobs=args.jobs, cache=cache)
+        report = run_sweep(cells, jobs=jobs, cache=cache)
         for outcome in report.outcomes:
             print()
             if outcome.result is not None:
@@ -283,129 +299,6 @@ def _cmd_trace(args) -> int:
         "at https://ui.perfetto.dev or chrome://tracing"
     )
     return 0
-
-
-def _cmd_serve(args) -> int:
-    """``repro serve``: run the sweep daemon until interrupted."""
-    import signal
-    import time
-
-    from repro.service import SweepService
-
-    service = SweepService(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        queue_depth=args.queue_depth,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        work_dir=args.work_dir,
-    )
-    service.start()
-    # SIGTERM (systemd/docker stop, the smoke harness) exits cleanly,
-    # like Ctrl-C; without this the default handler hard-kills the
-    # process with the pool and HTTP threads still up.
-    def _sigterm(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _sigterm)
-    print(
-        f"sweep service listening on {service.url} "
-        f"(workers {args.jobs}, queue depth {args.queue_depth}, "
-        f"cache {'off' if args.no_cache else service.cache.root})",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
-    print("sweep service shut down cleanly", flush=True)
-    return 0
-
-
-def _service_client(args):
-    from repro.service import ServiceClient
-
-    return ServiceClient(args.url, timeout=args.timeout)
-
-
-def _print_job_status(status: dict) -> None:
-    print(f"job {status['id']}: {status['state']}")
-    for outcome in status.get("outcomes", []):
-        line = f"  {outcome['cell']}: {outcome['status']}"
-        if outcome.get("error"):
-            line += f" — {outcome['error']}"
-        elif outcome.get("result_hash"):
-            line += f" (rows hash {outcome['result_hash'][:12]})"
-        print(line)
-    if "cache" in status:
-        c = status["cache"]
-        print(
-            f"  cache: {c['hits']} hits, {c['misses']} misses, "
-            f"{c['failures']} failures; wall {status['wall_seconds']:.2f}s; "
-            f"sweep hash {status['sweep_hash'][:12]}"
-        )
-
-
-def _cmd_submit(args) -> int:
-    """``repro submit``: POST a sweep to a running daemon."""
-    from repro.service import ServiceBusy
-
-    spec = registry.get_spec(args.experiment)
-    sweep = {}
-    for text in args.set or []:
-        if "=" not in text:
-            raise SystemExit(f"--set expects key=value[,value...], got {text!r}")
-        key, value = text.split("=", 1)
-        default = spec.params.get(key)
-        if isinstance(default, (tuple, list)):
-            sweep[key] = spec.coerce_param(key, value)
-        else:
-            sweep[key] = [spec.coerce_param(key, v) for v in value.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0]
-    client = _service_client(args)
-    try:
-        job_id = client.submit(
-            experiment=args.experiment,
-            sweep=sweep,
-            seeds=seeds,
-            no_cache=args.no_cache,
-            profile=args.profile,
-        )
-    except ServiceBusy as exc:
-        print(f"rejected: {exc} (retry after {exc.retry_after:g}s)")
-        return 2
-    print(f"submitted {job_id} -> {args.url}/jobs/{job_id}")
-    if not args.wait:
-        return 0
-    status = client.wait(job_id, timeout=args.timeout)
-    _print_job_status(status)
-    return 0 if status["state"] == "done" else 1
-
-
-def _cmd_poll(args) -> int:
-    """``repro poll``: report (and optionally await) a submitted job."""
-    client = _service_client(args)
-    if args.wait:
-        status = client.wait(args.job, timeout=args.timeout)
-    else:
-        status = client.status(args.job)
-    _print_job_status(status)
-    if args.results and status["state"] == "done":
-        import json
-        import os
-
-        results = client.results(args.job)
-        os.makedirs(os.path.dirname(args.results) or ".", exist_ok=True)
-        with open(args.results, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=1)
-        print(f"wrote {args.results}")
-    if status["state"] in ("queued", "running"):
-        return 0
-    return 0 if status["state"] == "done" else 1
 
 
 def _add_cache_flags(parser) -> None:
@@ -581,83 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.set_defaults(func=_cmd_trace)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the long-lived sweep daemon (HTTP/JSON job API)"
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    p_serve.add_argument(
-        "--port", type=int, default=8731,
-        help="TCP port (0 picks an ephemeral port, printed at startup)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=int, default=2, help="persistent worker processes"
-    )
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=16,
-        help="queued jobs before the API answers 429",
-    )
-    p_serve.add_argument(
-        "--work-dir", default=None,
-        help="directory for per-job traces (default: a temp dir)",
-    )
-    _add_cache_flags(p_serve)
-    p_serve.set_defaults(func=_cmd_serve)
-
-    def _add_client_flags(parser) -> None:
-        parser.add_argument(
-            "--url", default="http://127.0.0.1:8731",
-            help="base URL of a running 'repro serve' daemon",
-        )
-        parser.add_argument(
-            "--timeout", type=float, default=300.0,
-            help="HTTP/poll timeout in seconds",
-        )
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a sweep to a running daemon"
-    )
-    p_submit.add_argument("experiment", choices=names)
-    p_submit.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=V1[,V2...]",
-        help="sweep a parameter over comma-separated values (repeatable)",
-    )
-    p_submit.add_argument(
-        "--seeds", default="0", help="comma-separated seeds (default 0)"
-    )
-    p_submit.add_argument(
-        "--no-cache", action="store_true",
-        help="ask the daemon to recompute instead of using its cache",
-    )
-    p_submit.add_argument(
-        "--profile", action="store_true",
-        help="record per-cell traces, served at /jobs/<id>/trace",
-    )
-    p_submit.add_argument(
-        "--wait", action="store_true",
-        help="poll until the job finishes and print its outcomes",
-    )
-    _add_client_flags(p_submit)
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_poll = sub.add_parser(
-        "poll", help="poll a submitted job's status (and fetch results)"
-    )
-    p_poll.add_argument("job", help="job id returned by 'repro submit'")
-    p_poll.add_argument(
-        "--wait", action="store_true",
-        help="block until the job finishes",
-    )
-    p_poll.add_argument(
-        "--results", default=None,
-        help="write the job's canonical results JSON here when done",
-    )
-    _add_client_flags(p_poll)
-    p_poll.set_defaults(func=_cmd_poll)
-
     return parser
 
 
@@ -669,7 +485,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = ["run", *argv]
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -144,33 +144,11 @@ class ResultCache:
         if not root.exists():
             return 0
         n = 0
-        for path in root.glob("*/*.json"):
-            path.unlink()
-            n += 1
-        return n + self.remove_orphans(max_age=0.0)
-
-    def remove_orphans(self, max_age: float = 0.0) -> int:
-        """Delete stale ``*.tmp.*`` files left by killed writers.
-
-        A worker killed mid-:meth:`put` leaks its ``mkstemp`` file
-        forever; the sweep daemon calls this at startup.  ``max_age``
-        (seconds since last modification) spares files younger than the
-        threshold — pass a positive value when other writers may be
-        mid-flight on a shared cache directory.  Returns the number of
-        files removed.
-        """
-        root = Path(self.root)
-        if not root.exists():
-            return 0
-        import time
-
-        now = time.time()
-        n = 0
-        for path in root.glob("*/*.tmp.*"):
-            try:
-                if now - path.stat().st_mtime >= max_age:
+        for pattern in ("*/*.json", "*/*.tmp.*"):
+            for path in root.glob(pattern):
+                try:
                     path.unlink()
                     n += 1
-            except OSError:
-                continue  # racing writer finished (or removed) it first
+                except FileNotFoundError:
+                    continue  # a racing writer replaced (or removed) it
         return n

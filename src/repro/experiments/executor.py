@@ -41,7 +41,6 @@ __all__ = [
     "grid_cells",
     "CellOutcome",
     "SweepReport",
-    "WorkerPool",
     "run_sweep",
     "derive_cell_seed",
     "merge_chrome_traces",
@@ -125,9 +124,9 @@ class CellOutcome:
 
     ``cache_hit``/``cache_miss`` are reported by the worker that ran the
     cell (not inferred after the fact), so every cell is exactly one of
-    hit, miss, or failure — the partition sweep-level and service-level
-    stats rely on.  A *miss* means the cell was computed, whether the
-    cache was enabled, disabled, or absent.
+    hit, miss, or failure — the partition the sweep-level stats rely
+    on.  A *miss* means the cell was computed, whether the cache was
+    enabled, disabled, or absent.
     """
 
     cell: SweepCell
@@ -265,49 +264,6 @@ def _run_cell(args) -> tuple[dict | None, str | None, bool, bool]:
         return None, f"{type(exc).__name__}: {exc}", False, False
 
 
-class WorkerPool:
-    """A restartable process pool, shareable across sweeps.
-
-    :func:`run_sweep` builds a transient one per call unless handed a
-    long-lived instance (the sweep daemon does this to keep workers warm
-    across jobs).  A pool whose worker died — OOM kill, segfault — is
-    unusable (:class:`concurrent.futures.BrokenExecutor` on every
-    pending future), so :meth:`discard` drops it and the next
-    :meth:`executor` call lazily builds a fresh one: one crashed cell
-    never poisons later cells or later sweeps.
-    """
-
-    def __init__(self, jobs: int):
-        self.jobs = max(1, int(jobs))
-        self.restarts = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, built on first use or after a discard."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
-    def discard(self) -> None:
-        """Drop a broken executor; the next use rebuilds a fresh one."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            self.restarts += 1
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut the pool down for good (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _run_cell_isolated(cell_args) -> tuple[dict | None, str | None, bool, bool]:
     """Definitive single-cell attempt in a throwaway one-worker pool.
 
@@ -328,44 +284,46 @@ def _run_cell_isolated(cell_args) -> tuple[dict | None, str | None, bool, bool]:
             )
 
 
-def _map_cells(args: list, pool: WorkerPool) -> list:
+def _map_cells(args: list, jobs: int) -> list:
     """Run every cell as its own future, surviving worker crashes.
 
-    A dead worker breaks the whole ``ProcessPoolExecutor`` — every
-    pending future raises :class:`BrokenExecutor`, including innocent
-    cells that were merely queued behind the crasher.  Completed futures
-    keep their results, so those cells are never re-run.  Broken cells
-    are resubmitted on a fresh pool up to ``_CRASH_ATTEMPTS`` times;
-    cells still breaking after that are retried once in an isolated
-    one-worker pool where a crash is unambiguous and recorded as that
-    cell's error outcome.  The sweep itself always completes.
+    The sweep owns its pool: one ``ProcessPoolExecutor`` of ``jobs``
+    workers, shut down before this returns.  A dead worker breaks the
+    whole pool — every pending future raises :class:`BrokenExecutor`,
+    including innocent cells that were merely queued behind the crasher.
+    Completed futures keep their results, so those cells are never
+    re-run.  Broken cells are resubmitted on a fresh pool up to
+    ``_CRASH_ATTEMPTS`` times; cells still breaking after that are
+    retried once in an isolated one-worker pool where a crash is
+    unambiguous and recorded as that cell's error outcome.  The sweep
+    itself always completes.
     """
     results: list = [None] * len(args)
     attempts = [0] * len(args)
     pending = list(range(len(args)))
     solo: list[int] = []
     while pending:
-        try:
-            futures = [
-                (i, pool.executor().submit(_run_cell, args[i]))
-                for i in pending
-            ]
-        except BrokenExecutor:
-            # the pool was already broken (e.g. by a previous sweep
-            # sharing it); replace it and resubmit, no attempts charged
-            pool.discard()
-            continue
+        pool = ProcessPoolExecutor(max_workers=jobs)
         retry: list[int] = []
         broke = False
-        for i, fut in futures:
-            try:
-                results[i] = fut.result()
-            except BrokenExecutor:
-                broke = True
-                attempts[i] += 1
-                (retry if attempts[i] < _CRASH_ATTEMPTS else solo).append(i)
-        if broke:
-            pool.discard()
+        try:
+            futures = []
+            for i in pending:
+                try:
+                    futures.append((i, pool.submit(_run_cell, args[i])))
+                except BrokenExecutor:
+                    # an earlier cell killed its worker before this one
+                    # was submitted: it never ran, so it waits uncharged
+                    retry.append(i)
+            for i, fut in futures:
+                try:
+                    results[i] = fut.result()
+                except BrokenExecutor:
+                    broke = True
+                    attempts[i] += 1
+                    (retry if attempts[i] < _CRASH_ATTEMPTS else solo).append(i)
+        finally:
+            pool.shutdown(wait=not broke, cancel_futures=True)
         pending = retry
     for i in solo:
         results[i] = _run_cell_isolated(args[i])
@@ -428,7 +386,6 @@ def run_sweep(
     base_seed: int = 0,
     cache=None,
     profile_dir=None,
-    pool: WorkerPool | None = None,
 ) -> SweepReport:
     """Execute a list of cells, optionally in parallel.
 
@@ -438,7 +395,8 @@ def run_sweep(
         Iterable of :class:`SweepCell` (or ``(name, params_dict)`` /
         ``(name, params_dict, seed)`` tuples, converted for you).
     jobs
-        Worker processes; ``1`` runs inline in this process.
+        Worker processes; ``1`` runs inline in this process, more run
+        on a pool this sweep builds and shuts down.
     base_seed
         Seed base for cells without an explicit seed (see
         :func:`derive_cell_seed`).
@@ -448,11 +406,6 @@ def run_sweep(
     profile_dir
         When set, each cell runs under a fresh profile; per-cell Chrome
         traces land there and are merged into ``sweep-trace.json``.
-    pool
-        A long-lived :class:`WorkerPool` to run on (the sweep daemon
-        keeps one warm across jobs); ``None`` builds a transient pool
-        for this sweep.  Passing a pool overrides ``jobs <= 1`` inline
-        execution.
     """
     import time
 
@@ -480,13 +433,10 @@ def run_sweep(
     ]
 
     t0 = time.perf_counter()
-    if jobs <= 1 and pool is None:
+    if jobs <= 1:
         raw = [_run_cell(a) for a in args]
-    elif pool is not None:
-        raw = _map_cells(args, pool)
     else:
-        with WorkerPool(jobs) as transient:
-            raw = _map_cells(args, transient)
+        raw = _map_cells(args, jobs)
     wall = time.perf_counter() - t0
 
     report = SweepReport(jobs=jobs, wall_seconds=wall)

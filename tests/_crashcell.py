@@ -1,12 +1,12 @@
-"""Shared crash-cell experiment for executor/service crash tests.
+"""Shared crash-cell experiment for the executor's crash tests.
 
 A sweep cell whose runner SIGKILLs its own worker process cannot live
-in a fixture: the registry rejects duplicate names, and both
-``test_exp_framework.py`` and ``test_service.py`` need the same
-experiment.  :func:`ensure_crash_experiment` registers it exactly once
-per process and is safe to call from every test that wants a cell able
-to take a worker down (workers inherit the registration through the
-fork start method).
+in a fixture: the registry rejects duplicate names, so a second
+registration in the same process would fail.
+:func:`ensure_crash_experiment` registers it exactly once per process
+and is safe to call from every test that wants a cell able to take a
+worker down (workers inherit the registration through the fork start
+method).
 """
 
 from __future__ import annotations

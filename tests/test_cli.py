@@ -49,29 +49,70 @@ class TestCLI:
         assert "ablations" not in registry.spec_names()
 
 
-def test_sweep_grid_matches_the_service():
-    """``repro sweep`` and ``POST /jobs`` axes build the same cells."""
+def test_sweep_grid_cells():
+    """``repro sweep`` axes × seeds -> cells, seeds varying fastest."""
     import argparse
 
     from repro.cli import _sweep_cells
-    from repro.service.protocol import parse_sweep_spec
 
-    def both(name, sets, seeds, sweep, seed_list):
+    def cells(name, sets, seeds):
         args = argparse.Namespace(set=sets, seeds=seeds)
-        cli = _sweep_cells(registry.get_spec(name), args)
-        service, _ = parse_sweep_spec(
-            {"experiment": name, "sweep": sweep, "seeds": seed_list}
-        )
-        return cli, service
+        return _sweep_cells(registry.get_spec(name), args)
 
-    cli, service = both(
-        "table6", ["batch=2,4"], "0,1", {"batch": [2, 4]}, [0, 1]
-    )
-    assert cli == service
+    cli = cells("table6", ["batch=2,4"], "0,1")
     assert [(c.params_dict["batch"], c.seed) for c in cli] == [
         (2, 0), (2, 1), (4, 0), (4, 1),
     ]
     # A tuple-typed param is one point, never swept.
-    cli, service = both("fig13", ["sweep=0,30"], None, {"sweep": [0, 30]}, [0])
-    assert cli == service
+    cli = cells("fig13", ["sweep=0,30"], None)
     assert [c.params_dict for c in cli] == [{"sweep": [0, 30]}]
+    assert [c.seed for c in cli] == [0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "table6", "--seeds", "x"],
+        ["sweep", "table6", "--seeds", "0,,1"],
+        ["sweep", "table6", "--set", "nokey=1"],
+        ["sweep", "table6", "--set", "batch=2,,4"],
+        ["sweep", "table6", "--set", "batch"],
+        ["sweep", "table6", "--jobs", "-3"],
+        ["sweep", "table6", "--jobs", "0"],
+        ["all", "--jobs", "0"],
+        ["run", "table6", "--set", "nokey=1"],
+        ["run", "table6", "--set", "batch=two"],
+        ["trace", "table6", "--set", "nokey=1"],
+    ],
+    ids="_".join,
+)
+def test_bad_input_is_one_line_and_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+
+
+def test_bad_input_exit_code_from_the_shell():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "sweep", "table6", "--set", "nokey=1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(
+        "repro sweep: error: --set 'nokey=1': experiment 'table6' has no "
+        "parameter 'nokey' (available: "
+    )
