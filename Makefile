@@ -12,8 +12,8 @@ test-fast:
 	PYTHONPATH=src pytest tests/ -m "not slow"
 
 # Resume-equivalence harness: train / checkpoint / resume a tiny model in
-# every TrainerMode x precision x accumulation config and assert the
-# resumed run is bit-exact ("resume == never stopped").
+# every TrainerMode, across DBA activation and across a fork, and assert
+# the resumed run is bit-exact ("resume == never stopped").
 verify-resume:
 	PYTHONPATH=src python -m repro verify-resume
 

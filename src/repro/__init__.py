@@ -15,7 +15,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.trace``        trace generation + CXL replay pipeline
 ``repro.tensor``       NumPy autograd engine (transformers, GCNII)
 ``repro.models``       Table III model zoo + tiny trainable proxies
-``repro.optim``        ADAM (flat + Tensor), clipping, mixed precision
+``repro.optim``        ADAM (flat + Tensor), gradient clipping
 ``repro.profiling``    value-change / communication profilers
 ``repro.compression``  LZ4 codec + quantization baselines
 ``repro.mdsim``        Lennard-Jones melt generality study

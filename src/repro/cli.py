@@ -208,11 +208,7 @@ def _cmd_checkpoint(args) -> int:
     os.makedirs(os.path.dirname(args.ckpt) or ".", exist_ok=True)
     mode = TrainerMode(args.mode)
     trainer = build_demo_trainer(
-        mode=mode,
-        mixed_precision=args.mixed_precision,
-        accumulation_steps=args.accumulation_steps,
-        act_aft_steps=args.act_aft_steps,
-        seed=args.seed,
+        mode=mode, act_aft_steps=args.act_aft_steps, seed=args.seed
     )
     trainer.train(demo_batches(args.steps, seed=args.seed + 1))
     save_state(
@@ -222,8 +218,6 @@ def _cmd_checkpoint(args) -> int:
             "writer": "repro.cli.checkpoint",
             "demo": {
                 "mode": mode.value,
-                "mixed_precision": args.mixed_precision,
-                "accumulation_steps": args.accumulation_steps,
                 "act_aft_steps": args.act_aft_steps,
                 "seed": args.seed,
             },
@@ -253,8 +247,6 @@ def _cmd_resume(args) -> int:
         )
     trainer = build_demo_trainer(
         mode=TrainerMode(demo["mode"]),
-        mixed_precision=demo["mixed_precision"],
-        accumulation_steps=demo["accumulation_steps"],
         act_aft_steps=demo["act_aft_steps"],
         seed=demo["seed"],
     )
@@ -415,15 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="teco-reduction",
         choices=["zero-offload", "teco-cxl", "teco-reduction"],
         help="trainer mode",
-    )
-    p_ckpt.add_argument(
-        "--mixed-precision", action="store_true", help="mixed precision"
-    )
-    p_ckpt.add_argument(
-        "--accumulation-steps",
-        type=int,
-        default=1,
-        help="gradient-accumulation depth",
     )
     p_ckpt.add_argument(
         "--act-aft-steps",

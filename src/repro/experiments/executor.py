@@ -35,6 +35,7 @@ from repro.experiments.registry import (
     run_experiment,
 )
 from repro.obs import Profile
+from repro.utils.checks import check_int
 
 __all__ = [
     "SweepCell",
@@ -395,8 +396,8 @@ def run_sweep(
         Iterable of :class:`SweepCell` (or ``(name, params_dict)`` /
         ``(name, params_dict, seed)`` tuples, converted for you).
     jobs
-        Worker processes; ``1`` runs inline in this process, more run
-        on a pool this sweep builds and shuts down.
+        Worker processes, an integer >= 1: ``1`` runs inline in this
+        process, more run on a pool this sweep builds and shuts down.
     base_seed
         Seed base for cells without an explicit seed (see
         :func:`derive_cell_seed`).
@@ -409,6 +410,7 @@ def run_sweep(
     """
     import time
 
+    jobs = check_int("jobs", jobs, 1)
     norm: list[SweepCell] = []
     for cell in cells:
         if isinstance(cell, SweepCell):
@@ -433,7 +435,7 @@ def run_sweep(
     ]
 
     t0 = time.perf_counter()
-    if jobs <= 1:
+    if jobs == 1:
         raw = [_run_cell(a) for a in args]
     else:
         raw = _map_cells(args, jobs)

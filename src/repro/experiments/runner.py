@@ -12,8 +12,6 @@ comparisons then run from identical checkpoints.
 from __future__ import annotations
 
 import os
-import queue
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -25,7 +23,6 @@ from repro.experiments.pretrained import memoized_setup
 from repro.experiments.registry import content_hash
 from repro.models import TinyProxyConfig
 from repro.offload import OffloadTrainer, TrainerMode
-from repro.state import save_state
 from repro.tensor.nn import Module
 from repro.tensor.transformer import (
     TinyTransformerClassifier,
@@ -36,7 +33,6 @@ from repro.utils.rng import make_rng
 __all__ = [
     "LMSetup",
     "ClassifierSetup",
-    "AsyncCheckpointer",
     "Branch",
     "pretrained_lm",
     "pretrained_classifier",
@@ -224,63 +220,6 @@ def _build_pretrained_classifier(
     )
 
 
-class AsyncCheckpointer:
-    """Overlap checkpoint serialization/IO with the training loop.
-
-    :meth:`submit` snapshots the trainer's ``state_dict()`` (already a
-    decoupled copy — every component copies its arrays) synchronously,
-    then a single background thread writes it through
-    :func:`repro.state.save_state`, which is atomic (temp file +
-    ``os.replace``): a kill mid-save always leaves the previous
-    checkpoint at ``path`` intact.  The parent directory is created if
-    missing.
-
-    Snapshots are written in submission order; :meth:`close` drains the
-    queue and re-raises the first writer error, so a completed run is
-    guaranteed to have its last submitted checkpoint on disk.
-    """
-
-    def __init__(self, trainer: OffloadTrainer, path) -> None:
-        self._trainer = trainer
-        self._path = os.fspath(path)
-        os.makedirs(os.path.dirname(self._path) or ".", exist_ok=True)
-        self._queue: queue.Queue = queue.Queue()
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._drain, name="teco-ckpt-writer", daemon=True
-        )
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                state, meta = item
-                save_state(self._path, state, meta=meta)
-            except BaseException as exc:  # surfaced by close()
-                if self._error is None:
-                    self._error = exc
-            finally:
-                self._queue.task_done()
-
-    def submit(self) -> None:
-        """Snapshot the trainer now; write it in the background."""
-        if self._error is not None:
-            raise self._error
-        self._queue.put(
-            (self._trainer.state_dict(), self._trainer.checkpoint_meta())
-        )
-
-    def close(self) -> None:
-        """Flush pending writes, stop the writer, re-raise its error."""
-        self._queue.put(None)
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-
-
 def checkpoint_file(checkpoint_dir, run: str, **cell) -> str | None:
     """Checkpoint path of fine-tuning run ``run`` inside ``checkpoint_dir``
     (``None`` without a directory).
@@ -371,49 +310,35 @@ def finetune_branches(
             )
         return trainer
 
-    def train(trainer: OffloadTrainer, writer, stop: int) -> None:
+    def train(trainer: OffloadTrainer, branch: Branch, stop: int) -> None:
+        path = branch.checkpoint_path
         for i in range(trainer.step_count, stop):
             trainer.step(*batches[i])
             done = i + 1
-            if writer is not None and (
-                done % CHECKPOINT_EVERY == 0 or done == n
-            ):
-                writer.submit()
+            if path is not None and (done % CHECKPOINT_EVERY == 0 or done == n):
+                trainer.save_checkpoint(path)
 
-    def checkpointer(trainer: OffloadTrainer, branch: Branch):
-        path = branch.checkpoint_path
-        return None if path is None else AsyncCheckpointer(trainer, path)
-
-    def finish(trainer: OffloadTrainer, branch: Branch) -> OffloadTrainer:
-        writer = checkpointer(trainer, branch)
-        try:
-            train(trainer, writer, n)
-        finally:
-            if writer is not None:
-                writer.close()
-        return trainer
-
+    for branch in branches:
+        if branch.checkpoint_path is not None:
+            path = os.fspath(branch.checkpoint_path)
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     points = [b.diverges_at(n) for b in branches]
     t = max(range(len(branches)), key=points.__getitem__)
     trunk = resumed(branches[t]) or fresh(branches[t])
     trainers: list[OffloadTrainer | None] = [None] * len(branches)
-    writer = checkpointer(trunk, branches[t])
-    try:
-        for i in sorted(range(len(branches)), key=points.__getitem__):
-            if i == t:
-                continue
-            branch = branches[i]
-            trainer = resumed(branch)
-            if trainer is None and 0 < points[i] >= trunk.step_count:
-                train(trunk, writer, points[i])
-                trainer = trunk.fork(
-                    branch.mode, branch.policy or ActivationPolicy()
-                )
-            trainers[i] = finish(trainer or fresh(branch), branch)
-        train(trunk, writer, n)
-    finally:
-        if writer is not None:
-            writer.close()
+    for i in sorted(range(len(branches)), key=points.__getitem__):
+        if i == t:
+            continue
+        branch = branches[i]
+        trainer = resumed(branch)
+        if trainer is None and 0 < points[i] >= trunk.step_count:
+            train(trunk, branches[t], points[i])
+            trainer = trunk.fork(
+                branch.mode, branch.policy or ActivationPolicy()
+            )
+        trainers[i] = trainer or fresh(branch)
+        train(trainers[i], branch, n)
+    train(trunk, branches[t], n)
     trainers[t] = trunk
     return trainers
 

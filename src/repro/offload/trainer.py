@@ -29,7 +29,7 @@ import numpy as np
 from repro.dba import ActivationPolicy, Aggregator, DBARegister, Disaggregator
 from repro.obs.profile import active_profile
 from repro.offload.arena import FlatArena
-from repro.optim import FlatAdam, LossScaler, clip_flat_gradients, fp16_round_trip
+from repro.optim import FlatAdam, clip_flat_gradients
 from repro.state.checkpoint import (
     StateMismatchError,
     is_legacy_checkpoint,
@@ -39,6 +39,19 @@ from repro.state.checkpoint import (
 from repro.tensor.nn import Module
 
 __all__ = ["TrainerMode", "StepResult", "CommVolume", "OffloadTrainer"]
+
+#: State keys of the training-recipe features the trainer dropped, each
+#: with the value a run that never used the feature wrote and the
+#: feature's name.  A checkpoint from before the removal loads when
+#: every key holds its default and is refused otherwise.
+_REMOVED_FEATURES = {
+    "mixed_precision": (False, "mixed-precision training"),
+    "loss_scaler": (None, "mixed-precision training"),
+    "accumulation_steps": (1, "gradient accumulation"),
+    "micro_step": (0, "gradient accumulation"),
+    "accum": (None, "gradient accumulation"),
+    "lr_schedule": (None, "a learning-rate schedule"),
+}
 
 
 class TrainerMode(enum.Enum):
@@ -61,8 +74,6 @@ class StepResult:
     param_payload_bytes: int
     #: Gradient payload bytes shipped GPU->CPU this step.
     grad_payload_bytes: int
-    #: Mixed precision: the step was skipped due to gradient overflow.
-    skipped: bool = False
 
 
 @dataclass
@@ -119,8 +130,8 @@ class OffloadTrainer:
         DBA activation policy (TECO-Reduction only; defaults to the paper's
         ``act_aft_steps=500, dirty_bytes=2``).
     grad_transform
-        Optional callable applied to the finalized flat gradient (after
-        unscale/accumulation, before clipping): ``(np.ndarray) ->
+        Optional callable applied to the flat gradient after it reaches
+        the CPU, before clipping: ``(np.ndarray) ->
         np.ndarray`` of the same shape.  The in-fabric aggregation
         proxies inject their wire-format round-trip here
         (:func:`repro.interconnect.aggregation.wire_roundtrip`), so
@@ -135,14 +146,8 @@ class OffloadTrainer:
         lr: float = 1e-3,
         max_grad_norm: float = 1.0,
         policy: ActivationPolicy | None = None,
-        mixed_precision: bool = False,
-        loss_scaler: LossScaler | None = None,
-        accumulation_steps: int = 1,
-        lr_schedule=None,
         grad_transform=None,
     ):
-        if accumulation_steps < 1:
-            raise ValueError("accumulation_steps must be >= 1")
         self.model = model
         self.mode = mode
         self.arena = FlatArena(model)
@@ -154,25 +159,6 @@ class OffloadTrainer:
         self.volume = CommVolume()
         self.step_count = 0
         self.history: list[StepResult] = []
-        #: Section V mixed-precision flow: FP32 masters on CPU, FP16
-        #: compute copies made *on the GPU* (so the CPU->GPU transfer
-        #: stays FP32 and DBA still applies).
-        self.mixed_precision = mixed_precision
-        self.loss_scaler = (
-            (loss_scaler or LossScaler()) if mixed_precision else None
-        )
-        #: Gradient accumulation: CPU phases run every K-th micro-step
-        #: over the averaged gradients (the usual large-effective-batch
-        #: recipe when per-GPU memory caps the micro-batch).
-        self.accumulation_steps = accumulation_steps
-        self._accum = (
-            np.zeros(self.arena.n_params, dtype=np.float32)
-            if accumulation_steps > 1
-            else None
-        )
-        self._micro_step = 0
-        #: Optional per-step learning-rate schedule (repro.optim.schedule).
-        self.lr_schedule = lr_schedule
         #: Optional gradient wire-format hook (see class docstring).
         self.grad_transform = grad_transform
         #: Observability hooks: the repro.obs profile active at build
@@ -184,99 +170,30 @@ class OffloadTrainer:
         self.tracer = profile.tracer
         self.metrics = profile.metrics
 
-    def _dba_active_now(self) -> bool:
-        """Whether DBA applies to transfers right now.
-
-        The policy's sticky flag alone is not enough: a pre-activated
-        (e.g. shared or process-global) policy must not make ZeRO-Offload
-        or TECO-CXL histories claim DBA was active — only TECO-Reduction
-        runs the byte-truncating path.
-        """
-        return self.mode is TrainerMode.TECO_REDUCTION and self.policy.active
-
     # -- the five phases -----------------------------------------------------
     def step(self, *batch) -> StepResult:
         """Run one full training step on ``batch``."""
         wall = self.tracer.wall_ts if self.tracer.enabled else None
-        marks = {"t0": wall()} if wall else {}
-        # Phase 1-2: GPU computes against its device copy.  In mixed
-        # precision the GPU converts the FP32 copy to FP16 before compute
-        # (modelled by rounding the compute copy through FP16).
-        if self.mixed_precision:
-            self.arena.push_params(fp16_round_trip(self.gpu_params))
-        else:
-            self.arena.push_params(self.gpu_params)
+        marks = [wall()] if wall else []
+        # Phase 1-2: GPU computes against its device copy.
+        self.arena.push_params(self.gpu_params)
         self.arena.zero_grad()
         loss = self.model.loss(*batch)
         if wall:
-            marks["fwd"] = wall()
+            marks.append(wall())
         loss.backward()
         if wall:
-            marks["bwd"] = wall()
+            marks.append(wall())
 
         # Phase 3: gradients to CPU (always full precision — Section V:
         # "gradients ... cannot apply DBA").
         self.arena.collect_grads()
         grad_payload = self.arena.grads.nbytes
         if wall:
-            marks["grad"] = wall()
+            marks.append(wall())
 
-        # Gradient accumulation: only the K-th micro-step runs the CPU
-        # phases; earlier ones just bank their gradients.
-        if self._accum is not None:
-            self._accum += self.arena.grads
-            self._micro_step += 1
-            if self._micro_step < self.accumulation_steps:
-                result = StepResult(
-                    step=self.step_count,
-                    loss=float(loss.item()),
-                    grad_norm=0.0,
-                    dba_active=self._dba_active_now(),
-                    param_payload_bytes=0,
-                    grad_payload_bytes=grad_payload,
-                    skipped=False,
-                )
-                self.volume.grad_bytes += grad_payload
-                self.history.append(result)
-                self.step_count += 1
-                self._observe_step(marks, result)
-                return result
-            self.arena.grads[...] = self._accum / np.float32(
-                self.accumulation_steps
-            )
-            self._accum[...] = 0.0
-            self._micro_step = 0
-
-        if self.lr_schedule is not None:
-            self.lr_schedule.apply(self.optimizer, self.optimizer.step_count)
-
-        if self.mixed_precision:
-            # FP16 gradient path: grads materialize in half precision on
-            # the GPU under the loss scale; the CPU unscales.
-            scaled = fp16_round_trip(
-                self.arena.grads * np.float32(self.loss_scaler.scale)
-            )
-            overflow = self.loss_scaler.check_overflow(scaled)
-            if not self.loss_scaler.update(overflow):
-                # Skip the step (DeepSpeed behaviour on overflow).
-                result = StepResult(
-                    step=self.step_count,
-                    loss=float(loss.item()),
-                    grad_norm=float("nan"),
-                    dba_active=self._dba_active_now(),
-                    param_payload_bytes=0,
-                    grad_payload_bytes=grad_payload,
-                    skipped=True,
-                )
-                self.volume.grad_bytes += grad_payload
-                self.history.append(result)
-                self.step_count += 1
-                self._observe_step(marks, result)
-                return result
-            self.arena.grads[...] = scaled / np.float32(self.loss_scaler.scale)
-
-        # The gradient is final here: model the wire format it crossed
-        # the fabric in, so the CPU phases consume the decoded values.
+        # Model the wire format the gradient crossed the fabric in, so
+        # the CPU phases consume the decoded values.
         if self.grad_transform is not None:
             transformed = np.asarray(
                 self.grad_transform(self.arena.grads), dtype=np.float32
@@ -290,12 +207,12 @@ class OffloadTrainer:
         # Phase 4: clip on CPU.
         grad_norm = clip_flat_gradients(self.arena.grads, self.max_grad_norm)
         if wall:
-            marks["clip"] = wall()
+            marks.append(wall())
 
         # Phase 5: ADAM over the CPU master copy.
         self.optimizer.step(self.arena.params, self.arena.grads)
         if wall:
-            marks["adam"] = wall()
+            marks.append(wall())
 
         # Listing 1: check_activation(i) after backward, before transfer.
         dba_active = (
@@ -335,45 +252,38 @@ class OffloadTrainer:
         self.history.append(result)
         self.step_count += 1
         if wall:
-            marks["xfer"] = wall()
+            marks.append(wall())
         self._observe_step(marks, result)
         return result
 
-    def _observe_step(self, marks: dict, result: StepResult) -> None:
+    #: Trainer phase spans, one per pair of consecutive step marks.
+    _PHASES = (
+        "forward", "backward", "grad-transfer", "clip", "adam",
+        "param-transfer",
+    )
+
+    def _observe_step(self, marks: list, result: StepResult) -> None:
         """Feed one step into the observability hooks (if any).
 
         Wall-clock phase spans land under the ``host`` pid with category
         ``trainer``; metrics record per-step payload/loss series and the
-        cumulative DBA savings counter.  Early-exit steps (accumulation
-        banking, overflow skips) only carry the phases they actually ran.
+        cumulative DBA savings counter.
         """
         tracer = self.tracer
         if tracer.enabled and marks:
-            phases = (
-                ("forward", "t0", "fwd"),
-                ("backward", "fwd", "bwd"),
-                ("grad-transfer", "bwd", "grad"),
-                ("clip", "grad", "clip"),
-                ("adam", "clip", "adam"),
-                ("param-transfer", "adam", "xfer"),
-            )
-            last = marks["t0"]
-            for name, a, b in phases:
-                if a in marks and b in marks:
-                    tracer.add_span(
-                        marks[a], marks[b], name, "trainer",
-                        track="trainer", pid="host",
-                    )
-                    last = marks[b]
+            for name, a, b in zip(self._PHASES, marks, marks[1:]):
+                tracer.add_span(
+                    a, b, name, "trainer", track="trainer", pid="host"
+                )
             tracer.add_span(
-                marks["t0"], last, "step", "trainer",
+                marks[0], marks[-1], "step", "trainer",
                 track="step", pid="host",
                 step=result.step, loss=result.loss, mode=self.mode.value,
-                dba_active=result.dba_active, skipped=result.skipped,
+                dba_active=result.dba_active,
             )
         metrics = self.metrics
         if metrics.enabled:
-            ts = marks.get("t0", float(result.step))
+            ts = marks[0] if marks else float(result.step)
             metrics.counter("trainer.steps").inc()
             metrics.sample("trainer.loss", ts, result.loss)
             metrics.sample(
@@ -413,37 +323,20 @@ class OffloadTrainer:
 
         Beyond the parameter/moment arrays this captures the values the
         model tensors hold (the compute copy the last step ran on, which
-        an evaluation after training reads), the mixed-precision
-        loss-scaler state, the gradient-accumulation
-        buffer and micro-step position (a checkpoint may land
-        mid-accumulation-window), comm-volume counters, the live
-        (schedule-mutated) learning rate, DBA activation state, and the
-        full step history.
+        an evaluation after training reads), comm-volume counters, the
+        optimizer hyper-parameters, DBA activation state, and the full
+        step history.
         """
         return {
             "mode": self.mode.value,
-            "mixed_precision": self.mixed_precision,
-            "accumulation_steps": self.accumulation_steps,
             "max_grad_norm": self.max_grad_norm,
             "step_count": self.step_count,
-            "micro_step": self._micro_step,
             "params": self.arena.params.copy(),
             "gpu_params": self.gpu_params.copy(),
             "model_params": self.arena.model_params(),
-            "accum": None if self._accum is None else self._accum.copy(),
             "optimizer": self.optimizer.state_dict(),
-            "loss_scaler": (
-                None
-                if self.loss_scaler is None
-                else self.loss_scaler.state_dict()
-            ),
             "policy": self.policy.state_dict(),
             "volume": self.volume.state_dict(),
-            "lr_schedule": (
-                None
-                if self.lr_schedule is None
-                else self.lr_schedule.state_dict()
-            ),
             "history": self._history_arrays(),
         }
 
@@ -461,7 +354,6 @@ class OffloadTrainer:
             "grad_payload_bytes": np.array(
                 [r.grad_payload_bytes for r in h], dtype=np.int64
             ),
-            "skipped": np.array([r.skipped for r in h], dtype=np.bool_),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -471,10 +363,10 @@ class OffloadTrainer:
         ------
         repro.state.StateMismatchError
             When the checkpoint does not fit this trainer: different
-            parameter count, trainer mode, accumulation depth — or a
-            mixed-precision checkpoint loaded into a non-mixed trainer
-            (and vice versa), which would silently lose or fabricate
-            loss-scaler state.
+            parameter count or trainer mode — or a checkpoint whose run
+            used a training-recipe feature the trainer no longer has
+            (mixed precision, gradient accumulation, an LR schedule),
+            which it could only resume by dropping that feature's state.
         """
         params = state["params"]
         if params.shape != (self.arena.n_params,):
@@ -489,34 +381,14 @@ class OffloadTrainer:
                 f"but this trainer runs {self.mode.value!r}; resuming "
                 "across modes would change the dataflow mid-run"
             )
-        if state["mixed_precision"] and not self.mixed_precision:
-            raise StateMismatchError(
-                "checkpoint is from a mixed-precision run but this "
-                "trainer was built with mixed_precision=False; the "
-                "loss-scaler state would be dropped — construct the "
-                "trainer with mixed_precision=True to resume"
-            )
-        if not state["mixed_precision"] and self.mixed_precision:
-            raise StateMismatchError(
-                "checkpoint is from a full-precision run but this "
-                "trainer was built with mixed_precision=True; there is "
-                "no loss-scaler state to resume from"
-            )
-        if int(state["accumulation_steps"]) != self.accumulation_steps:
-            raise StateMismatchError(
-                f"checkpoint used accumulation_steps="
-                f"{state['accumulation_steps']}, this trainer uses "
-                f"{self.accumulation_steps}; the banked gradient window "
-                "would be misaligned"
-            )
-        if state["lr_schedule"] is not None and self.lr_schedule is None:
-            raise StateMismatchError(
-                "checkpoint was written with an LR schedule "
-                f"({state['lr_schedule']['kind']}) but this trainer has "
-                "none; the resumed learning-rate trajectory would differ"
-            )
-        if self.lr_schedule is not None and state["lr_schedule"] is not None:
-            self.lr_schedule.load_state_dict(state["lr_schedule"])
+        for key, (default, feature) in _REMOVED_FEATURES.items():
+            value = state.get(key, default)
+            if (value is not None) if default is None else value != default:
+                raise StateMismatchError(
+                    f"checkpoint was written by a run using {feature} "
+                    f"({key} is set), which this trainer no longer "
+                    "supports; resuming it would drop that state"
+                )
 
         self.arena.params[...] = params
         self.gpu_params = np.asarray(
@@ -525,14 +397,8 @@ class OffloadTrainer:
         self.optimizer.load_state_dict(state["optimizer"])
         self.policy.load_state_dict(state["policy"])
         self.volume.load_state_dict(state["volume"])
-        if self.loss_scaler is not None:
-            self.loss_scaler.load_state_dict(state["loss_scaler"])
         self.max_grad_norm = float(state["max_grad_norm"])
         self.step_count = int(state["step_count"])
-        self._micro_step = int(state["micro_step"])
-        if self._accum is not None:
-            accum = state["accum"]
-            self._accum[...] = 0.0 if accum is None else accum
         hist = state["history"]
         self.history = [
             StepResult(
@@ -542,7 +408,6 @@ class OffloadTrainer:
                 dba_active=bool(hist["dba_active"][i]),
                 param_payload_bytes=int(hist["param_payload_bytes"][i]),
                 grad_payload_bytes=int(hist["grad_payload_bytes"][i]),
-                skipped=bool(hist["skipped"][i]),
             )
             for i in range(len(hist["step"]))
         ]
@@ -584,7 +449,9 @@ class OffloadTrainer:
         if mode is self.mode and all(target[k] == source[k] for k in config):
             state = source
         else:
-            if self._dba_active_now():
+            # A pre-activated (e.g. shared) policy does not count: only
+            # TECO-Reduction runs the byte-truncating transfer.
+            if self.mode is TrainerMode.TECO_REDUCTION and self.policy.active:
                 raise ValueError(
                     f"cannot fork into another mode or policy at step "
                     f"{self.step_count}: DBA has been active since step "
@@ -604,9 +471,6 @@ class OffloadTrainer:
         branch = OffloadTrainer(
             copy.deepcopy(self.model),
             mode=self.mode,
-            mixed_precision=self.mixed_precision,
-            accumulation_steps=self.accumulation_steps,
-            lr_schedule=copy.deepcopy(self.lr_schedule),
             grad_transform=self.grad_transform,
         )
         branch.load_state_dict(self.state_dict())
@@ -615,21 +479,6 @@ class OffloadTrainer:
         branch.policy.load_state_dict(state)
         return branch
 
-    def checkpoint_meta(self) -> dict:
-        """The container metadata :meth:`save_checkpoint` writes.
-
-        Exposed so deferred writers (e.g. the async checkpointer in
-        :mod:`repro.experiments.runner`) persist snapshots with exactly
-        the same metadata as a direct :meth:`save_checkpoint` call.
-        """
-        return {
-            "writer": "repro.offload.trainer.OffloadTrainer",
-            "n_params": self.arena.n_params,
-            "mode": self.mode.value,
-            "mixed_precision": self.mixed_precision,
-            "accumulation_steps": self.accumulation_steps,
-        }
-
     def save_checkpoint(self, path) -> None:
         """Write a versioned, CRC-checked checkpoint atomically.
 
@@ -637,7 +486,15 @@ class OffloadTrainer:
         :mod:`repro.state.checkpoint` container — a crash mid-write
         leaves any previous checkpoint at ``path`` untouched.
         """
-        save_state(path, self.state_dict(), meta=self.checkpoint_meta())
+        save_state(
+            path,
+            self.state_dict(),
+            meta={
+                "writer": "repro.offload.trainer.OffloadTrainer",
+                "n_params": self.arena.n_params,
+                "mode": self.mode.value,
+            },
+        )
 
     def load_checkpoint(self, path) -> None:
         """Restore a checkpoint written by :meth:`save_checkpoint`.
@@ -645,8 +502,7 @@ class OffloadTrainer:
         Seed-era ``np.savez`` checkpoints load through a migration path:
         the fields they carry (parameters, device copy, ADAM state, DBA
         activation) are restored and everything the old format dropped
-        (loss scaler, accumulation buffer, comm-volume counters, history)
-        starts fresh — matching what those checkpoints actually contain.
+        (comm-volume counters, history) starts fresh — matching what those checkpoints actually contain.
         """
         if is_legacy_checkpoint(path):
             self._load_legacy_checkpoint(path)

@@ -84,11 +84,8 @@ class FlatAdam:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (bit-exact resume).
-
-        The learning rate is restored too — schedules mutate it in place,
-        so the checkpointed value is the one the next step must see.
-        """
+        """Restore a :meth:`state_dict` snapshot (bit-exact resume),
+        hyper-parameters included."""
         if int(state["n_params"]) != self.n_params:
             raise ValueError(
                 f"optimizer state is for {state['n_params']} parameters, "
@@ -156,13 +153,10 @@ class FlatAdam:
 
 
 class Adam:
-    """ADAM over :class:`~repro.tensor.Tensor` parameters, with optional
-    parameter groups.
+    """ADAM over a list of :class:`~repro.tensor.Tensor` parameters.
 
-    Mirrors ``torch.optim.Adam``: pass either a flat list of tensors or a
-    list of group dicts ``{"params": [...], "lr": ..., "weight_decay":
-    ...}`` — the standard idiom for excluding LayerNorm/bias parameters
-    from weight decay in transformer fine-tuning.
+    The same update as :class:`FlatAdam`, with one moment pair per
+    tensor; parameters without a gradient are skipped.
     """
 
     def __init__(
@@ -174,42 +168,19 @@ class Adam:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        params = list(params)
-        if not params:
+        self.params: list[Tensor] = list(params)
+        if not self.params:
             raise ValueError("no parameters to optimize")
-        if isinstance(params[0], dict):
-            groups = params
-        else:
-            groups = [{"params": params}]
-        self.groups: list[dict] = []
-        for group in groups:
-            tensors = list(group["params"])
-            if not tensors:
-                raise ValueError("empty parameter group")
-            if any(not p.requires_grad for p in tensors):
-                raise ValueError("all parameters must require grad")
-            self.groups.append(
-                {
-                    "params": tensors,
-                    "lr": float(group.get("lr", lr)),
-                    "weight_decay": float(
-                        group.get("weight_decay", weight_decay)
-                    ),
-                    "m": [np.zeros_like(p.data) for p in tensors],
-                    "v": [np.zeros_like(p.data) for p in tensors],
-                }
-            )
+        if any(not p.requires_grad for p in self.params):
+            raise ValueError("all parameters must require grad")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-
-    @property
-    def params(self) -> list[Tensor]:
-        """All parameters across groups, flattened."""
-        return [p for g in self.groups for p in g["params"]]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         """Clear gradients of every parameter."""
@@ -217,26 +188,21 @@ class Adam:
             p.zero_grad()
 
     def step(self) -> None:
-        """Apply one ADAM update to every parameter group."""
+        """Apply one ADAM update to every parameter with a gradient."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for group in self.groups:
-            # Single-group optimizers follow a live self.lr (schedulers
-            # mutate it); explicit groups keep their own rates.
-            lr = group["lr"] if len(self.groups) > 1 else self.lr
-            step_size = lr / bc1
-            wd = group["weight_decay"]
-            for p, m, v in zip(group["params"], group["m"], group["v"]):
-                if p.grad is None:
-                    continue
-                g = p.grad
-                if wd:
-                    g = g + wd * p.data
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                denom = np.sqrt(v / bc2) + self.eps
-                p.data -= (step_size * m / denom).astype(np.float32)
+        step_size = self.lr / bc1
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None:
+                continue
+            g = p.grad
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            denom = np.sqrt(v / bc2) + self.eps
+            p.data -= (step_size * m / denom).astype(np.float32)

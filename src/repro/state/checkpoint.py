@@ -2,7 +2,7 @@
 
 The functional trainer used to persist resume state with ad-hoc
 ``np.savez`` fields, which silently dropped everything it did not know
-about (loss-scaler state, accumulation buffers, comm-volume counters) and
+about (comm-volume counters, step history) and
 gave no integrity guarantee.  This module replaces that with a small
 binary container for arbitrary *state dicts* — nested ``dict``s whose
 leaves are :class:`numpy.ndarray`s or JSON scalars — with:
@@ -89,8 +89,7 @@ class Stateful(Protocol):
     """The ``state_dict()`` / ``load_state_dict()`` protocol.
 
     Implemented by every resumable component: ``OffloadTrainer``,
-    ``FlatAdam``, ``LossScaler``, ``ActivationPolicy``, ``CommVolume``
-    and the LR schedules.
+    ``FlatAdam``, ``ActivationPolicy`` and ``CommVolume``.
     """
 
     def state_dict(self) -> dict:

@@ -8,12 +8,9 @@ it to step N, and asserts bit-exact agreement on:
 * the CPU master parameters and the device copy (which diverge under DBA);
 * both ADAM moment arenas and the optimizer step counter;
 * the full per-step loss curve (max |Δ| must be exactly 0, not "close");
-* the cumulative comm-volume counters;
-* the mixed-precision loss-scaler state, where applicable.
+* the cumulative comm-volume counters.
 
-The default suite sweeps all three ``TrainerMode``s × {FP32, mixed
-precision} × {no accumulation, ``accumulation_steps=4`` with the
-checkpoint landing mid-accumulation-window}, plus a checkpoint straddling
+The default suite runs every ``TrainerMode``, plus a checkpoint straddling
 DBA activation — optionally at the paper's step-500 threshold — and a
 ZeRO-Offload run forked into TECO-Reduction before it checkpoints.  Run it via
 ``python -m repro verify-resume`` or ``make verify-resume``.
@@ -29,7 +26,6 @@ import numpy as np
 
 from repro.dba import ActivationPolicy
 from repro.offload import OffloadTrainer, TrainerMode
-from repro.optim import LossScaler
 from repro.tensor.transformer import TinyTransformerLM
 from repro.utils.tables import format_table
 
@@ -53,8 +49,6 @@ class ResumeCase:
     """One configuration of the resume-equivalence experiment."""
 
     mode: TrainerMode = TrainerMode.ZERO_OFFLOAD
-    mixed_precision: bool = False
-    accumulation_steps: int = 1
     #: Total steps of the reference (never-stopped) run.
     n_steps: int = 12
     #: Step after which the interrupted run checkpoints.
@@ -84,14 +78,7 @@ class ResumeCase:
     @property
     def name(self) -> str:
         """Human-readable case id for reports."""
-        if self.label:
-            return self.label
-        precision = "fp16" if self.mixed_precision else "fp32"
-        return (
-            f"{self.mode.value}/{precision}"
-            f"/accum={self.accumulation_steps}"
-            f"/ckpt@{self.checkpoint_step}"
-        )
+        return self.label or f"{self.mode.value}/ckpt@{self.checkpoint_step}"
 
 
 @dataclass(frozen=True)
@@ -105,7 +92,6 @@ class ResumeReport:
     loss_curve_equal: bool
     history_equal: bool
     volume_equal: bool
-    scaler_equal: bool
     step_count_equal: bool
 
     @property
@@ -118,15 +104,12 @@ class ResumeReport:
             and self.loss_curve_equal
             and self.history_equal
             and self.volume_equal
-            and self.scaler_equal
             and self.step_count_equal
         )
 
 
 def build_demo_trainer(
     mode: TrainerMode = TrainerMode.ZERO_OFFLOAD,
-    mixed_precision: bool = False,
-    accumulation_steps: int = 1,
     act_aft_steps: int = 8,
     seed: int = 0,
     lr: float = 2e-3,
@@ -143,9 +126,6 @@ def build_demo_trainer(
         mode=mode,
         lr=lr,
         policy=ActivationPolicy(act_aft_steps=act_aft_steps, dirty_bytes=2),
-        mixed_precision=mixed_precision,
-        loss_scaler=LossScaler(init_scale=2.0**10) if mixed_precision else None,
-        accumulation_steps=accumulation_steps,
     )
 
 
@@ -156,11 +136,6 @@ def demo_batches(n: int, seed: int = 1) -> list[tuple]:
         (rng.integers(0, DEMO_MODEL["vocab"], (4, DEMO_MODEL["max_seq"] - 2)),)
         for _ in range(n)
     ]
-
-
-def _scaler_state(trainer: OffloadTrainer) -> dict | None:
-    """Loss-scaler snapshot, or None for full-precision trainers."""
-    return None if trainer.loss_scaler is None else trainer.loss_scaler.state_dict()
 
 
 def verify_resume(
@@ -175,11 +150,7 @@ def verify_resume(
 
     def make() -> OffloadTrainer:
         return build_demo_trainer(
-            mode=case.mode,
-            mixed_precision=case.mixed_precision,
-            accumulation_steps=case.accumulation_steps,
-            act_aft_steps=case.act_aft_steps,
-            seed=seed,
+            mode=case.mode, act_aft_steps=case.act_aft_steps, seed=seed
         )
 
     reference = make()
@@ -189,11 +160,7 @@ def verify_resume(
         interrupted = make()
     else:
         interrupted = build_demo_trainer(
-            mode=case.fork_from,
-            mixed_precision=case.mixed_precision,
-            accumulation_steps=case.accumulation_steps,
-            act_aft_steps=case.n_steps,
-            seed=seed,
+            mode=case.fork_from, act_aft_steps=case.n_steps, seed=seed
         )
     interrupted.train(batches[: case.checkpoint_step])
     if case.fork_from is not None:
@@ -233,7 +200,6 @@ def verify_resume(
         volume_equal=(
             resumed.volume.state_dict() == reference.volume.state_dict()
         ),
-        scaler_equal=_scaler_state(resumed) == _scaler_state(reference),
         step_count_equal=resumed.step_count == reference.step_count,
     )
 
@@ -241,28 +207,16 @@ def verify_resume(
 def default_suite(include_paper_activation: bool = False) -> list[ResumeCase]:
     """The standard case sweep.
 
-    All three modes × {fp32, fp16} × {accum=1, accum=4}; with
-    ``accumulation_steps=4`` the checkpoint at step 5 lands
-    mid-accumulation-window (micro-step 1 of 4), exercising the banked
-    gradient buffer.  A DBA-straddle case checkpoints *before* the
-    activation threshold and resumes across it; with
-    ``include_paper_activation`` that straddle also runs at the paper's
-    ``act_aft_steps=500`` (hundreds of real training steps — seconds of
-    runtime, so it is opt-in).  Two forked cases train the interrupted
-    run in ZeRO-Offload and fork it into TECO-Reduction before the
-    checkpoint, so fork -> checkpoint -> resume is held to the same
-    bar.
+    Every trainer mode checkpointed at step 5 of 12.  A DBA-straddle case
+    checkpoints *before* the activation threshold and resumes across it;
+    with ``include_paper_activation`` that straddle also runs at the
+    paper's ``act_aft_steps=500`` (hundreds of real training steps —
+    seconds of runtime, so it is opt-in).  A forked case trains the
+    interrupted run in ZeRO-Offload and forks it into TECO-Reduction
+    before the checkpoint, so fork -> checkpoint -> resume is held to
+    the same bar.
     """
-    cases = [
-        ResumeCase(
-            mode=mode,
-            mixed_precision=mixed,
-            accumulation_steps=accum,
-        )
-        for mode in TrainerMode
-        for mixed in (False, True)
-        for accum in (1, 4)
-    ]
+    cases = [ResumeCase(mode=mode) for mode in TrainerMode]
     # Checkpoint at 5, activation at 8, end at 12: resume crosses the
     # activation edge, so the resumed trainer must flip DBA on at the
     # exact same step as the never-stopped reference.
@@ -277,27 +231,21 @@ def default_suite(include_paper_activation: bool = False) -> list[ResumeCase]:
     )
     # A ZeRO-Offload run forked into TECO-Reduction at step 5, then
     # checkpointed and resumed across the activation at 8, must equal a
-    # TECO-Reduction run from step 0 — also mid-accumulation-window
-    # under mixed precision.
-    cases.extend(
+    # TECO-Reduction run from step 0.
+    cases.append(
         ResumeCase(
             mode=TrainerMode.TECO_REDUCTION,
-            mixed_precision=mixed,
-            accumulation_steps=accum,
             checkpoint_step=5,
             act_aft_steps=8,
             n_steps=12,
             fork_from=TrainerMode.ZERO_OFFLOAD,
-            label=f"fork/zero-offload->teco-reduction/{precision}/accum={accum}",
+            label="fork/zero-offload->teco-reduction",
         )
-        for mixed, precision, accum in ((False, "fp32", 1), (True, "fp16", 4))
     )
     if include_paper_activation:
         cases.append(
             ResumeCase(
                 mode=TrainerMode.TECO_REDUCTION,
-                mixed_precision=True,
-                accumulation_steps=4,
                 checkpoint_step=497,
                 act_aft_steps=500,
                 n_steps=506,

@@ -1,4 +1,4 @@
-"""The experiment framework: registry, cache, executor, async checkpoints.
+"""The experiment framework: registry, cache, executor, checkpoints.
 
 Covers the acceptance criteria of the registry refactor:
 
@@ -10,8 +10,8 @@ Covers the acceptance criteria of the registry refactor:
 * executor determinism — ``jobs=1`` and ``jobs=4`` produce identical
   result hashes;
 * ``Fig10Result.same_trend`` symmetry regression;
-* non-blocking checkpointing — the async writer is atomic under a
-  simulated mid-save kill;
+* fine-tune checkpoints — atomic under a simulated mid-save kill and
+  resumable bit-exactly;
 * memoized pretrained-setup store.
 """
 
@@ -314,6 +314,12 @@ def test_sweep_jobs1_and_jobs4_identical_hashes(tmp_path):
     assert serial.sweep_hash == parallel.sweep_hash
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+def test_sweep_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(_cheap_cells(), jobs=jobs)
+
+
 def test_sweep_second_run_fully_cached(tmp_path):
     cache = ResultCache(root=tmp_path)
     first = run_sweep(_cheap_cells(), jobs=1, cache=cache)
@@ -489,58 +495,40 @@ def test_same_trend_tolerance_is_symmetric():
     assert not Fig10Result(too_far_up, flat, act_aft_steps=5).same_trend
 
 
-# --------------------------------------------------- async checkpointing
+# --------------------------------------------------- checkpointing
 
 
-def _demo_trainer(seed: int = 0):
-    from repro.state.verify import build_demo_trainer, demo_batches
-
-    trainer = build_demo_trainer(seed=seed)
-    trainer.train(demo_batches(6, seed=seed + 1))
-    return trainer
-
-
-def test_async_checkpointer_writes_last_submitted_state(tmp_path):
-    from repro.experiments.runner import AsyncCheckpointer
+def test_checkpoint_kill_mid_save_keeps_previous(tmp_path, monkeypatch):
+    """A fine-tune killed in the atomic rename of a checkpoint keeps the
+    previous checkpoint whole and leaves no temp file behind."""
+    from repro.experiments import runner
+    from repro.experiments.runner import finetune, pretrained_lm
+    from repro.offload import TrainerMode
+    from repro.state import checkpoint as ckpt_mod
     from repro.state import load_state
 
-    trainer = _demo_trainer()
-    path = tmp_path / "run.teco-ckpt"
-    writer = AsyncCheckpointer(trainer, path)
-    writer.submit()
-    writer.close()
-    state, meta = load_state(path)
-    assert state["step_count"] == trainer.step_count
-    assert meta["n_params"] == trainer.arena.n_params
+    setup = pretrained_lm(seed=3, pretrain_steps=4, finetune_batches=8)
+    path = tmp_path / "ft.teco-ckpt"
+    monkeypatch.setattr(runner, "CHECKPOINT_EVERY", 3)
+    replace = os.replace
+    saved = []
 
-
-def test_async_checkpointer_kill_mid_save_keeps_previous(tmp_path, monkeypatch):
-    from repro.experiments.runner import AsyncCheckpointer
-    from repro.state import load_state, save_state
-    from repro.state import checkpoint as ckpt_mod
-
-    trainer = _demo_trainer()
-    path = tmp_path / "run.teco-ckpt"
-    save_state(path, trainer.state_dict(), meta={"writer": "test"})
-    before = path.read_bytes()
-
-    # simulate a kill at the instant of the atomic rename: the temp file
-    # is discarded and the previous checkpoint must stay intact
+    # the step-3 checkpoint lands; a kill hits the step-6 one at the
+    # instant of its rename, so its temp file is discarded
     def doomed_replace(src, dst):
-        raise OSError("killed mid-save")
+        if saved:
+            raise OSError("killed mid-save")
+        replace(src, dst)
+        saved.append(Path(dst).read_bytes())
 
     monkeypatch.setattr(ckpt_mod.os, "replace", doomed_replace)
-    writer = AsyncCheckpointer(trainer, path)
-    writer.submit()
     with pytest.raises(OSError, match="killed mid-save"):
-        writer.close()
+        finetune(setup, TrainerMode.TECO_REDUCTION, checkpoint_path=path)
     monkeypatch.undo()
 
-    assert path.read_bytes() == before  # previous checkpoint untouched
-    assert not list(tmp_path.glob("*.tmp.*"))  # no temp-file litter
-    state, meta = load_state(path)
-    assert meta == {"writer": "test"}
-    assert state["step_count"] == trainer.step_count
+    assert path.read_bytes() == saved[0]  # previous checkpoint untouched
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no litter
+    assert load_state(path)[0]["step_count"] == 3
 
 
 def _interrupt_after(monkeypatch, n_steps):

@@ -37,9 +37,9 @@ def assert_same_run(a: OffloadTrainer, b: OffloadTrainer) -> None:
     assert a.policy.state_dict() == b.policy.state_dict()
 
 
-def plain(mode, act, batches, **kwargs) -> OffloadTrainer:
+def plain(mode, act, batches) -> OffloadTrainer:
     """A trainer run from step 0 under ``mode`` with DBA from ``act``."""
-    trainer = build_demo_trainer(mode=mode, act_aft_steps=act, **kwargs)
+    trainer = build_demo_trainer(mode=mode, act_aft_steps=act)
     trainer.train(batches)
     return trainer
 
@@ -63,20 +63,6 @@ class TestFork:
         # The trunk is untouched by its fork and still runs as itself.
         trunk.train(batches[at:])
         assert_same_run(trunk, plain(trunk_mode, N_STEPS, batches))
-
-    def test_fork_mid_accumulation_window_mixed_precision(self):
-        batches = demo_batches(N_STEPS)
-        kwargs = {"mixed_precision": True, "accumulation_steps": 4}
-        trunk = build_demo_trainer(
-            mode=TrainerMode.ZERO_OFFLOAD, act_aft_steps=N_STEPS, **kwargs
-        )
-        trunk.train(batches[:6])
-        branch = trunk.fork(TrainerMode.TECO_REDUCTION, ActivationPolicy(6, 2))
-        branch.train(batches[6:])
-        reference = plain(TrainerMode.TECO_REDUCTION, 6, batches, **kwargs)
-        assert_same_run(branch, reference)
-        assert branch.loss_scaler.state_dict() == reference.loss_scaler.state_dict()
-        assert branch.policy.activated_at == 7
 
     def test_unchanged_fork_after_activation_continues_the_run(self):
         batches = demo_batches(N_STEPS)

@@ -2,10 +2,10 @@
 
 Covers the ``repro.state`` subsystem end to end: the versioned CRC-checked
 container, the ``state_dict()`` protocol of every resumable component,
-resume equivalence across all trainer modes × mixed precision ×
-accumulation (including a checkpoint mid-accumulation-window and one
-straddling DBA activation), corruption handling, and the migration path
-for seed-era ``np.savez`` checkpoints.
+resume equivalence across all trainer modes (including a checkpoint
+straddling DBA activation), corruption handling, the refusal of
+checkpoints from runs that used a removed training-recipe feature, and
+the migration path for seed-era ``np.savez`` checkpoints.
 """
 
 import struct
@@ -19,7 +19,7 @@ from repro.dba.activation import default_policy, fresh_policy
 from repro.dba.aggregator import WORDS_PER_LINE, Aggregator
 from repro.dba.registers import DBARegister
 from repro.offload import CommVolume, OffloadTrainer, TrainerMode
-from repro.optim import ConstantLR, FlatAdam, LossScaler, WarmupLinearDecay
+from repro.optim import FlatAdam
 from repro.state import (
     FORMAT_VERSION,
     MAGIC,
@@ -129,7 +129,7 @@ class TestComponentStateDicts:
     def test_flat_adam_round_trip(self):
         a = FlatAdam(8, lr=1e-3)
         a.step(np.ones(8, np.float32), np.ones(8, np.float32))
-        a.lr = 5e-4  # as a schedule would
+        a.lr = 5e-4  # a changed rate is restored too
         b = FlatAdam(8, lr=1e-3)
         b.load_state_dict(a.state_dict())
         assert b.step_count == 1 and b.lr == 5e-4
@@ -139,16 +139,6 @@ class TestComponentStateDicts:
     def test_flat_adam_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="parameters"):
             FlatAdam(4).load_state_dict(FlatAdam(8).state_dict())
-
-    def test_loss_scaler_round_trip(self):
-        s = LossScaler(init_scale=2.0**8, growth_interval=3)
-        s.update(False)
-        s.update(True)  # overflow: halves the scale
-        t = LossScaler()
-        t.load_state_dict(s.state_dict())
-        assert t.scale == s.scale == 2.0**7
-        assert t._good_steps == 0 and t.overflows == 1
-        assert t.growth_interval == 3
 
     def test_activation_policy_round_trip(self):
         p = ActivationPolicy(act_aft_steps=2, dirty_bytes=3)
@@ -168,12 +158,6 @@ class TestComponentStateDicts:
             40,
         )
 
-    def test_lr_schedule_mismatch_rejected(self):
-        good = WarmupLinearDecay(base_lr=1e-3, warmup_steps=2, total_steps=10)
-        good.load_state_dict(good.state_dict())  # same schedule: fine
-        with pytest.raises(ValueError, match="schedule"):
-            ConstantLR(1e-3).load_state_dict(good.state_dict())
-
     def test_rng_state_round_trip_resumes_stream(self):
         rng = make_rng(5)
         rng.random(10)
@@ -184,12 +168,7 @@ class TestComponentStateDicts:
         np.testing.assert_array_equal(other.random(4), expected)
 
 
-SMALL_CASES = [
-    ResumeCase(mode=mode, mixed_precision=mixed, accumulation_steps=accum)
-    for mode in TrainerMode
-    for mixed in (False, True)
-    for accum in (1, 4)
-]
+SMALL_CASES = [ResumeCase(mode=mode) for mode in TrainerMode]
 
 
 class TestResumeEquivalence:
@@ -205,19 +184,6 @@ class TestResumeEquivalence:
         assert report.max_device_delta == 0.0
         assert report.max_moment_delta == 0.0
 
-    def test_checkpoint_mid_accumulation_window(self, tmp_path):
-        """checkpoint_step=5 with accumulation_steps=4 stops at micro-step
-        1 of the second window; the banked gradient must survive."""
-        case = ResumeCase(
-            mode=TrainerMode.TECO_CXL, accumulation_steps=4, checkpoint_step=5
-        )
-        trainer = build_demo_trainer(
-            mode=case.mode, accumulation_steps=4, act_aft_steps=8
-        )
-        trainer.train(demo_batches(5, seed=1))
-        assert trainer._micro_step == 1  # genuinely mid-window
-        assert report_ok(case, tmp_path)
-
     def test_checkpoint_straddles_dba_activation(self, tmp_path):
         """Checkpoint before the activation threshold, resume across it:
         the resumed run must activate at the same step as the
@@ -230,12 +196,10 @@ class TestResumeEquivalence:
     @pytest.mark.slow
     def test_checkpoint_straddles_paper_step_500(self, tmp_path):
         """The acceptance-criterion case: DBA activates at the paper's
-        step 500, the checkpoint lands before it (and mid-accumulation),
-        and resume is still bit-exact."""
+        step 500, the checkpoint lands before it, and resume is still
+        bit-exact."""
         case = ResumeCase(
             mode=TrainerMode.TECO_REDUCTION,
-            mixed_precision=True,
-            accumulation_steps=4,
             checkpoint_step=497,
             act_aft_steps=500,
             n_steps=506,
@@ -250,14 +214,16 @@ class TestResumeEquivalence:
 
     def test_default_suite_covers_required_grid(self):
         cases = default_suite(include_paper_activation=True)
-        grid = {
-            (c.mode, c.mixed_precision, c.accumulation_steps) for c in cases
-        }
-        for mode in TrainerMode:
-            for mixed in (False, True):
-                assert (mode, mixed, 1) in grid
-                assert (mode, mixed, 4) in grid
-        assert any(c.act_aft_steps == 500 for c in cases)
+        plain = [c for c in cases if not c.label]
+        assert [c.mode for c in plain] == list(TrainerMode)
+        assert any(c.fork_from is TrainerMode.ZERO_OFFLOAD for c in cases)
+        straddles = [
+            c
+            for c in cases
+            if c.mode is TrainerMode.TECO_REDUCTION
+            and c.checkpoint_step < c.act_aft_steps < c.n_steps
+        ]
+        assert {c.act_aft_steps for c in straddles} >= {8, 500}
 
 
 def report_ok(case, tmp_path) -> bool:
@@ -275,28 +241,10 @@ class TestTrainerCheckpointValidation:
         trainer.save_checkpoint(path)
         return path
 
-    def test_mixed_checkpoint_into_plain_trainer_rejected(self, tmp_path):
-        path = self._ckpt(tmp_path, mixed_precision=True)
-        plain = build_demo_trainer(mixed_precision=False)
-        with pytest.raises(StateMismatchError, match="mixed-precision"):
-            plain.load_checkpoint(path)
-
-    def test_plain_checkpoint_into_mixed_trainer_rejected(self, tmp_path):
-        path = self._ckpt(tmp_path, mixed_precision=False)
-        mixed = build_demo_trainer(mixed_precision=True)
-        with pytest.raises(StateMismatchError, match="loss-scaler"):
-            mixed.load_checkpoint(path)
-
     def test_mode_mismatch_rejected(self, tmp_path):
         path = self._ckpt(tmp_path, mode=TrainerMode.TECO_REDUCTION)
         other = build_demo_trainer(mode=TrainerMode.ZERO_OFFLOAD)
         with pytest.raises(StateMismatchError, match="mode|trainer runs"):
-            other.load_checkpoint(path)
-
-    def test_accumulation_mismatch_rejected(self, tmp_path):
-        path = self._ckpt(tmp_path, accumulation_steps=4)
-        other = build_demo_trainer(accumulation_steps=1)
-        with pytest.raises(StateMismatchError, match="accumulation"):
             other.load_checkpoint(path)
 
     def test_wrong_param_count_rejected(self, tmp_path):
@@ -321,6 +269,132 @@ class TestTrainerCheckpointValidation:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointCorruptError):
             build_demo_trainer().load_checkpoint(path)
+
+
+#: The state keys of the training-recipe features the trainer dropped
+#: (mixed precision, gradient accumulation, LR schedules), as a
+#: checkpoint written before their removal carries them for a run that
+#: used none of them.
+PLAIN_RECIPE_KEYS = {
+    "mixed_precision": False,
+    "accumulation_steps": 1,
+    "micro_step": 0,
+    "accum": None,
+    "loss_scaler": None,
+    "lr_schedule": None,
+}
+
+#: Values a run that used one of those features wrote, with a word the
+#: refusal must name.
+USED_FEATURES = [
+    ("mixed_precision", True, "mixed-precision"),
+    (
+        "loss_scaler",
+        {
+            "scale": 1024.0,
+            "growth_interval": 2000,
+            "backoff": 0.5,
+            "max_scale": 2.0**24,
+            "good_steps": 3,
+            "overflows": 0,
+        },
+        "mixed-precision",
+    ),
+    ("accumulation_steps", 4, "accumulation"),
+    ("micro_step", 2, "accumulation"),
+    ("accum", np.ones(4, np.float32), "accumulation"),
+    (
+        "lr_schedule",
+        {"kind": "CosineDecay", "config": {"base_lr": 2e-3}},
+        "learning-rate schedule",
+    ),
+]
+
+
+def recipe_era_state(trainer, **used) -> dict:
+    """``trainer.state_dict()`` in the layout written before the recipe
+    features were removed: their keys at the plain-run values (or
+    ``used``), plus the history's ``skipped`` column."""
+    state = {**trainer.state_dict(), **PLAIN_RECIPE_KEYS, **used}
+    state["history"]["skipped"] = np.zeros(len(trainer.history), np.bool_)
+    return state
+
+
+class TestRemovedRecipeCheckpoints:
+    """Checkpoints from before mixed precision, gradient accumulation and
+    LR schedules were removed: plain runs resume, the rest are refused."""
+
+    def test_plain_run_resumes_bit_exactly(self, tmp_path):
+        batches = demo_batches(12)
+        reference = build_demo_trainer(mode=TrainerMode.TECO_REDUCTION)
+        reference.train(batches)
+        interrupted = build_demo_trainer(mode=TrainerMode.TECO_REDUCTION)
+        interrupted.train(batches[:5])
+        path = tmp_path / "old.ckpt"
+        save_state(path, recipe_era_state(interrupted))
+
+        resumed = build_demo_trainer(mode=TrainerMode.TECO_REDUCTION)
+        resumed.load_checkpoint(path)
+        resumed.train(batches[5:])
+        np.testing.assert_array_equal(
+            resumed.arena.params, reference.arena.params
+        )
+        np.testing.assert_array_equal(resumed.gpu_params, reference.gpu_params)
+        np.testing.assert_array_equal(resumed.optimizer.v, reference.optimizer.v)
+        assert resumed.history == reference.history
+        assert resumed.volume == reference.volume
+        assert any(r.dba_active for r in resumed.history)
+
+    @pytest.mark.parametrize(
+        "key, value, feature", USED_FEATURES, ids=[u[0] for u in USED_FEATURES]
+    )
+    def test_used_feature_is_refused(self, tmp_path, key, value, feature):
+        trainer = build_demo_trainer()
+        trainer.train(demo_batches(3))
+        path = tmp_path / "old.ckpt"
+        save_state(path, recipe_era_state(trainer, **{key: value}))
+        fresh = build_demo_trainer()
+        with pytest.raises(StateMismatchError, match=feature):
+            fresh.load_checkpoint(path)
+        assert fresh.step_count == 0  # nothing was half-loaded
+
+    @pytest.mark.parametrize(
+        "used, error",
+        [
+            ({}, None),
+            ({"mixed_precision": True}, "mixed-precision"),
+            ({"accumulation_steps": 4}, "accumulation"),
+        ],
+        ids=["plain", "mixed-precision", "accumulation"],
+    )
+    def test_cli_resume_of_recipe_era_demo(self, tmp_path, used, error):
+        """``repro resume`` on a ``repro checkpoint`` file written before
+        the removal: a plain demo resumes, one that used a removed
+        feature fails loudly instead of resuming without it."""
+        from repro.cli import main
+
+        trainer = build_demo_trainer(mode=TrainerMode.TECO_CXL)
+        trainer.train(demo_batches(4))
+        path = tmp_path / "demo.teco-ckpt"
+        demo = {
+            "mode": "teco-cxl",
+            "mixed_precision": False,
+            "accumulation_steps": 1,
+            "act_aft_steps": 8,
+            "seed": 0,
+        }
+        demo.update(used)
+        save_state(
+            path,
+            recipe_era_state(trainer, **used),
+            meta={"writer": "repro.cli.checkpoint", "demo": demo},
+        )
+        args = ["resume", "--ckpt", str(path), "--steps", "2"]
+        if error is None:
+            assert main(args) == 0
+        else:
+            with pytest.raises(StateMismatchError, match=error):
+                main(args)
 
 
 class TestLegacyMigration:
@@ -389,33 +463,6 @@ class TestLegacyMigration:
 class TestSatelliteFixes:
     """Regression tests for the state-loss and accounting bugs."""
 
-    def test_early_returns_gate_dba_by_mode(self):
-        """A pre-activated policy must not mark ZeRO-Offload accumulation
-        micro-steps as dba_active (the main path already gated this)."""
-        policy = ActivationPolicy(act_aft_steps=0, dirty_bytes=2)
-        policy.check_activation(0)  # latch it on, as a shared policy might
-        trainer = build_demo_trainer(
-            mode=TrainerMode.ZERO_OFFLOAD, accumulation_steps=2
-        )
-        trainer.policy = policy
-        r_micro = trainer.step(*demo_batches(1)[0])
-        r_full = trainer.step(*demo_batches(1)[0])
-        assert not r_micro.dba_active
-        assert not r_full.dba_active
-
-    def test_overflow_skip_gates_dba_by_mode(self):
-        policy = ActivationPolicy(act_aft_steps=0, dirty_bytes=2)
-        policy.check_activation(0)
-        trainer = build_demo_trainer(
-            mode=TrainerMode.TECO_CXL, mixed_precision=True
-        )
-        trainer.policy = policy
-        # Huge but finite in FP32; the FP16 gradient cast overflows to inf.
-        trainer.loss_scaler.scale = 2.0**30
-        result = trainer.step(*demo_batches(1)[0])
-        assert result.skipped
-        assert not result.dba_active
-
     def test_pack_tensor_excludes_padding_from_byte_count(self):
         agg = Aggregator(DBARegister.paper_default())
         agg.pack_tensor(np.zeros(20, dtype=np.float32))  # 20 words, 2 lines
@@ -461,7 +508,7 @@ class TestSatelliteFixes:
 
 
 class TestVolumeAndScalerSurviveResume:
-    """The exact state the old format dropped, asserted directly."""
+    """The exact state the seed-era format dropped, asserted directly."""
 
     def test_comm_volume_counters_survive(self, tmp_path):
         trainer = build_demo_trainer(mode=TrainerMode.TECO_REDUCTION)
@@ -473,27 +520,6 @@ class TestVolumeAndScalerSurviveResume:
         fresh.load_checkpoint(path)
         assert fresh.volume.state_dict() == trainer.volume.state_dict()
         assert fresh.volume.param_reduction == trainer.volume.param_reduction
-
-    def test_scaler_state_survives(self, tmp_path):
-        trainer = build_demo_trainer(mixed_precision=True)
-        trainer.train(demo_batches(5))
-        trainer.loss_scaler.update(True)  # an overflow before checkpointing
-        path = tmp_path / "s.ckpt"
-        trainer.save_checkpoint(path)
-        fresh = build_demo_trainer(mixed_precision=True)
-        fresh.load_checkpoint(path)
-        assert fresh.loss_scaler.state_dict() == trainer.loss_scaler.state_dict()
-
-    def test_accum_buffer_survives(self, tmp_path):
-        trainer = build_demo_trainer(accumulation_steps=4)
-        trainer.train(demo_batches(2))  # mid-window: 2 banked micro-steps
-        assert trainer._micro_step == 2
-        path = tmp_path / "a.ckpt"
-        trainer.save_checkpoint(path)
-        fresh = build_demo_trainer(accumulation_steps=4)
-        fresh.load_checkpoint(path)
-        assert fresh._micro_step == 2
-        np.testing.assert_array_equal(fresh._accum, trainer._accum)
 
     def test_history_survives(self, tmp_path):
         trainer = build_demo_trainer()
