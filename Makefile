@@ -51,7 +51,8 @@ trace-smoke:
 
 # Experiment-framework smoke: registry covers the CLI, cached == fresh
 # byte-for-byte, a 2-worker mini-sweep whose warm re-run recomputes zero
-# cells, and (on hosts with >= 4 CPUs) a >= 2x jobs=4 speedup gate.
+# cells, map_tasks fan-out rows == a sweep worker's inline rows with no
+# nested pool, and (on hosts with >= 4 CPUs) a >= 2x jobs=4 speedup gate.
 exp-smoke:
 	PYTHONPATH=src python benchmarks/exp_smoke.py
 

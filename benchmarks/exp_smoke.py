@@ -35,12 +35,17 @@ Checks, in order:
    decode) is byte-identical cached vs fresh, tokens/s is strictly
    monotone in residency with zero fetch traffic at residency 1.0, and
    a 2-cell sweep hashes the same under ``jobs=1`` and ``jobs=2``;
-9. **full-size** — the paper-scale ``fig10_full`` (1775 steps) and
+9. **fan-out** — reduced ``fig_fabric``, ``fig_aggregation`` and
+   ``fig_zero3`` run here, with their independent simulations fanned
+   across this host's CPUs by ``map_tasks``, give rows byte-identical
+   to the same runs inside a 2-worker ``run_sweep``, where they map
+   inline — and no sweep worker starts a pool of its own;
+10. **full-size** — the paper-scale ``fig10_full`` (1775 steps) and
    ``fig13_full`` (5-point activation sweep) registry experiments
    complete within ``EXP_SMOKE_FULL_GATE`` seconds (default 480), and
    a reduced ``fig13_full`` hashes identically to ``fig13`` run with
    the same parameters;
-10. **speedup** (informational, gated on CPU count) — on hosts with >= 4
+11. **speedup** (informational, gated on CPU count) — on hosts with >= 4
    usable CPUs a 4-cell sweep at ``--jobs 4`` must be >= 2x faster than
    ``--jobs 1``; on smaller hosts (this container has 1 CPU) the
    timings are printed but not enforced, since parallel speedup is
@@ -59,7 +64,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.experiments import registry  # noqa: E402
+from repro.experiments import executor, registry  # noqa: E402
 from repro.experiments.cache import ResultCache  # noqa: E402
 from repro.experiments.executor import SweepCell, run_sweep  # noqa: E402
 from repro.experiments.registry import canonical_json  # noqa: E402
@@ -67,14 +72,6 @@ from repro.experiments.report import DEFAULT_REPORT_EXPERIMENTS  # noqa: E402
 
 SPEEDUP_MIN_CPUS = 4
 SPEEDUP_FLOOR = 2.0
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def check_registry() -> None:
@@ -318,6 +315,42 @@ def check_kvcache(cache_root: str) -> None:
           f"jobs-1 == jobs-2 (hash {sweep_hash[:12]})")
 
 
+def check_fan_out() -> None:
+    """map_tasks fan-out == inline rows; sweep workers start no pool."""
+    cases = [
+        ("fig_fabric", _FABRIC_PARAMS),
+        ("fig_aggregation", _AGG_PARAMS),
+        ("fig_zero3", _ZERO3_PARAMS),
+    ]
+    fanned = [registry.run_experiment(name, params) for name, params in cases]
+    real_pool = executor._pool
+
+    def guarded_pool(workers):
+        # _pool forks its workers, so they start with this patch in place
+        if executor._IN_WORKER:
+            raise AssertionError("a sweep worker started a nested pool")
+        return real_pool(workers)
+
+    executor._pool = guarded_pool
+    try:
+        report = run_sweep(
+            [SweepCell.make(name, params, seed=0) for name, params in cases],
+            jobs=2,
+        )
+    finally:
+        executor._pool = real_pool
+    errors = [o.error for o in report.outcomes if o.error]
+    assert not errors, f"sweep cells failed: {errors}"
+    for (name, _), fresh, outcome in zip(cases, fanned, report.outcomes):
+        assert canonical_json(outcome.result.rows) == canonical_json(
+            fresh.rows
+        ), f"{name}: fanned-out rows differ from the sweep worker's inline rows"
+    cpus = executor._usable_cpus()
+    print(f"fan-out: fig_fabric, fig_aggregation, fig_zero3 on {cpus} "
+          "CPU(s) == inline in a 2-worker sweep, no nested pool"
+          + ("" if cpus > 1 else " (1 CPU: both sides ran inline)"))
+
+
 #: Wall-clock gate on the full-size paper runs (seconds, env-overridable).
 FULL_SIZE_GATE = float(os.environ.get("EXP_SMOKE_FULL_GATE", "480"))
 
@@ -364,7 +397,7 @@ def check_speedup() -> None:
         "jobs=1 and jobs=4 disagree on result hashes"
     )
     speedup = serial.wall_seconds / max(parallel.wall_seconds, 1e-9)
-    cpus = usable_cpus()
+    cpus = executor._usable_cpus()
     print(f"speedup: jobs=1 {serial.wall_seconds:.2f}s, "
           f"jobs=4 {parallel.wall_seconds:.2f}s "
           f"({speedup:.2f}x on {cpus} usable CPU(s))")
@@ -391,6 +424,7 @@ def main() -> int:
         check_activation(cache_root)
         check_zero3(cache_root)
         check_kvcache(cache_root)
+        check_fan_out()
         check_full_size()
         check_speedup()
     print(f"exp-smoke OK in {time.perf_counter() - t0:.1f}s")

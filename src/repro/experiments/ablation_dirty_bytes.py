@@ -37,6 +37,9 @@ def run_dirty_bytes_ablation(
     base = simulate_system(SystemKind.ZERO_OFFLOAD, spec, batch, hw)
     setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
     dirty = (1, 2, 3, 4)
+    # A 4-byte merge writes every byte of every word (the bitwise
+    # identity, pinned in tests/test_dba.py), so that run's device copy
+    # tracks the master exactly as the ZeRO-Offload baseline's does.
     baseline_tr, *trainers = finetune_branches(
         lambda: setup.fresh_model(make_rng(seed + 1)),
         setup.state,
@@ -48,8 +51,10 @@ def run_dirty_bytes_ablation(
                 ActivationPolicy(act_aft_steps=n_steps // 5, dirty_bytes=db),
             )
             for db in dirty
+            if db < 4
         ],
     )
+    trainers.append(baseline_tr)
     baseline_ppl = baseline_tr.model.perplexity(setup.eval_batch)
     rows = []
     for db, tr in zip(dirty, trainers):

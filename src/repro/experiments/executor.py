@@ -1,5 +1,12 @@
 """Parallel sweep executor: fan independent experiment cells across workers.
 
+:func:`map_tasks` is the one pool helper: it maps a top-level function
+over independent tasks on the host's CPUs, in task order, and runs them
+inline where a pool would not help or would lose observations (one
+usable CPU, a pool worker, an active :mod:`repro.obs` profile).  Sweeps
+and the experiments whose grids are independent simulations (fig_fabric,
+fig_aggregation, fig_zero3, the ``*_full`` presets) use it.
+
 A sweep is a list of :class:`SweepCell` — ``(experiment name, params,
 seed)`` triples.  :func:`run_sweep` executes them either inline
 (``jobs=1``) or across a ``ProcessPoolExecutor``, with:
@@ -21,9 +28,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,10 +43,11 @@ from repro.experiments.registry import (
     content_hash,
     run_experiment,
 )
-from repro.obs import Profile
+from repro.obs import NULL_PROFILE, Profile, active_profile
 from repro.utils.checks import check_int
 
 __all__ = [
+    "map_tasks",
     "SweepCell",
     "grid_cells",
     "CellOutcome",
@@ -50,6 +60,74 @@ __all__ = [
 #: Parallel resubmissions a cell gets after its pool broke before it is
 #: retried in isolation (where a crash is attributable to that cell).
 _CRASH_ATTEMPTS = 2
+
+#: True in a pool worker (set by the pool's initializer): a worker maps
+#: its own tasks inline rather than forking a nested pool.
+_IN_WORKER = False
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+#: Workers fork where the platform can (not forkserver, Python 3.14's
+#: Linux default): they start with this process's imports and registry,
+#: and a test's patch of this module reaches them.
+_START = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers know they are workers."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(_START),
+        initializer=_mark_worker,
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def map_tasks(fn: Callable, tasks: Sequence[tuple]) -> list:
+    """``[fn(*task) for task in tasks]``, fanned across the host's CPUs.
+
+    ``fn`` must be a picklable top-level function and the tasks
+    independent argument tuples; results come back in task order, so a
+    caller assembles them exactly as it would inline.  The pool has
+    ``min(len(tasks), usable CPUs)`` workers and is shut down before
+    this returns.
+
+    The tasks run inline, in this process, when that worker count is 1,
+    inside a pool worker (a sweep cell, or a task of another
+    ``map_tasks``), or while a :mod:`repro.obs` profile is active, whose
+    spans a worker process would not record.
+
+    A task's exception is re-raised here; a worker that dies (killed,
+    out of memory, a hard crash) raises :class:`BrokenProcessPool` at
+    once.  Either way the pool's queued tasks are cancelled.
+    """
+    workers = min(len(tasks), _usable_cpus())
+    if workers <= 1 or _IN_WORKER or active_profile() is not NULL_PROFILE:
+        return [fn(*task) for task in tasks]
+    pool = _pool(workers)
+    done = False
+    try:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        results = [f.result() for f in futures]
+        done = True
+        return results
+    except BrokenExecutor as exc:
+        raise BrokenProcessPool(
+            f"a worker died running {fn.__module__}.{fn.__qualname__} "
+            "(killed, out of memory or a hard crash)"
+        ) from exc
+    finally:
+        pool.shutdown(wait=done, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -272,7 +350,7 @@ def _run_cell_isolated(cell_args) -> tuple[dict | None, str | None, bool, bool]:
     *this* cell — the only point where "the worker crashed" can be
     pinned on a cell rather than on whoever shared its pool.
     """
-    with ProcessPoolExecutor(max_workers=1) as solo:
+    with _pool(1) as solo:
         try:
             return solo.submit(_run_cell, cell_args).result()
         except BrokenExecutor as exc:
@@ -289,7 +367,9 @@ def _map_cells(args: list, jobs: int) -> list:
     """Run every cell as its own future, surviving worker crashes.
 
     The sweep owns its pool: one ``ProcessPoolExecutor`` of ``jobs``
-    workers, shut down before this returns.  A dead worker breaks the
+    workers, shut down before this returns.  It is built like
+    :func:`map_tasks`'s, so an experiment in a cell maps its own tasks
+    inline.  A dead worker breaks the
     whole pool — every pending future raises :class:`BrokenExecutor`,
     including innocent cells that were merely queued behind the crasher.
     Completed futures keep their results, so those cells are never
@@ -304,7 +384,7 @@ def _map_cells(args: list, jobs: int) -> list:
     pending = list(range(len(args)))
     solo: list[int] = []
     while pending:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = _pool(jobs)
         retry: list[int] = []
         broke = False
         try:

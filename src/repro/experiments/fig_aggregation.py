@@ -21,10 +21,16 @@ Expected shape: wire bytes order FP32 > FP16/BF16 > FP8/INT8-DBA while
 proxy perplexity degrades only mildly down the ladder — the knee of the
 Pareto sits at the 8-bit formats (pinned group-wise in
 ``benchmarks/exp_smoke.py``).
+
+The timing cells and the per-format fine-tunes are independent, so each
+kind runs as one :func:`~repro.experiments.executor.map_tasks` batch.
 """
 
 from __future__ import annotations
 
+import functools
+
+from repro.experiments.executor import map_tasks
 from repro.experiments.registry import register, renderer
 from repro.experiments.runner import finetune, pretrained_lm
 from repro.interconnect.aggregation import WireFormat, wire_roundtrip
@@ -64,36 +70,19 @@ def _simulate_cell(
     return engine.simulate_step()
 
 
-def _format_accuracy(
-    formats: tuple[str, ...], n_steps: int, seed: int
-) -> dict[str, dict]:
-    """Finetune the proxy once per format with its wire round-trip.
-
-    The ``fp32`` round-trip is the bitwise identity, so its run is the
-    baseline run.
-    """
-    setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
-    baseline = finetune(setup, TrainerMode.TECO_REDUCTION, seed=seed + 1)
-    baseline_ppl = baseline.model.perplexity(setup.eval_batch)
-    out = {}
-    for fmt in formats:
-        wf = WireFormat.parse(fmt)
-        if wf is WireFormat.FP32:
-            ppl = baseline_ppl
-        else:
-            tr = finetune(
-                setup,
-                TrainerMode.TECO_REDUCTION,
-                seed=seed + 1,
-                grad_transform=lambda g, wf=wf: wire_roundtrip(g, wf),
-            )
-            ppl = tr.model.perplexity(setup.eval_batch)
-        out[fmt] = {
-            "perplexity": ppl,
-            "perplexity_delta": ppl - baseline_ppl,
-            "baseline_perplexity": baseline_ppl,
-        }
-    return out
+def _finetune_perplexity(setup, fmt: str | None, seed: int) -> float:
+    """Proxy perplexity after fine-tuning with ``fmt``'s wire round-trip
+    on every gradient (``None``: the unrounded baseline)."""
+    transform = (
+        None if fmt is None else functools.partial(wire_roundtrip, fmt=fmt)
+    )
+    tr = finetune(
+        setup,
+        TrainerMode.TECO_REDUCTION,
+        seed=seed + 1,
+        grad_transform=transform,
+    )
+    return tr.model.perplexity(setup.eval_batch)
 
 
 @register(
@@ -121,17 +110,32 @@ def run_fig_aggregation(
     spec = get_model(model)
     kind = SystemKind(system)
     formats = tuple(WireFormat.parse(f).value for f in formats)
-    accuracy = _format_accuracy(formats, n_steps, seed)
+    # The fp32 round-trip is the bitwise identity: its run is the baseline.
+    fp32 = WireFormat.FP32.value
+    tuned = [None] + list(dict.fromkeys(f for f in formats if f != fp32))
+    cells = [
+        (r, policy, fmt)
+        for r in ranks
+        for policy in policies
+        for fmt in (None, *formats)
+    ]
+    timings = map_tasks(
+        _simulate_cell,
+        [(spec, kind, r, micro_batch, n_tenants, p, f) for r, p, f in cells],
+    )
+    cell_of = dict(zip(cells, timings))
+    setup = pretrained_lm(seed=seed, finetune_batches=n_steps)
+    perplexities = map_tasks(
+        _finetune_perplexity, [(setup, fmt, seed) for fmt in tuned]
+    )
+    ppl = dict(zip(tuned, perplexities))
+    ppl[fp32] = ppl[None]
     rows = []
     for r in ranks:
         for policy in policies:
-            ring = _simulate_cell(
-                spec, kind, r, micro_batch, n_tenants, policy, None
-            )
+            ring = cell_of[r, policy, None]
             for fmt in formats:
-                cell = _simulate_cell(
-                    spec, kind, r, micro_batch, n_tenants, policy, fmt
-                )
+                cell = cell_of[r, policy, fmt]
                 wire = sum(t.wire_bytes for t in cell.tenants)
                 rows.append(
                     {
@@ -152,7 +156,9 @@ def run_fig_aggregation(
                         "reduce_in_gb": cell.reduce_in_bytes / GB,
                         "reduce_out_gb": cell.reduce_out_bytes / GB,
                         "reduce_wait": sum(cell.tenant_reduce_wait),
-                        **accuracy[fmt],
+                        "perplexity": ppl[fmt],
+                        "perplexity_delta": ppl[fmt] - ppl[None],
+                        "baseline_perplexity": ppl[None],
                     }
                 )
     return rows

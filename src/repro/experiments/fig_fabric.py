@@ -13,14 +13,21 @@ time degrades with tenancy under each pool-partitioning policy:
 * ``shared`` — one FCFS pool, no isolation.
 
 Each row is one (nodes, tenants, policy) cell: mean/makespan step time,
-slowdown against the single-tenant cell of the same node count and
-policy, and the fabric contention breakdown (switch vs pool queueing
-seconds, per-tenant traffic).  Slowdown is monotone non-decreasing in
-tenants — pinned by ``tests/test_fabric.py``.
+slowdown against the single-tenant cell of the same node count, and the
+fabric contention breakdown (switch vs pool queueing seconds, per-tenant
+traffic).  Slowdown is monotone non-decreasing in tenants — pinned by
+``tests/test_fabric.py``.
+
+With one tenant every policy gives that tenant the whole pool, so the
+single-tenant reference is simulated once per node count and shared by
+the policies (``tests/test_fabric.py`` pins the identity).  The cells
+are independent simulations, run with
+:func:`~repro.experiments.executor.map_tasks`.
 """
 
 from __future__ import annotations
 
+from repro.experiments.executor import map_tasks
 from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload import SystemKind
@@ -76,20 +83,21 @@ def run_fig_fabric(
     """Run the sweep; returns one dict per (nodes, tenants, policy) cell."""
     spec = get_model(model)
     kind = SystemKind(system)
+    shape = (spec, kind, global_batch, gpus_per_job)
+    # One tenant owns the whole pool under every policy, so one
+    # single-tenant reference per node count serves all the policies.
+    keys = [(n, 1, policies[0]) for n in nodes if policies] + [
+        (n, m, p) for n in nodes for p in policies for m in tenants if m != 1
+    ]
+    cell_of = dict(
+        zip(keys, map_tasks(_simulate_cell, [(*shape, *k) for k in keys]))
+    )
     rows = []
     for n in nodes:
         for policy in policies:
-            ref = _simulate_cell(
-                spec, kind, global_batch, gpus_per_job, n, 1, policy
-            )
+            ref = cell_of[n, 1, policies[0]]
             for m in tenants:
-                cell = (
-                    ref
-                    if m == 1
-                    else _simulate_cell(
-                        spec, kind, global_batch, gpus_per_job, n, m, policy
-                    )
-                )
+                cell = ref if m == 1 else cell_of[n, m, policy]
                 rows.append(
                     {
                         "system": kind.value,

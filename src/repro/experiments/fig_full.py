@@ -5,22 +5,20 @@ counts so the smoke path stays fast.  This module registers the
 *full-size* runs — the paper's 1775 fine-tuning steps, DBA activation
 at step 500, and the Figure-13 sweep over (0, 100, 500, 1000, 1775) —
 and maps their independent cells (each a whole self-contained
-fine-tuning run) over a :class:`~concurrent.futures.ProcessPoolExecutor`
-with one worker per usable CPU, capped at the number of cells.
+fine-tuning run) with :func:`~repro.experiments.executor.map_tasks`:
+one worker per usable CPU, capped at the number of cells.
 
 Each cell is a top-level (picklable) function that builds its own
 memoized pre-trained setup, so a cell computes identically in any
-worker; ``pool.map`` returns results in cell order.  The rows therefore
+worker; ``map_tasks`` returns results in cell order.  The rows therefore
 equal those of ``fig10``/``fig13`` run with the same parameters
 (pinned by ``exp_smoke.py``).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-
 from repro.dba import ActivationPolicy
+from repro.experiments.executor import map_tasks
 from repro.experiments.fig10 import (
     Fig10Result,
     render_fig10,
@@ -45,18 +43,6 @@ FULL_STEPS = 1775
 FULL_ACT_AFT = 500
 #: Figure-13 activation sweep at full scale.
 FULL_SWEEP = (0, 100, 500, 1000, 1775)
-
-
-def _map_cells(fn, cells: list[tuple]) -> list:
-    """``[fn(*args) for args in cells]``, one pool worker per usable CPU."""
-    if not cells:
-        return []
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cpus = os.cpu_count() or 1
-    with ProcessPoolExecutor(max_workers=min(cpus, len(cells))) as pool:
-        return list(pool.map(fn, *zip(*cells)))
 
 
 def _fig10_cell(mode_name, n_steps, act_aft_steps, seed, lr):
@@ -88,7 +74,7 @@ def run_fig10_full(
 ) -> list[dict]:
     """Full-size Figure 10: baseline and TECO curves as two pool cells,
     returned as per-step rows."""
-    baseline, teco = _map_cells(
+    baseline, teco = map_tasks(
         _fig10_cell,
         [(mode, n_steps, act_aft_steps, seed, lr) for mode in ("baseline", "teco")],
     )
@@ -118,7 +104,7 @@ def run_fig13_full(
     sweep order."""
     if any(not 0 <= s <= total_steps for s in sweep):
         raise ValueError("sweep points must lie within the run")
-    return _map_cells(
+    return map_tasks(
         _fig13_cell, [(act, total_steps, paper_total_steps, seed) for act in sweep]
     )
 

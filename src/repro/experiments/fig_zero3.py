@@ -12,11 +12,13 @@ one rank sources per step (gather uplinks + its parameter write-back).
 ZeRO-3's defining property is that this scales as ``1/ranks``; ``make
 exp-smoke`` gates the ratio between adjacent rank counts at ~2x.  Wire
 formats compose multiplicatively: fp16 halves every column relative to
-fp32 at the same rank count.
+fp32 at the same rank count.  The cells are independent simulations,
+run with :func:`~repro.experiments.executor.map_tasks`.
 """
 
 from __future__ import annotations
 
+from repro.experiments.executor import map_tasks
 from repro.experiments.registry import register, renderer
 from repro.models import get_model
 from repro.offload.zero3 import Zero3Engine
@@ -24,6 +26,16 @@ from repro.utils.tables import format_table
 from repro.utils.units import GB
 
 __all__ = ["run_fig_zero3", "render_fig_zero3"]
+
+
+def _simulate_cell(spec, global_batch, ranks, prefetch_layers, fmt):
+    return Zero3Engine(
+        spec,
+        global_batch,
+        ranks=ranks,
+        prefetch_layers=prefetch_layers,
+        wire_format=fmt,
+    ).simulate_step()
 
 
 @register(
@@ -40,37 +52,34 @@ def run_fig_zero3(
 ) -> list[dict]:
     """Run the sweep; one row per (ranks, wire format) cell."""
     spec = get_model(model)
+    cells = [(fmt, r) for fmt in formats for r in ranks]
+    results = map_tasks(
+        _simulate_cell,
+        [(spec, global_batch, r, prefetch_layers, fmt) for fmt, r in cells],
+    )
     rows = []
-    for fmt in formats:
-        for r in ranks:
-            result = Zero3Engine(
-                spec,
-                global_batch,
-                ranks=r,
-                prefetch_layers=prefetch_layers,
-                wire_format=fmt,
-            ).simulate_step()
-            b = result.breakdown
-            rows.append(
-                {
-                    "model": spec.name,
-                    "global_batch": global_batch,
-                    "ranks": r,
-                    "format": result.wire_format,
-                    "prefetch_layers": prefetch_layers,
-                    "step": result.total,
-                    "gather_exposed": b.param_gather_exposed,
-                    "grad_exposed": b.grad_transfer_exposed,
-                    "gather_wait": result.gather_wait,
-                    "per_rank_shard_gb": result.per_rank_shard_gb,
-                    "gather_in_gb": result.gather_in_bytes / GB,
-                    "gather_out_gb": result.gather_out_bytes / GB,
-                    "reduce_in_gb": result.reduce_in_bytes / GB,
-                    "reduce_out_gb": result.reduce_out_bytes / GB,
-                    "writeback_gb": result.writeback_bytes / GB,
-                    "fabric_gb": b.wire_bytes / GB,
-                }
-            )
+    for (_, r), result in zip(cells, results):
+        b = result.breakdown
+        rows.append(
+            {
+                "model": spec.name,
+                "global_batch": global_batch,
+                "ranks": r,
+                "format": result.wire_format,
+                "prefetch_layers": prefetch_layers,
+                "step": result.total,
+                "gather_exposed": b.param_gather_exposed,
+                "grad_exposed": b.grad_transfer_exposed,
+                "gather_wait": result.gather_wait,
+                "per_rank_shard_gb": result.per_rank_shard_gb,
+                "gather_in_gb": result.gather_in_bytes / GB,
+                "gather_out_gb": result.gather_out_bytes / GB,
+                "reduce_in_gb": result.reduce_in_bytes / GB,
+                "reduce_out_gb": result.reduce_out_bytes / GB,
+                "writeback_gb": result.writeback_bytes / GB,
+                "fabric_gb": b.wire_bytes / GB,
+            }
+        )
     return rows
 
 

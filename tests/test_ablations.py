@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.dba import ActivationPolicy
 from repro.experiments.ablation_dirty_bytes import run_dirty_bytes_ablation
 from repro.experiments.ablation_dpu import (
     dpu_requires_large_batch,
@@ -18,6 +20,9 @@ from repro.experiments.ablation_granularity import (
     run_stream_granularity,
 )
 from repro.experiments.ablation_interconnect import run_interconnect_ablation
+from repro.offload import OffloadTrainer, TrainerMode
+from repro.state.verify import DEMO_MODEL, demo_batches
+from repro.tensor.transformer import TinyTransformerLM
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -77,7 +82,7 @@ class TestGranularityAblation:
         exposure (bandwidth-limited, not granularity-limited) — which also
         validates the engines' STREAM_CHUNKS approximation."""
         assert stream[1]["exposed"] == pytest.approx(
-            stream[4096]["exposed"], rel=0.05
+            stream[4096]["exposed"], rel=0.05, abs=0
         )
 
     @pytest.mark.parametrize("chunk_lines", [-5, 2.5, True, None])
@@ -130,6 +135,30 @@ class TestDirtyBytesAblation:
     def test_speedup_ordering(self, rows):
         by = {r["dirty_bytes"]: r for r in rows}
         assert by[1]["speedup"] >= by[4]["speedup"]
+
+    def test_four_byte_run_is_the_baseline_run(self):
+        """The ablation reports its ZeRO-Offload baseline for
+        ``dirty_bytes=4``: a TECO run that activates 4-byte DBA trains
+        exactly as the baseline does, step for step."""
+
+        def run(mode):
+            rng = np.random.default_rng(0)
+            model = TinyTransformerLM(rng=rng, **DEMO_MODEL)
+            policy = ActivationPolicy(act_aft_steps=3, dirty_bytes=4)
+            trainer = OffloadTrainer(model, mode=mode, lr=2e-3, policy=policy)
+            trainer.train(demo_batches(12))
+            return trainer
+
+        base = run(TrainerMode.ZERO_OFFLOAD)
+        teco = run(TrainerMode.TECO_REDUCTION)
+        assert [r.dba_active for r in teco.history].count(True) == 9
+        assert [r.loss for r in teco.history] == [r.loss for r in base.history]
+        for a, b in (
+            (teco.arena.params, base.arena.params),
+            (teco.gpu_params, base.gpu_params),
+            (teco.arena.model_params(), base.arena.model_params()),
+        ):
+            np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class TestInterconnectAblation:

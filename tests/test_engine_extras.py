@@ -146,7 +146,7 @@ class TestFluidQueueEquivalence:
         pf = sim_f.process(fluid_producer(sim_f))
         sim_f.run()
 
-        assert pq.value == pytest.approx(pf.value, rel=1e-6)
+        assert pq.value == pytest.approx(pf.value, rel=1e-6, abs=0)
 
     def test_back_pressure_delays_producer_not_completion(self):
         """With a tiny queue the producer finishes later (it stalls), but

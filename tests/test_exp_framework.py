@@ -9,6 +9,8 @@ Covers the acceptance criteria of the registry refactor:
   change, and byte-identical cached-vs-fresh rows;
 * executor determinism — ``jobs=1`` and ``jobs=4`` produce identical
   result hashes;
+* ``map_tasks`` — task order kept, failures surfaced at once, inline in
+  a pool worker and under an active profile;
 * ``Fig10Result.same_trend`` symmetry regression;
 * fine-tune checkpoints — atomic under a simulated mid-save kill and
   resumable bit-exactly;
@@ -21,17 +23,20 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import executor, registry
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import (
     SweepCell,
     derive_cell_seed,
+    map_tasks,
     run_sweep,
 )
 from repro.experiments.fig10 import Fig10Result, rows_from_result, run_fig10
@@ -401,6 +406,107 @@ def test_sweep_disabled_cache_still_counts_misses(tmp_path):
     assert cache.stats.misses == len(_cheap_cells())
     assert cache.stats.hits == 0 and cache.stats.stores == 0
     assert report.cache_misses == len(_cheap_cells())
+
+
+# ------------------------------------------------------------ map_tasks
+
+
+def _task_pid(i):
+    return i, os.getpid()
+
+
+def _task_fails(i):
+    if i == 2:
+        raise ValueError(f"task {i} failed")
+    return i
+
+
+def _task_exits(i):
+    if i == 1:
+        os._exit(3)
+    return i
+
+
+def _nested_pids(n):
+    """A pool task mapping tasks of its own: its pid and theirs."""
+    out = map_tasks(_task_pid, [(i,) for i in range(n)])
+    return os.getpid(), [pid for _, pid in out]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """``map_tasks`` sees two usable CPUs, whatever the host has."""
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Starting a pool fails the test."""
+
+    def refuse(workers):
+        raise AssertionError(f"started a {workers}-worker pool")
+
+    monkeypatch.setattr(executor, "_pool", refuse)
+
+
+def test_map_tasks_fans_out_in_task_order(two_cpus):
+    out = map_tasks(_task_pid, [(i,) for i in range(6)])
+    assert [i for i, _ in out] == list(range(6))
+    pids = {pid for _, pid in out}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+
+
+def test_map_tasks_runs_one_task_or_one_cpu_inline(monkeypatch, no_pool):
+    assert map_tasks(_task_pid, [(7,)]) == [(7, os.getpid())]
+    assert map_tasks(_task_pid, []) == []
+    monkeypatch.setattr(executor, "_usable_cpus", lambda: 1)
+    out = map_tasks(_task_pid, [(i,) for i in range(3)])
+    assert out == [(i, os.getpid()) for i in range(3)]
+
+
+def test_map_tasks_reraises_a_task_exception(two_cpus):
+    with pytest.raises(ValueError, match="task 2 failed"):
+        map_tasks(_task_fails, [(i,) for i in range(4)])
+
+
+def test_map_tasks_reports_a_dead_worker_at_once(two_cpus):
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenProcessPool, match="died running .*_task_exits"):
+        map_tasks(_task_exits, [(i,) for i in range(4)])
+    assert time.perf_counter() - t0 < 30
+
+
+def test_map_tasks_runs_inline_in_a_pool_worker(two_cpus):
+    with executor._pool(1) as pool:
+        worker, pids = pool.submit(_nested_pids, 4).result()
+    assert worker != os.getpid()
+    assert pids == [worker] * 4
+
+
+def test_map_tasks_runs_inline_under_an_active_profile(two_cpus, no_pool):
+    with Profile.new().activate():
+        out = map_tasks(_task_pid, [(i,) for i in range(4)])
+    assert out == [(i, os.getpid()) for i in range(4)]
+
+
+def test_sweep_cell_maps_its_experiment_inline(two_cpus, monkeypatch):
+    """fig_zero3 in a 2-worker sweep maps its cells inline: a pool started
+    inside a worker fails that cell (``_pool`` forks its workers, so they
+    start with this patch in place)."""
+    real = executor._pool
+
+    def guarded(workers):
+        if executor._IN_WORKER:
+            raise AssertionError("a sweep worker started a pool")
+        return real(workers)
+
+    monkeypatch.setattr(executor, "_pool", guarded)
+    params = {"ranks": [1, 2], "formats": ["fp16"]}
+    cells = [SweepCell.make("fig_zero3", params, seed=s) for s in (0, 1)]
+    report = run_sweep(cells, jobs=2)
+    assert report.failed == 0, [o.error for o in report.outcomes]
+    inline = registry.run_experiment("fig_zero3", params, seed=0)
+    assert report.outcomes[0].result.result_hash == inline.result_hash
 
 
 # ------------------------------------------------------------ trace merge

@@ -40,9 +40,9 @@ class TestForces:
         sc6 = (1.0 / params.rcut) ** 6
         expected_e = 4 * (s6**2 - s6) - 4 * (sc6**2 - sc6)
         expected_f = 24 * (2 * s6**2 - s6) / r
-        assert energy == pytest.approx(expected_e, rel=1e-12)
-        assert forces[0, 0] == pytest.approx(-expected_f, rel=1e-12)
-        assert forces[1, 0] == pytest.approx(expected_f, rel=1e-12)
+        assert energy == pytest.approx(expected_e, rel=1e-12, abs=0)
+        assert forces[0, 0] == pytest.approx(-expected_f, rel=1e-12, abs=0)
+        assert forces[1, 0] == pytest.approx(expected_f, rel=1e-12, abs=0)
 
     def test_newton_third_law(self):
         rng = np.random.default_rng(0)
@@ -74,7 +74,7 @@ class TestForces:
         s6 = (1.0 / r2[mask]) ** 3
         sc6 = (1.0 / 2.5) ** 6
         e_ref = float(np.sum(4 * (s6**2 - s6) - 4 * (sc6**2 - sc6)))
-        assert e_cell == pytest.approx(e_ref, rel=1e-10)
+        assert e_cell == pytest.approx(e_ref, rel=1e-10, abs=0)
 
     def test_minimum_image(self):
         """Atoms near opposite box faces interact through the boundary."""

@@ -537,8 +537,8 @@ class TestActiveProfile:
 
 
 #: Experiments that build no Simulator, trainer or trace replay (nothing
-#: to trace) are skipped, as are the ``*_full`` presets, whose cells run
-#: in child processes.
+#: to trace) are skipped, as are the ``*_full`` presets, whose cells are
+#: paper-scale fine-tunes (a profile maps them inline, one at a time).
 _NOTHING_TO_TRACE = {"overheads", "lammps", "models"}
 
 #: Reduced parameters for the experiments that are slow at defaults.

@@ -45,7 +45,7 @@ class TestHardwareParams:
         big = get_model("t5-large")
         ratio = hw.adam_time(big) / hw.adam_time(small)
         assert ratio == pytest.approx(
-            big.stored_params / small.stored_params, rel=1e-6
+            big.stored_params / small.stored_params, rel=1e-6, abs=0
         )
 
     def test_dba_stream_cheaper(self, hw):
@@ -143,7 +143,7 @@ class TestTECOEngine:
         cxl = TECOEngine(bert, 4, dba=False).simulate_step()
         red = TECOEngine(bert, 4, dba=True).simulate_step()
         saved = cxl.wire_bytes - red.wire_bytes
-        assert saved == pytest.approx(bert.param_bytes / 2, rel=0.15)
+        assert saved == pytest.approx(bert.param_bytes / 2, rel=0.15, abs=0)
 
     def test_invalidation_mode_slower(self, bert):
         """Section IV-A2: on-demand transfers raise training time (+56.6%

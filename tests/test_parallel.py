@@ -36,9 +36,11 @@ class TestClusterParams:
         shard = tensor / n
         bw = c.collective_bandwidth.bytes_per_second
         closed_form = c.collective_latency + tensor * (n - 1) / (n * bw)
-        assert c.ring_time(shard) == pytest.approx(closed_form, rel=1e-12)
+        assert c.ring_time(shard) == pytest.approx(
+            closed_form, rel=1e-12, abs=0
+        )
         assert c.ring_time_for_tensor(tensor) == pytest.approx(
-            c.ring_time(shard), rel=1e-12
+            c.ring_time(shard), rel=1e-12, abs=0
         )
 
     def test_ring_time_for_tensor_validation(self):
@@ -115,7 +117,7 @@ class TestDataParallelEngine:
             SystemKind.TECO_REDUCTION, bert, 4, ClusterParams(n_gpus=1)
         ).simulate_step()
         single = simulate_system(SystemKind.TECO_REDUCTION, bert, 4)
-        assert dp.total == pytest.approx(single.total, rel=0.1)
+        assert dp.total == pytest.approx(single.total, rel=0.1, abs=0)
 
     def test_teco_beats_baseline_at_every_scale(self, bert):
         for n in (1, 2, 4, 8):
@@ -144,7 +146,7 @@ class TestDataParallelEngine:
         w4 = DataParallelEngine(
             SystemKind.TECO_REDUCTION, bert, 32, ClusterParams(n_gpus=4)
         ).simulate_step().wire_bytes_per_link
-        assert w4 == pytest.approx(w1 / 4, rel=0.05)
+        assert w4 == pytest.approx(w1 / 4, rel=0.05, abs=0)
 
     @pytest.mark.parametrize(
         "kind",
@@ -168,7 +170,7 @@ class TestDataParallelEngine:
             kind, bert, 32, ClusterParams(n_gpus=4)
         ).simulate_step()
         assert b4.wire_bytes == pytest.approx(
-            4 * b4.wire_bytes_per_link, rel=1e-12
+            4 * b4.wire_bytes_per_link, rel=1e-12, abs=0
         )
         # total cluster traffic is sharding-invariant
         assert b4.wire_bytes == pytest.approx(b1.wire_bytes, rel=1e-9, abs=0)
@@ -177,7 +179,7 @@ class TestDataParallelEngine:
         single = simulate_system(kind, bert, 32)
         assert b1.wire_bytes == pytest.approx(single.wire_bytes, rel=1e-9, abs=0)
         assert single.wire_bytes == pytest.approx(
-            single.wire_bytes_per_link, rel=1e-12
+            single.wire_bytes_per_link, rel=1e-12, abs=0
         )
 
     def test_batch_validation(self, bert):

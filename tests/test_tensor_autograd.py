@@ -207,7 +207,7 @@ class TestLosses:
         loss = F.cross_entropy(logits, targets)
         probs = np.exp(logits.data) / np.exp(logits.data).sum(-1, keepdims=True)
         expected = -np.log(probs[[0, 1], targets]).mean()
-        assert loss.item() == pytest.approx(expected, rel=1e-5)
+        assert loss.item() == pytest.approx(expected, rel=1e-5, abs=0)
 
     def test_cross_entropy_gradient(self):
         targets = np.array([1, 0, 2])
@@ -221,7 +221,7 @@ class TestLosses:
         )
         loss = F.cross_entropy(logits, np.array([1, -1]), ignore_index=-1)
         # only first row counts; uniform logits -> loss = log(3)
-        assert loss.item() == pytest.approx(np.log(3.0), rel=1e-5)
+        assert loss.item() == pytest.approx(np.log(3.0), rel=1e-5, abs=0)
 
     def test_cross_entropy_shape_mismatch(self):
         with pytest.raises(ValueError):
